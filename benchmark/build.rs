@@ -1,0 +1,17 @@
+//! Records the compiler and the build profile for result manifests.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |v| v.trim().to_string());
+    println!("cargo:rustc-env=BENCH_RUSTC_VERSION={version}");
+    let profile = std::env::var("PROFILE").unwrap_or_else(|_| "unknown".to_string());
+    println!("cargo:rustc-env=BENCH_BUILD_PROFILE={profile}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
