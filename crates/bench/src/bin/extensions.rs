@@ -13,7 +13,7 @@
 //! Run: `cargo run -p ibox-bench --release --bin extensions [--quick]`
 
 use ibox::adaptive::AdaptiveCross;
-use ibox::realism::{realism_of_model_jobs, realism_test_jobs};
+use ibox::realism::{realism_of_model, realism_test};
 use ibox::validity::ValidityRegion;
 use ibox::{FitCache, IBoxNet, ModelKind};
 use ibox_bench::{cell, render_table, Scale};
@@ -34,7 +34,7 @@ fn main() {
     let dur = SimTime::from_secs(scale.pick(8, 20) as u64);
     let train: Vec<FlowTrace> =
         ibox_runner::run_scoped(3, jobs, |i| bias_training_trace(0.3, dur, i as u64));
-    let region = ValidityRegion::fit_jobs(&train, jobs);
+    let region = ValidityRegion::fit(&train, jobs);
     let fresh_rtc = bias_training_trace(0.3, dur, 99);
     let cbr = bias_test_trace(0.3, dur, 99);
     let rows = vec![
@@ -86,8 +86,8 @@ fn main() {
         .normalized()
     });
     let cache = FitCache::in_memory();
-    let r_net = realism_of_model_jobs(&ModelKind::IBoxNet, &gt, "cubic", dur, 40, jobs, &cache);
-    let r_crude = realism_test_jobs(&gt, &crude, jobs);
+    let r_net = realism_of_model(&ModelKind::IBoxNet, &gt, "cubic", dur, 40, &cache, jobs);
+    let r_crude = realism_test(&gt, &crude, jobs);
     let rows = vec![
         vec![
             "iBoxNet replay".to_string(),

@@ -9,10 +9,10 @@
 //! each metric for all four populations, the per-run scatter points, and
 //! the KS statistics/p-values.
 
-use ibox::abtest::{ensemble_test_jobs, ModelKind};
+use ibox::abtest::{ensemble_test, ModelKind};
 use ibox_bench::{cell, dist_cells, render_table, Scale};
 use ibox_sim::SimTime;
-use ibox_testbed::pantheon::{generate_paired_datasets_jobs, PANTHEON_DURATION};
+use ibox_testbed::pantheon::{generate_paired_datasets, PANTHEON_DURATION};
 use ibox_testbed::Profile;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         Scale::Full => PANTHEON_DURATION,
     };
     ibox_obs::info!("fig2: generating {n} paired cubic/vegas runs on india-cellular…");
-    let ds = generate_paired_datasets_jobs(
+    let ds = generate_paired_datasets(
         Profile::IndiaCellular,
         &["cubic", "vegas"],
         n,
@@ -34,7 +34,7 @@ fn main() {
         jobs,
     );
     ibox_obs::info!("fig2: fitting iBoxNet per trace and replaying both protocols…");
-    let report = ensemble_test_jobs(&ds[0], &ds[1], ModelKind::IBoxNet, duration, 7, jobs);
+    let report = ensemble_test(&ds[0], &ds[1], ModelKind::IBoxNet, duration, 7, jobs);
 
     // Distribution summary (the shape Fig. 2's markers encode).
     let mut rows = Vec::new();

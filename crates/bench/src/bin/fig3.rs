@@ -10,10 +10,10 @@
 //! model kinds and prints the KS statistics side by side — the "worse
 //! match" shows up as a larger KS D (smaller p).
 
-use ibox::abtest::{ensemble_test_jobs, EnsembleReport, ModelKind};
+use ibox::abtest::{ensemble_test, EnsembleReport, ModelKind};
 use ibox_bench::{cell, render_table, Scale};
 use ibox_sim::SimTime;
-use ibox_testbed::pantheon::{generate_paired_datasets_jobs, PANTHEON_DURATION};
+use ibox_testbed::pantheon::{generate_paired_datasets, PANTHEON_DURATION};
 use ibox_testbed::Profile;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
         Scale::Full => PANTHEON_DURATION,
     };
     ibox_obs::info!("fig3: generating {n} paired cubic/vegas runs…");
-    let ds = generate_paired_datasets_jobs(
+    let ds = generate_paired_datasets(
         Profile::IndiaCellular,
         &["cubic", "vegas"],
         n,
@@ -48,7 +48,7 @@ fn main() {
         .iter()
         .map(|k| {
             ibox_obs::info!("fig3: evaluating {}…", k.name());
-            ensemble_test_jobs(&ds[0], &ds[1], k.clone(), duration, 7, jobs)
+            ensemble_test(&ds[0], &ds[1], k.clone(), duration, 7, jobs)
         })
         .collect();
 

@@ -10,7 +10,7 @@
 //! This binary prints the clustering purity, the confusion table, the
 //! per-pattern Cubic rate alignment, and the t-SNE coordinates.
 
-use ibox::abtest::instance_test_jobs;
+use ibox::abtest::instance_test;
 use ibox_bench::{cell, render_table, Scale};
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     let jobs = ibox_bench::jobs_from_args();
     let runs = scale.pick(3, 10);
     ibox_obs::info!("fig4: running instance test with {runs} runs per pattern…");
-    let report = instance_test_jobs(runs, "vegas", 42, jobs);
+    let report = instance_test(runs, "vegas", 42, jobs);
 
     println!(
         "## Fig. 4 — instance test (treatment: Vegas, {runs} GT + {runs} sim runs per pattern)"

@@ -20,7 +20,7 @@ use ibox_bench::{cell, render_table, Scale};
 use ibox_ml::TrainConfig;
 use ibox_sim::SimTime;
 use ibox_stats::Cdf;
-use ibox_testbed::pantheon::generate_paired_datasets_jobs;
+use ibox_testbed::pantheon::generate_paired_datasets;
 use ibox_testbed::Profile;
 use ibox_trace::metrics::reordering_rates;
 use ibox_trace::FlowTrace;
@@ -40,7 +40,7 @@ fn main() {
         Scale::Full => SimTime::from_secs(30),
     };
     ibox_obs::info!("fig5: generating {} paired cubic/vegas cellular runs…", n_train + n_test);
-    let ds = generate_paired_datasets_jobs(
+    let ds = generate_paired_datasets(
         Profile::IndiaCellular,
         &["cubic", "vegas"],
         n_train + n_test,

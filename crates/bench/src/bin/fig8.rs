@@ -11,7 +11,7 @@ use ibox::meld::reorder::{augment_with_reordering, ReorderLstm};
 use ibox::IBoxNet;
 use ibox_bench::{cell, render_table, Scale};
 use ibox_sim::SimTime;
-use ibox_testbed::pantheon::generate_paired_datasets_jobs;
+use ibox_testbed::pantheon::generate_paired_datasets;
 use ibox_testbed::Profile;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         Scale::Full => SimTime::from_secs(30),
     };
     ibox_obs::info!("fig8: generating {} paired cubic/vegas cellular runs…", n_train + n_test);
-    let ds = generate_paired_datasets_jobs(
+    let ds = generate_paired_datasets(
         Profile::IndiaCellular,
         &["cubic", "vegas"],
         n_train + n_test,

@@ -34,7 +34,7 @@ use std::hint::black_box;
 
 use criterion::Criterion;
 use ibox::{fit_model, Fidelity, FittedModel, ModelKind, ReplayOpts};
-use ibox_bench::{cell, render_table, Scale};
+use ibox_bench::{cell, check_baseline, render_table, Better, Scale};
 use ibox_sim::SimTime;
 use ibox_stats::ks_two_sample;
 use ibox_testbed::pantheon::run_protocol;
@@ -97,43 +97,6 @@ fn bench_replays(c: &mut Criterion, model: &FittedModel, duration: SimTime) -> V
     arms
 }
 
-/// Read `--baseline <path>` from the args, if present.
-fn baseline_from_args() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--baseline" {
-            return args.next();
-        }
-    }
-    None
-}
-
-/// Compare the fresh speedup gauges against a committed manifest.
-/// Returns the regressions found (empty = pass): a fidelity speedup must
-/// not fall below 80% of the baseline. KS distances are deliberately not
-/// gated here — the in-binary `<= 0.1` assert is their (absolute) gate.
-fn check_baseline(path: &str, fresh: &[(&str, f64)]) -> Vec<String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return vec![format!("cannot read baseline {path}: {e}")],
-    };
-    let json: serde_json::JsonValue = match serde_json::parse_value(&text) {
-        Ok(v) => v,
-        Err(e) => return vec![format!("cannot parse baseline {path}: {e}")],
-    };
-    let gauges = json.get("metrics").and_then(|m| m.get("gauges"));
-    let mut failures = Vec::new();
-    for (name, new) in fresh {
-        let Some(old) = gauges.and_then(|g| g.get(name)).and_then(|v| v.as_f64()) else {
-            continue; // gauge not in the committed manifest yet
-        };
-        if *new < old * 0.80 {
-            failures.push(format!("{name}: {new:.1} vs baseline {old:.1} (>20% regression)"));
-        }
-    }
-    failures
-}
-
 fn main() {
     let bench = ibox_bench::BenchRun::start("flow");
     let mut criterion = Criterion::default();
@@ -180,9 +143,11 @@ fn main() {
     );
 
     // Read the committed baseline BEFORE finish() overwrites the file.
-    let fresh: Vec<(&str, f64)> = gated.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-    let baseline_failures =
-        baseline_from_args().map(|p| check_baseline(&p, &fresh)).unwrap_or_default();
+    // A fidelity speedup must not fall below 80% of the baseline. KS
+    // distances are deliberately not gated here — the in-binary `<= 0.1`
+    // assert is their (absolute) gate.
+    let fresh: Vec<_> = gated.iter().map(|(n, v)| (n.as_str(), *v, 0.20, Better::Higher)).collect();
+    let baseline_failures = check_baseline(&fresh);
 
     bench.finish();
 
@@ -197,10 +162,5 @@ fn main() {
     assert!(flow.ks <= 0.1, "flow-mode delay KS must be <= 0.1, got {:.4}", flow.ks);
     assert!(hybrid.ks <= 0.1, "hybrid delay KS must be <= 0.1, got {:.4}", hybrid.ks);
 
-    if !baseline_failures.is_empty() {
-        for f in &baseline_failures {
-            eprintln!("flow regression: {f}");
-        }
-        std::process::exit(1);
-    }
+    ibox_bench::exit_on_regressions("flow", &baseline_failures);
 }

@@ -39,7 +39,7 @@
 use std::hint::black_box;
 
 use criterion::{Criterion, Stats};
-use ibox_bench::{cell, render_table, Scale};
+use ibox_bench::{cell, check_baseline, render_table, Better, Scale};
 use ibox_ml::{InferenceSession, Prediction, SequenceModel, SequenceModelConfig};
 
 /// Concurrent connections driven through one session.
@@ -141,41 +141,6 @@ fn packets_per_sec(stats: &Stats) -> f64 {
     (N_STREAMS * STEPS) as f64 * 1e9 / stats.min_ns.max(1e-9)
 }
 
-/// Read `--baseline <path>` from the args, if present.
-fn baseline_from_args() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--baseline" {
-            return args.next();
-        }
-    }
-    None
-}
-
-/// Compare the fresh gauges against a committed manifest. Rates must not
-/// fall below 80% of the baseline.
-fn check_baseline(path: &str, fresh: &[(&str, f64)]) -> Vec<String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return vec![format!("cannot read baseline {path}: {e}")],
-    };
-    let json: serde_json::JsonValue = match serde_json::parse_value(&text) {
-        Ok(v) => v,
-        Err(e) => return vec![format!("cannot parse baseline {path}: {e}")],
-    };
-    let gauges = json.get("metrics").and_then(|m| m.get("gauges"));
-    let mut failures = Vec::new();
-    for (name, new) in fresh {
-        let Some(old) = gauges.and_then(|g| g.get(name)).and_then(|v| v.as_f64()) else {
-            continue; // gauge not in the committed manifest yet
-        };
-        if *new < old * 0.80 {
-            failures.push(format!("{name}: {new:.0} vs baseline {old:.0} (>20% regression)"));
-        }
-    }
-    failures
-}
-
 fn main() {
     let bench = ibox_bench::BenchRun::start("infer");
     let mut criterion = Criterion::default();
@@ -240,9 +205,8 @@ fn main() {
     );
 
     // Read the committed baseline BEFORE finish() overwrites the file.
-    let baseline_failures = baseline_from_args()
-        .map(|p| check_baseline(&p, &[("infer.batched_pps", batched_pps)]))
-        .unwrap_or_default();
+    let baseline_failures =
+        check_baseline(&[("infer.batched_pps", batched_pps, 0.20, Better::Higher)]);
 
     bench.finish();
 
@@ -254,10 +218,5 @@ fn main() {
         speedup >= 1.2,
         "batched session must be >= 1.2x the per-stream path, got {speedup:.2}x"
     );
-    if !baseline_failures.is_empty() {
-        for f in &baseline_failures {
-            eprintln!("infer regression: {f}");
-        }
-        std::process::exit(1);
-    }
+    ibox_bench::exit_on_regressions("infer", &baseline_failures);
 }

@@ -23,7 +23,7 @@
 //! Results land as `ingest.*` gauges in `BENCH_ingest.json`. With
 //! `--baseline <path>` the committed manifest is read before being
 //! overwritten and the 64-chunk online speedup must not fall below
-//! half of it (see [`check_baseline`] for why the tolerance is wider
+//! half of it (see the gate in `main` for why the tolerance is wider
 //! than the other benches').
 //!
 //! Run: `cargo run -p ibox-bench --release --bin ingest [--quick]
@@ -33,7 +33,7 @@ use std::hint::black_box;
 
 use criterion::Criterion;
 use ibox::estimator::{CrossTrafficEstimate, StaticParams, DEFAULT_BIN_SECS};
-use ibox_bench::{cell, render_table, Scale};
+use ibox_bench::{cell, check_baseline, render_table, Better, Scale};
 use ibox_ingest::{IngestConfig, OnlineCrossTraffic, OnlineStaticParams, SessionStore, Watermark};
 use ibox_sim::SimTime;
 use ibox_testbed::pantheon::run_protocol;
@@ -108,49 +108,6 @@ fn batch_pass(trace: &FlowTrace, chunks: &[(u64, Vec<PacketRecord>)]) -> StaticP
     params.expect("params after full trace")
 }
 
-/// Read `--baseline <path>` from the args, if present.
-fn baseline_from_args() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--baseline" {
-            return args.next();
-        }
-    }
-    None
-}
-
-/// Compare the fresh 64-chunk online speedup against a committed
-/// manifest. Returns the regressions found (empty = pass): the speedup
-/// must not fall below half the baseline. The tolerance is wider than
-/// the other benches' 80% because the committed manifest is a full run
-/// while the CI gate runs `--quick`: the quick trace has ~4x fewer
-/// records per chunk, so the fixed per-chunk watermark cost weighs
-/// more and the measured speedup sits structurally below the full-run
-/// number (~0.65x of it) before any real regression. Append throughput
-/// and absolute refit times are deliberately not gated — they track
-/// machine speed, not the algorithmic win.
-fn check_baseline(path: &str, fresh: &[(&str, f64)]) -> Vec<String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return vec![format!("cannot read baseline {path}: {e}")],
-    };
-    let json: serde_json::JsonValue = match serde_json::parse_value(&text) {
-        Ok(v) => v,
-        Err(e) => return vec![format!("cannot parse baseline {path}: {e}")],
-    };
-    let gauges = json.get("metrics").and_then(|m| m.get("gauges"));
-    let mut failures = Vec::new();
-    for (name, new) in fresh {
-        let Some(old) = gauges.and_then(|g| g.get(name)).and_then(|v| v.as_f64()) else {
-            continue; // gauge not in the committed manifest yet
-        };
-        if *new < old * 0.50 {
-            failures.push(format!("{name}: {new:.1} vs baseline {old:.1} (>50% regression)"));
-        }
-    }
-    failures
-}
-
 fn main() {
     let bench = ibox_bench::BenchRun::start("ingest");
     let mut criterion = Criterion::default();
@@ -223,9 +180,21 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Read the committed baseline BEFORE finish() overwrites the file.
-    let fresh = [("ingest.online_vs_batch_64_x", online_rps_64 / batch_rps_64.max(1e-12))];
-    let baseline_failures =
-        baseline_from_args().map(|p| check_baseline(&p, &fresh)).unwrap_or_default();
+    // The 64-chunk online speedup must not fall below half the baseline.
+    // The tolerance is wider than the other benches' 20% because the
+    // committed manifest is a full run while the CI gate runs `--quick`:
+    // the quick trace has ~4x fewer records per chunk, so the fixed
+    // per-chunk watermark cost weighs more and the measured speedup sits
+    // structurally below the full-run number (~0.65x of it) before any
+    // real regression. Append throughput and absolute refit times are
+    // deliberately not gated — they track machine speed, not the
+    // algorithmic win.
+    let baseline_failures = check_baseline(&[(
+        "ingest.online_vs_batch_64_x",
+        online_rps_64 / batch_rps_64.max(1e-12),
+        0.50,
+        Better::Higher,
+    )]);
 
     print!(
         "{}",
@@ -252,10 +221,5 @@ fn main() {
          (online {online_rps_64:.0} rec/s vs batch {batch_rps_64:.0} rec/s)"
     );
 
-    if !baseline_failures.is_empty() {
-        for f in &baseline_failures {
-            eprintln!("ingest regression: {f}");
-        }
-        std::process::exit(1);
-    }
+    ibox_bench::exit_on_regressions("ingest", &baseline_failures);
 }

@@ -29,7 +29,7 @@ use std::hint::black_box;
 
 use criterion::Criterion;
 use ibox::{fit_model, Fidelity, FittedModel, ModelKind, ReplayOpts};
-use ibox_bench::{cell, render_table, Scale};
+use ibox_bench::{cell, check_baseline, render_table, Better, Scale};
 use ibox_sim::{PathConfig, PathSpec, PathStage, SimTime};
 use ibox_testbed::pantheon::run_protocol;
 use ibox_testbed::Profile;
@@ -103,44 +103,6 @@ fn bench_chains(c: &mut Criterion, model: &FittedModel, duration: SimTime) -> Ve
     arms
 }
 
-/// Read `--baseline <path>` from the args, if present.
-fn baseline_from_args() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--baseline" {
-            return args.next();
-        }
-    }
-    None
-}
-
-/// Compare the fresh slowdown gauges against a committed manifest.
-/// Returns the regressions found (empty = pass): a per-added-stage
-/// slowdown factor must not grow by more than 25%. Raw pps is
-/// deliberately not gated — it shifts with replay duration, while the
-/// ratio of adjacent stage counts does not.
-fn check_baseline(path: &str, fresh: &[(String, f64)]) -> Vec<String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return vec![format!("cannot read baseline {path}: {e}")],
-    };
-    let json: serde_json::JsonValue = match serde_json::parse_value(&text) {
-        Ok(v) => v,
-        Err(e) => return vec![format!("cannot parse baseline {path}: {e}")],
-    };
-    let gauges = json.get("metrics").and_then(|m| m.get("gauges"));
-    let mut failures = Vec::new();
-    for (name, new) in fresh {
-        let Some(old) = gauges.and_then(|g| g.get(name)).and_then(|v| v.as_f64()) else {
-            continue; // gauge not in the committed manifest yet
-        };
-        if *new > old * 1.25 {
-            failures.push(format!("{name}: {new:.2} vs baseline {old:.2} (>25% regression)"));
-        }
-    }
-    failures
-}
-
 fn main() {
     let bench = ibox_bench::BenchRun::start("path");
     let mut criterion = Criterion::default();
@@ -201,8 +163,11 @@ fn main() {
     );
 
     // Read the committed baseline BEFORE finish() overwrites the file.
-    let baseline_failures =
-        baseline_from_args().map(|p| check_baseline(&p, &gated)).unwrap_or_default();
+    // A per-added-stage slowdown factor must not grow by more than 25%.
+    // Raw pps is deliberately not gated — it shifts with replay duration,
+    // while the ratio of adjacent stage counts does not.
+    let fresh: Vec<_> = gated.iter().map(|(n, s)| (n.as_str(), *s, 0.25, Better::Lower)).collect();
+    let baseline_failures = check_baseline(&fresh);
 
     bench.finish();
 
@@ -213,10 +178,5 @@ fn main() {
         violations.join("\n  ")
     );
 
-    if !baseline_failures.is_empty() {
-        for f in &baseline_failures {
-            eprintln!("path regression: {f}");
-        }
-        std::process::exit(1);
-    }
+    ibox_bench::exit_on_regressions("path", &baseline_failures);
 }

@@ -24,7 +24,7 @@ use std::hint::black_box;
 
 use criterion::{Criterion, Stats};
 use ibox::{IBoxMl, IBoxMlConfig};
-use ibox_bench::{cell, render_table, Scale};
+use ibox_bench::{cell, check_baseline, render_table, Better, Scale};
 use ibox_ml::lstm::{Lstm, LstmState, LstmWorkspace, StepCache};
 use ibox_ml::matrix::Mat;
 use ibox_ml::TrainConfig;
@@ -433,44 +433,6 @@ fn bench_fit(c: &mut Criterion) -> f64 {
     stats.min_ns / 1e6
 }
 
-/// Read `--baseline <path>` from the args, if present.
-fn baseline_from_args() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--baseline" {
-            return args.next();
-        }
-    }
-    None
-}
-
-/// Compare the fresh gauges against a committed manifest. Returns the
-/// regressions found (empty = pass). Rates must not fall below 80% of the
-/// baseline; wall times must not exceed 125%.
-fn check_baseline(path: &str, fresh: &[(&str, f64)]) -> Vec<String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return vec![format!("cannot read baseline {path}: {e}")],
-    };
-    let json: serde_json::JsonValue = match serde_json::parse_value(&text) {
-        Ok(v) => v,
-        Err(e) => return vec![format!("cannot parse baseline {path}: {e}")],
-    };
-    let gauges = json.get("metrics").and_then(|m| m.get("gauges"));
-    let mut failures = Vec::new();
-    for (name, new) in fresh {
-        let Some(old) = gauges.and_then(|g| g.get(name)).and_then(|v| v.as_f64()) else {
-            continue; // gauge not in the committed manifest yet
-        };
-        let is_wall_time = name.ends_with("_ms");
-        let regressed = if is_wall_time { *new > old * 1.25 } else { *new < old * 0.80 };
-        if regressed {
-            failures.push(format!("{name}: {new:.1} vs baseline {old:.1} (>20% regression)"));
-        }
-    }
-    failures
-}
-
 fn main() {
     let bench = ibox_bench::BenchRun::start("perf");
     let mut criterion = Criterion::default();
@@ -505,18 +467,11 @@ fn main() {
     );
 
     // Read the committed baseline BEFORE finish() overwrites the file.
-    let baseline_failures = baseline_from_args()
-        .map(|p| {
-            check_baseline(
-                &p,
-                &[
-                    ("perf.lstm_train_steps_per_sec", ws_sps),
-                    ("perf.sim_packets_per_sec", sim_pps),
-                    ("perf.sim_packets_per_sec_impaired", sim_pps_impaired),
-                ],
-            )
-        })
-        .unwrap_or_default();
+    let baseline_failures = check_baseline(&[
+        ("perf.lstm_train_steps_per_sec", ws_sps, 0.20, Better::Higher),
+        ("perf.sim_packets_per_sec", sim_pps, 0.20, Better::Higher),
+        ("perf.sim_packets_per_sec_impaired", sim_pps_impaired, 0.20, Better::Higher),
+    ]);
 
     bench.finish();
 
@@ -524,10 +479,5 @@ fn main() {
         speedup >= 1.5,
         "workspace kernels must be >= 1.5x the naive reference, got {speedup:.2}x"
     );
-    if !baseline_failures.is_empty() {
-        for f in &baseline_failures {
-            eprintln!("perf regression: {f}");
-        }
-        std::process::exit(1);
-    }
+    ibox_bench::exit_on_regressions("perf", &baseline_failures);
 }

@@ -10,10 +10,10 @@
 //!
 //! Run: `cargo run -p ibox-bench --release --bin profiles [--quick]`
 
-use ibox::abtest::{ensemble_test_jobs, ModelKind};
+use ibox::abtest::{ensemble_test, ModelKind};
 use ibox_bench::{cell, render_table, Scale};
 use ibox_sim::SimTime;
-use ibox_testbed::pantheon::generate_paired_datasets_jobs;
+use ibox_testbed::pantheon::generate_paired_datasets;
 use ibox_testbed::Profile;
 
 fn main() {
@@ -34,8 +34,8 @@ fn main() {
     let mut rows = Vec::new();
     for p in profiles {
         ibox_obs::info!("profiles: {} ({n} paired runs)…", p.name());
-        let ds = generate_paired_datasets_jobs(p, &["cubic", "vegas"], n, duration, 5_000, jobs);
-        let r = ensemble_test_jobs(&ds[0], &ds[1], ModelKind::IBoxNet, duration, 11, jobs);
+        let ds = generate_paired_datasets(p, &["cubic", "vegas"], n, duration, 5_000, jobs);
+        let r = ensemble_test(&ds[0], &ds[1], ModelKind::IBoxNet, duration, 11, jobs);
         rows.push(vec![
             p.name().to_string(),
             cell(r.ks_delay.b.statistic, 3),

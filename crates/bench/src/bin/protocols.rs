@@ -10,11 +10,11 @@
 //!
 //! Run: `cargo run -p ibox-bench --release --bin protocols [--quick]`
 
-use ibox::abtest::{ensemble_test_jobs, ModelKind};
+use ibox::abtest::{ensemble_test, ModelKind};
 use ibox_bench::{cell, render_table, Scale};
 use ibox_sim::SimTime;
 use ibox_stats::wasserstein_1d;
-use ibox_testbed::pantheon::generate_paired_datasets_jobs;
+use ibox_testbed::pantheon::generate_paired_datasets;
 use ibox_testbed::Profile;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     let mut rows = Vec::new();
     for b in treatments {
         ibox_obs::info!("protocols: cubic -> {b} ({n} paired runs)…");
-        let ds = generate_paired_datasets_jobs(
+        let ds = generate_paired_datasets(
             Profile::IndiaCellular,
             &["cubic", b],
             n,
@@ -39,7 +39,7 @@ fn main() {
             21_000,
             jobs,
         );
-        let r = ensemble_test_jobs(&ds[0], &ds[1], ModelKind::IBoxNet, duration, 5, jobs);
+        let r = ensemble_test(&ds[0], &ds[1], ModelKind::IBoxNet, duration, 5, jobs);
         // KS on p95 delay + the interpretable W1 distances.
         let gt_d: Vec<f64> = r.gt_b.iter().map(|m| m.p95_delay_ms).collect();
         let sim_d: Vec<f64> = r.sim_b.iter().map(|m| m.p95_delay_ms).collect();

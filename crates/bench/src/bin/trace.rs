@@ -25,7 +25,7 @@
 use std::hint::black_box;
 
 use criterion::{Criterion, Stats};
-use ibox_bench::{cell, render_table, Scale};
+use ibox_bench::{cell, check_baseline, render_table, Better, Scale};
 use ibox_sim::{FixedWindow, FlowConfig, PathConfig, SimTime, Simulation};
 
 /// Throughput from the fastest sample (background load only adds time).
@@ -76,41 +76,6 @@ fn bench_mode(c: &mut Criterion, name: &str, traced: bool, timeline: bool) -> f6
     packets as f64 * best_per_sec(&stats)
 }
 
-/// Read `--baseline <path>` from the args, if present.
-fn baseline_from_args() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--baseline" {
-            return args.next();
-        }
-    }
-    None
-}
-
-/// Compare fresh rate gauges against a committed manifest; rates must
-/// not fall below 80% of the baseline (min-of-samples tames the rest).
-fn check_baseline(path: &str, fresh: &[(&str, f64)]) -> Vec<String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return vec![format!("cannot read baseline {path}: {e}")],
-    };
-    let json: serde_json::JsonValue = match serde_json::parse_value(&text) {
-        Ok(v) => v,
-        Err(e) => return vec![format!("cannot parse baseline {path}: {e}")],
-    };
-    let gauges = json.get("metrics").and_then(|m| m.get("gauges"));
-    let mut failures = Vec::new();
-    for (name, new) in fresh {
-        let Some(old) = gauges.and_then(|g| g.get(name)).and_then(|v| v.as_f64()) else {
-            continue;
-        };
-        if *new < old * 0.80 {
-            failures.push(format!("{name}: {new:.0} vs baseline {old:.0} (>20% regression)"));
-        }
-    }
-    failures
-}
-
 fn main() {
     let bench = ibox_bench::BenchRun::start("trace");
     let mut criterion = Criterion::default();
@@ -142,17 +107,10 @@ fn main() {
     );
 
     // Read the committed baseline BEFORE finish() overwrites the file.
-    let baseline_failures = baseline_from_args()
-        .map(|p| {
-            check_baseline(
-                &p,
-                &[
-                    ("trace.sim_packets_per_sec_disabled", disabled),
-                    ("trace.sim_packets_per_sec_enabled", enabled),
-                ],
-            )
-        })
-        .unwrap_or_default();
+    let baseline_failures = check_baseline(&[
+        ("trace.sim_packets_per_sec_disabled", disabled, 0.20, Better::Higher),
+        ("trace.sim_packets_per_sec_enabled", enabled, 0.20, Better::Higher),
+    ]);
 
     bench.finish();
 
@@ -162,10 +120,5 @@ fn main() {
          {enabled:.0} enabled vs {disabled:.0} disabled ({:.1}% overhead)",
         pct(enabled)
     );
-    if !baseline_failures.is_empty() {
-        for f in &baseline_failures {
-            eprintln!("trace overhead regression: {f}");
-        }
-        std::process::exit(1);
-    }
+    ibox_bench::exit_on_regressions("trace overhead", &baseline_failures);
 }

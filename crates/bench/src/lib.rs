@@ -102,6 +102,66 @@ impl BenchRun {
     }
 }
 
+/// Which direction of a gated gauge is an improvement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// Rates and speedups: a regression is a drop.
+    Higher,
+    /// Wall times and slowdown factors: a regression is a rise.
+    Lower,
+}
+
+/// Compare fresh gauges against the committed manifest named by
+/// `--baseline <path>` in the process args. Each entry is `(gauge, fresh
+/// value, tolerance, direction)`: a gauge regresses when it is worse than
+/// the committed value by more than the fraction `tolerance`. Returns the
+/// regressions found — empty when there are none or no `--baseline` was
+/// given; gauges absent from the committed manifest are skipped.
+///
+/// Call this BEFORE [`BenchRun::finish`], which may overwrite the file.
+pub fn check_baseline(fresh: &[(&str, f64, f64, Better)]) -> Vec<String> {
+    let mut args = std::env::args().skip_while(|a| a != "--baseline");
+    let Some(path) = args.nth(1) else {
+        return Vec::new();
+    };
+    let text = match std::fs::read_to_string(&path) {
+        Ok(t) => t,
+        Err(e) => return vec![format!("cannot read baseline {path}: {e}")],
+    };
+    let json: serde_json::JsonValue = match serde_json::parse_value(&text) {
+        Ok(v) => v,
+        Err(e) => return vec![format!("cannot parse baseline {path}: {e}")],
+    };
+    let gauges = json.get("metrics").and_then(|m| m.get("gauges"));
+    let mut failures = Vec::new();
+    for &(name, new, tolerance, better) in fresh {
+        let Some(old) = gauges.and_then(|g| g.get(name)).and_then(|v| v.as_f64()) else {
+            continue; // gauge not in the committed manifest yet
+        };
+        let regressed = match better {
+            Better::Higher => new < old * (1.0 - tolerance),
+            Better::Lower => new > old * (1.0 + tolerance),
+        };
+        if regressed {
+            failures.push(format!(
+                "{name}: {new:.2} vs baseline {old:.2} (>{:.0}% regression)",
+                tolerance * 100.0
+            ));
+        }
+    }
+    failures
+}
+
+/// Report `failures` from [`check_baseline`] and exit nonzero if any.
+pub fn exit_on_regressions(bench: &str, failures: &[String]) {
+    for f in failures {
+        eprintln!("{bench} regression: {f}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
+}
+
 /// Render a numeric table: header row + aligned columns (plain text, the
 /// binaries' stdout is the "figure").
 pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {

@@ -59,19 +59,6 @@ pub struct EnsembleReport {
     pub ks_rate: MetricKs,
 }
 
-/// Run the ensemble test serially. Identical to
-/// [`ensemble_test_jobs`] at `jobs = 1` — which is exactly what it calls;
-/// kept as the short-name entry point for small datasets and tests.
-pub fn ensemble_test(
-    gt_a: &TraceDataset,
-    gt_b: &TraceDataset,
-    kind: ModelKind,
-    duration: SimTime,
-    seed: u64,
-) -> EnsembleReport {
-    ensemble_test_jobs(gt_a, gt_b, kind, duration, seed, 1)
-}
-
 /// Run the ensemble test: for every trace in `gt_a` (protocol A over some
 /// path instance), fit `kind` **once** and replay both protocols through
 /// the same fitted model; `gt_b` holds the paired ground-truth runs of
@@ -88,7 +75,7 @@ pub fn ensemble_test(
 /// workers (`0` = all cores). Each job's RNG derives only from `seed` and
 /// the trace index, and per-job metrics fold into the registry in trace
 /// order, so the report is **bit-identical at any `jobs` value**.
-pub fn ensemble_test_jobs(
+pub fn ensemble_test(
     gt_a: &TraceDataset,
     gt_b: &TraceDataset,
     kind: ModelKind,
@@ -193,12 +180,6 @@ fn grid_series(trace: &FlowTrace) -> (Vec<f64>, Vec<f64>) {
     (rate.v, delay.v)
 }
 
-/// Run the full instance test serially — [`instance_test_jobs`] at
-/// `jobs = 1`, which is what it calls.
-pub fn instance_test(runs_per_pattern: usize, treatment: &str, seed: u64) -> InstanceReport {
-    instance_test_jobs(runs_per_pattern, treatment, seed, 1)
-}
-
 /// Run the full instance test with `runs_per_pattern` ground-truth and
 /// simulated treatment runs per cross-traffic pattern.
 ///
@@ -207,7 +188,7 @@ pub fn instance_test(runs_per_pattern: usize, treatment: &str, seed: u64) -> Ins
 /// `ibox-runner` pool across `jobs` workers (`0` = all cores), with
 /// results collected in pattern/run order so the report is identical at
 /// any `jobs` value.
-pub fn instance_test_jobs(
+pub fn instance_test(
     runs_per_pattern: usize,
     treatment: &str,
     seed: u64,
@@ -326,8 +307,9 @@ mod tests {
     #[test]
     fn ensemble_test_small_run_matches_shape() {
         let dur = SimTime::from_secs(10);
-        let ds = generate_paired_datasets(Profile::IndiaCellular, &["cubic", "vegas"], 4, dur, 50);
-        let report = ensemble_test(&ds[0], &ds[1], ModelKind::IBoxNet, dur, 1);
+        let ds =
+            generate_paired_datasets(Profile::IndiaCellular, &["cubic", "vegas"], 4, dur, 50, 1);
+        let report = ensemble_test(&ds[0], &ds[1], ModelKind::IBoxNet, dur, 1, 1);
         assert_eq!(report.gt_a.len(), 4);
         assert_eq!(report.sim_b.len(), 4);
         // Simulated rates should be in the same universe as ground truth.
@@ -344,9 +326,10 @@ mod tests {
         // control protocol at least as well as the no-CT ablation on
         // delay. (The full-scale version of this claim is the fig3 bench.)
         let dur = SimTime::from_secs(10);
-        let ds = generate_paired_datasets(Profile::IndiaCellular, &["cubic", "vegas"], 5, dur, 80);
-        let full = ensemble_test(&ds[0], &ds[1], ModelKind::IBoxNet, dur, 2);
-        let ablt = ensemble_test(&ds[0], &ds[1], ModelKind::IBoxNetNoCross, dur, 2);
+        let ds =
+            generate_paired_datasets(Profile::IndiaCellular, &["cubic", "vegas"], 5, dur, 80, 1);
+        let full = ensemble_test(&ds[0], &ds[1], ModelKind::IBoxNet, dur, 2, 1);
+        let ablt = ensemble_test(&ds[0], &ds[1], ModelKind::IBoxNetNoCross, dur, 2, 1);
         assert!(
             full.ks_delay.a.statistic <= ablt.ks_delay.a.statistic + 0.21,
             "full {} vs ablated {}",
@@ -362,9 +345,10 @@ mod tests {
     fn ensemble_fits_exactly_once_per_trace() {
         let dur = SimTime::from_secs(6);
         let n = 3;
-        let ds = generate_paired_datasets(Profile::IndiaCellular, &["cubic", "vegas"], n, dur, 60);
+        let ds =
+            generate_paired_datasets(Profile::IndiaCellular, &["cubic", "vegas"], n, dur, 60, 1);
         let scope = ibox_obs::scoped();
-        let report = ensemble_test(&ds[0], &ds[1], ModelKind::IBoxNet, dur, 5);
+        let report = ensemble_test(&ds[0], &ds[1], ModelKind::IBoxNet, dur, 5, 1);
         let metrics = scope.finish().snapshot();
         assert_eq!(report.sim_a.len(), n);
         assert_eq!(report.sim_b.len(), n);
@@ -387,7 +371,7 @@ mod tests {
         // Small (2 runs per pattern) but end-to-end: 1.0 purity means the
         // paper's "no mistakes"; we accept ≥ 10/12 here to keep the unit
         // test robust, and check the full criterion in the fig4 binary.
-        let report = instance_test(2, "vegas", 42);
+        let report = instance_test(2, "vegas", 42, 1);
         assert_eq!(report.tags.len(), 12);
         assert_eq!(report.features[0].len(), 6);
         assert!(report.purity >= 0.8, "purity = {}", report.purity);

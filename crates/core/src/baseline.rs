@@ -11,13 +11,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use ibox_cc::by_name;
 use ibox_runner::Fidelity;
 use ibox_sim::{PathConfig, PathEmulator, PathSpec, SimTime};
 use ibox_trace::FlowTrace;
 
 use crate::estimator::StaticParams;
-use crate::model::fluid_plan;
+use crate::model::replay_over;
 
 /// A calibrated-emulator baseline: static parameters + statistical loss.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -91,14 +90,7 @@ impl StatisticalLossModel {
         let spec = path.cloned().unwrap_or_else(|| self.path_spec());
         let emu = PathEmulator::from_spec(spec, duration)
             .with_name(format!("statistical({})", self.fitted_on));
-        if let Some((law, hybrid)) = fluid_plan(&emu.spec, protocol, fidelity, &emu.name) {
-            let out = emu.run_sender_fluid(law, protocol, seed, hybrid);
-            return out.traces.into_iter().next().expect("one recorded flow").into_normalized();
-        }
-        let cc = by_name(protocol)
-            .unwrap_or_else(|| panic!("unknown congestion-control protocol {protocol:?}"));
-        let out = emu.run_sender(cc, protocol, seed);
-        out.traces.into_iter().next().expect("one recorded flow").into_normalized()
+        replay_over(&emu, protocol, seed, fidelity)
     }
 }
 

@@ -10,13 +10,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use ibox_cc::by_name;
 use ibox_runner::Fidelity;
 use ibox_sim::{PathConfig, PathEmulator, PathSpec, ReorderCfg, SimTime, CT_PACKET_SIZE};
 use ibox_trace::FlowTrace;
 
 use crate::estimator::{CrossTrafficEstimate, StaticParams, DEFAULT_BIN_SECS};
-use crate::model::fluid_plan;
+use crate::model::replay_over;
 
 /// A fitted iBoxNet model — the paper's promised, shareable "iBox profile".
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -161,15 +160,7 @@ impl IBoxNet {
         path: Option<&PathSpec>,
     ) -> FlowTrace {
         let spec = path.cloned().unwrap_or_else(|| self.path_spec());
-        let emu = self.emulator_over(spec, duration);
-        if let Some((law, hybrid)) = fluid_plan(&emu.spec, protocol, fidelity, &emu.name) {
-            let out = emu.run_sender_fluid(law, protocol, seed, hybrid);
-            return out.traces.into_iter().next().expect("one recorded flow").into_normalized();
-        }
-        let cc = by_name(protocol)
-            .unwrap_or_else(|| panic!("unknown congestion-control protocol {protocol:?}"));
-        let out = emu.run_sender(cc, protocol, seed);
-        out.traces.into_iter().next().expect("one recorded flow").into_normalized()
+        replay_over(&self.emulator_over(spec, duration), protocol, seed, fidelity)
     }
 
     /// Serialize the profile to JSON.

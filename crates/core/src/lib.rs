@@ -57,7 +57,7 @@
 //! * [`batch`] — executes typed [`RunSpec`]/[`BatchSpec`] job definitions
 //!   (from `ibox-runner`, re-exported here) on a zero-dep thread pool.
 //!   Results and folded metrics are bit-identical at any `jobs` value; the
-//!   evaluation harnesses above all expose `_jobs` variants built on the
+//!   evaluation harnesses above all take a trailing `jobs` and run on the
 //!   same pool.
 //!
 //! ## Model artifacts & fit cache
@@ -91,10 +91,7 @@ pub mod model;
 pub mod realism;
 pub mod validity;
 
-pub use abtest::{
-    ensemble_test, ensemble_test_jobs, instance_test, instance_test_jobs, EnsembleReport,
-    InstanceReport, ModelKind,
-};
+pub use abtest::{ensemble_test, instance_test, EnsembleReport, InstanceReport, ModelKind};
 pub use adaptive::AdaptiveCross;
 pub use artifact::{ArtifactError, ModelArtifact, ARTIFACT_FILE_SUFFIX, MODEL_ARTIFACT_SCHEMA};
 pub use baseline::StatisticalLossModel;
@@ -107,7 +104,7 @@ pub use estimator::{CrossTrafficEstimate, StaticParams};
 pub use iboxml::{IBoxMl, IBoxMlConfig, IBoxMlConfigBuilder};
 pub use iboxnet::IBoxNet;
 pub use model::{fit_model, FittedIBoxMl, FittedModel, PathModel, ReplayOpts};
-pub use realism::{realism_of_model_jobs, realism_test, realism_test_jobs, RealismReport};
+pub use realism::{realism_of_model, realism_test, RealismReport};
 pub use validity::{ValidityRegion, ValidityReport};
 
 // The typed batch API, re-exported so downstream users need only `ibox`.

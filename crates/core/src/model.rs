@@ -24,7 +24,7 @@
 use serde::{Deserialize, Serialize};
 
 use ibox_runner::{Fidelity, IBoxMlSpec, ModelKind};
-use ibox_sim::{FluidLaw, PathSpec, SimTime};
+use ibox_sim::{FluidLaw, PathEmulator, PathSpec, SimTime};
 use ibox_trace::FlowTrace;
 
 use crate::baseline::StatisticalLossModel;
@@ -130,7 +130,7 @@ impl Default for ReplayOpts {
 /// `fidelity.fallback` counter increments and a warning names the
 /// emulator and the reason, so silent fidelity downgrades show up in the
 /// metrics story instead of only in wall time.
-pub(crate) fn fluid_plan(
+fn fluid_plan(
     spec: &PathSpec,
     protocol: &str,
     fidelity: Fidelity,
@@ -154,6 +154,26 @@ pub(crate) fn fluid_plan(
 fn fidelity_fallback(emulator: &str, fidelity: Fidelity, reason: &str) {
     ibox_obs::global().counter("fidelity.fallback").inc();
     ibox_obs::warn!("{fidelity} fidelity fell back to packet for {emulator}: {reason}");
+}
+
+/// Run `protocol` over `emu` at `fidelity` — the one place a replay picks
+/// its engine: the fluid simulator when [`fluid_plan`] admits the request,
+/// the packet engine otherwise. Returns the sender's normalized trace.
+pub(crate) fn replay_over(
+    emu: &PathEmulator,
+    protocol: &str,
+    seed: u64,
+    fidelity: Fidelity,
+) -> FlowTrace {
+    let out = match fluid_plan(&emu.spec, protocol, fidelity, &emu.name) {
+        Some((law, hybrid)) => emu.run_sender_fluid(law, protocol, seed, hybrid),
+        None => {
+            let cc = ibox_cc::by_name(protocol)
+                .unwrap_or_else(|| panic!("unknown congestion-control protocol {protocol:?}"));
+            emu.run_sender(cc, protocol, seed)
+        }
+    };
+    out.traces.into_iter().next().expect("one recorded flow").into_normalized()
 }
 
 impl FittedIBoxMl {

@@ -86,18 +86,11 @@ fn window_features(trace: &FlowTrace) -> Vec<Vec<f64>> {
 /// Run the discriminator test: train on alternating windows, evaluate on
 /// the held-out ones. `real` and `simulated` should describe the same
 /// workload (e.g. paired GT and model traces).
-pub fn realism_test(real: &[FlowTrace], simulated: &[FlowTrace]) -> RealismReport {
-    realism_test_jobs(real, simulated, 1)
-}
-
-/// [`realism_test`] with per-trace feature extraction spread over `jobs`
-/// worker threads (`0` = all cores). Features are flattened back in trace
-/// order, so the report is identical at any `jobs` value.
-pub fn realism_test_jobs(
-    real: &[FlowTrace],
-    simulated: &[FlowTrace],
-    jobs: usize,
-) -> RealismReport {
+///
+/// Per-trace feature extraction is spread over `jobs` worker threads
+/// (`0` = all cores). Features are flattened back in trace order, so the
+/// report is identical at any `jobs` value.
+pub fn realism_test(real: &[FlowTrace], simulated: &[FlowTrace], jobs: usize) -> RealismReport {
     assert!(!real.is_empty() && !simulated.is_empty(), "both trace sets required");
     let n_real = real.len();
     let per_trace = ibox_runner::run_scoped(n_real + simulated.len(), jobs, |i| {
@@ -153,20 +146,20 @@ pub fn realism_test_jobs(
 /// the discriminator on real vs replayed. Fit/replay jobs run on the
 /// runner pool; replay seeds derive from `seed` and the trace index, so
 /// the report is identical at any `jobs` value.
-pub fn realism_of_model_jobs(
+pub fn realism_of_model(
     kind: &ModelKind,
     real: &[FlowTrace],
     protocol: &str,
     duration: SimTime,
     seed: u64,
-    jobs: usize,
     cache: &FitCache,
+    jobs: usize,
 ) -> RealismReport {
     assert!(!real.is_empty(), "realism check needs real traces");
     let simulated: Vec<FlowTrace> = ibox_runner::run_scoped(real.len(), jobs, |i| {
         cache.fit_path_model(kind, &real[i]).simulate(protocol, duration, seed + i as u64)
     });
-    realism_test_jobs(real, &simulated, jobs)
+    realism_test(real, &simulated, jobs)
 }
 
 #[cfg(test)]
@@ -195,7 +188,7 @@ mod tests {
         // near chance.
         let a: Vec<FlowTrace> = (0..4).map(|i| gt(i, 6e6)).collect();
         let b: Vec<FlowTrace> = (10..14).map(|i| gt(i, 6e6)).collect();
-        let r = realism_test(&a, &b);
+        let r = realism_test(&a, &b, 1);
         assert!(r.realism_score > 0.5, "score = {:?}", r);
     }
 
@@ -204,7 +197,7 @@ mod tests {
         // 2 Mbps vs 12 Mbps paths: trivially separable.
         let a: Vec<FlowTrace> = (0..4).map(|i| gt(i, 2e6)).collect();
         let b: Vec<FlowTrace> = (10..14).map(|i| gt(i, 12e6)).collect();
-        let r = realism_test(&a, &b);
+        let r = realism_test(&a, &b, 1);
         assert!(r.discriminator_accuracy > 0.85, "accuracy = {:?}", r);
         assert!(r.realism_score < 0.3);
     }
@@ -225,7 +218,7 @@ mod tests {
                 )
             })
             .collect();
-        let r = realism_test(&real, &sims);
+        let r = realism_test(&real, &sims, 1);
         assert!(
             r.realism_score > 0.2,
             "an iBoxNet replay should not be trivially separable: {r:?}"
@@ -239,23 +232,23 @@ mod tests {
         let real: Vec<FlowTrace> = (0..3).map(|i| gt(i, 5e6 + i as f64 * 1e6)).collect();
         let cache = crate::cache::FitCache::in_memory();
         let scope = ibox_obs::scoped();
-        let first = realism_of_model_jobs(
+        let first = realism_of_model(
             &ModelKind::IBoxNet,
             &real,
             "cubic",
             SimTime::from_secs(15),
             40,
+            &cache,
             1,
-            &cache,
         );
-        let again = realism_of_model_jobs(
+        let again = realism_of_model(
             &ModelKind::IBoxNet,
             &real,
             "cubic",
             SimTime::from_secs(15),
             40,
-            2,
             &cache,
+            2,
         );
         let metrics = scope.finish().snapshot();
         assert_eq!(first, again, "same corpus + seed ⇒ same report at any jobs");

@@ -54,15 +54,10 @@ impl ValidityReport {
 impl ValidityRegion {
     /// Learn the envelope from training traces (the same feature extractor
     /// iBoxML uses, without the cross-traffic column — validity is about
-    /// the *sender's* behaviour).
-    pub fn fit(traces: &[FlowTrace]) -> Self {
-        Self::fit_jobs(traces, 1)
-    }
-
-    /// [`ValidityRegion::fit`] with per-trace feature extraction spread
-    /// over `jobs` worker threads (`0` = all cores). Rows fold back into
+    /// the *sender's* behaviour). Per-trace feature extraction is spread
+    /// over `jobs` worker threads (`0` = all cores); rows fold back into
     /// columns in trace order, so the envelope is identical at any `jobs`.
-    pub fn fit_jobs(traces: &[FlowTrace], jobs: usize) -> Self {
+    pub fn fit(traces: &[FlowTrace], jobs: usize) -> Self {
         assert!(!traces.is_empty(), "cannot fit a validity region on no traces");
         let cfg = FeatureConfig { with_cross_traffic: false };
         let per_trace =
@@ -83,7 +78,7 @@ impl ValidityRegion {
         Self { lo, hi }
     }
 
-    /// [`ValidityRegion::fit_jobs`] through a [`FitCache`]: the region is
+    /// [`ValidityRegion::fit`] through a [`FitCache`]: the region is
     /// cached under the digests of the training corpus, so re-checking
     /// candidates against the same corpus (e.g. `ibox validity
     /// --model-cache <dir>` across invocations) extracts features once.
@@ -107,7 +102,7 @@ impl ValidityRegion {
             fit_seed: 0,
         };
         cache
-            .get_or_insert_with(&key.id(), || Self::fit_jobs(traces, jobs))
+            .get_or_insert_with(&key.id(), || Self::fit(traces, jobs))
             .expect("ValidityRegion round-trips through its own serde form")
     }
 
@@ -167,7 +162,7 @@ mod tests {
     fn training_traces_cover_themselves() {
         let traces: Vec<FlowTrace> =
             (0..3).map(|i| run(Box::new(RtcController::default_config()), i)).collect();
-        let region = ValidityRegion::fit(&traces);
+        let region = ValidityRegion::fit(&traces, 1);
         for t in &traces {
             let report = region.check(t);
             assert!(report.coverage > 0.95, "coverage = {}", report.coverage);
@@ -180,7 +175,7 @@ mod tests {
         // The exact §6 scenario: training never saw 8 Mbps sending rates.
         let train: Vec<FlowTrace> =
             (0..3).map(|i| run(Box::new(RtcController::default_config()), i)).collect();
-        let region = ValidityRegion::fit(&train);
+        let region = ValidityRegion::fit(&train, 1);
         let cbr = run(Box::new(FixedRate::new(8e6)), 9);
         let report = region.check(&cbr);
         assert!(!report.is_valid(0.95), "coverage = {}", report.coverage);
@@ -195,7 +190,7 @@ mod tests {
     fn same_protocol_new_run_is_valid() {
         let train: Vec<FlowTrace> =
             (0..3).map(|i| run(Box::new(RtcController::default_config()), i)).collect();
-        let region = ValidityRegion::fit(&train);
+        let region = ValidityRegion::fit(&train, 1);
         let fresh = run(Box::new(RtcController::default_config()), 99);
         assert!(region.check(&fresh).is_valid(0.9));
     }
@@ -209,7 +204,7 @@ mod tests {
         let a = ValidityRegion::fit_jobs_cached(&train, 1, &cache);
         let b = ValidityRegion::fit_jobs_cached(&train, 1, &cache);
         let metrics = scope.finish().snapshot();
-        assert_eq!(a, ValidityRegion::fit(&train), "cache must not change the fit");
+        assert_eq!(a, ValidityRegion::fit(&train, 1), "cache must not change the fit");
         assert_eq!(a, b);
         assert_eq!(metrics.counters["fitcache.miss"], 1);
         assert_eq!(metrics.counters["fitcache.hit"], 1);
@@ -218,7 +213,7 @@ mod tests {
     #[test]
     fn serde_roundtrip() {
         let train: Vec<FlowTrace> = (0..2).map(|i| run(Box::new(FixedRate::new(2e6)), i)).collect();
-        let region = ValidityRegion::fit(&train);
+        let region = ValidityRegion::fit(&train, 1);
         let json = serde_json::to_string(&region).unwrap();
         let back: ValidityRegion = serde_json::from_str(&json).unwrap();
         assert_eq!(region, back);

@@ -188,12 +188,35 @@ mod tests {
         );
     }
 
+    /// A scratch checkout with the given `.git` files; `git_rev` is asked
+    /// from a nested directory so the walk-up is exercised too.
+    fn git_rev_in(name: &str, git_files: &[(&str, &str)]) -> Option<String> {
+        let root = std::env::temp_dir().join(format!("ibox_gitrev_{}_{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let nested = root.join("crates/obs");
+        std::fs::create_dir_all(&nested).unwrap();
+        for (rel, content) in git_files {
+            let path = root.join(".git").join(rel);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, content).unwrap();
+        }
+        let rev = git_rev(&nested);
+        std::fs::remove_dir_all(&root).unwrap();
+        rev
+    }
+
     #[test]
-    fn git_rev_finds_this_repository() {
-        // The workspace is a git checkout; from a nested dir the walk-up
-        // should find it and return something commit-ish or a ref name.
-        let rev = git_rev(Path::new(env!("CARGO_MANIFEST_DIR")));
-        assert!(rev.is_some(), "expected a git revision in the workspace");
-        assert!(!rev.unwrap().is_empty());
+    fn git_rev_resolves_every_head_shape() {
+        let sha = "0123456789abcdef0123456789abcdef01234567";
+        let sha_line = format!("{sha}\n");
+        let head_on_main = ("HEAD", "ref: refs/heads/main\n");
+        let loose = [head_on_main, ("refs/heads/main", &sha_line)];
+        assert_eq!(git_rev_in("loose", &loose).as_deref(), Some(sha));
+        // Only packed refs: the branch name stands in for the revision.
+        let packed_refs = format!("{sha} refs/heads/main\n");
+        let packed = [head_on_main, ("packed-refs", &packed_refs)];
+        assert_eq!(git_rev_in("packed", &packed).as_deref(), Some("refs/heads/main"));
+        assert_eq!(git_rev_in("detached", &[("HEAD", &sha_line)]).as_deref(), Some(sha));
+        assert_eq!(git_rev_in("none", &[]), None);
     }
 }

@@ -211,6 +211,12 @@ impl PathSpec {
     }
 }
 
+impl From<PathConfig> for PathSpec {
+    fn from(config: PathConfig) -> Self {
+        Self::single(config)
+    }
+}
+
 // PathStage/PathSpec serde is hand-written so the wire format is both
 // byte-stable (canonical integer-nanosecond keys, fixed field order) and
 // friendly to hand-authored path files (`rate_bps`, `prop_delay_ms`, ...

@@ -2,18 +2,16 @@
 //!
 //! This is the NetEm-shaped surface of Fig. 1: iBoxNet "learns network
 //! parameters from data and sets them on the NetEm emulator". A fitted
-//! model produces a [`PathConfig`] plus replayed cross traffic; this module
+//! model produces a [`PathSpec`] plus replayed cross traffic; this module
 //! runs an arbitrary congestion-controlled sender over it and returns the
-//! resulting input-output trace. Since the chain refactor the emulator
-//! carries a full [`PathSpec`], so the same surface drives 1-stage classic
+//! resulting input-output trace. The same surface drives 1-stage classic
 //! paths and composed multi-stage pipelines.
 
 use crate::cc::CongestionControl;
-use crate::config::{FlowConfig, PathConfig, PathSpec};
+use crate::config::{FlowConfig, PathSpec};
 use crate::crosstraffic::CrossTrafficCfg;
 use crate::engine::Simulation;
 use crate::fluid::{FluidLaw, FluidSim};
-use crate::fluid_chain::FluidChainSim;
 use crate::output::SimOutput;
 use crate::time::SimTime;
 
@@ -30,15 +28,6 @@ pub struct PathEmulator {
 }
 
 impl PathEmulator {
-    /// An emulator over a classic single-bottleneck `path` for `duration`,
-    /// without cross traffic. Outside `crates/sim`, construct through a
-    /// fitted model's `emulator()`/`emulator_over()` or
-    /// [`PathEmulator::from_spec`] — single-bottleneck construction is the
-    /// one-stage special case, not the API.
-    pub fn new(path: PathConfig, duration: SimTime) -> Self {
-        Self::from_spec(PathSpec::single(path), duration)
-    }
-
     /// An emulator over an arbitrary stage chain.
     pub fn from_spec(spec: PathSpec, duration: SimTime) -> Self {
         Self { spec, duration, name: "emulator".into() }
@@ -66,7 +55,7 @@ impl PathEmulator {
         label: impl Into<String>,
         seed: u64,
     ) -> SimOutput {
-        let mut sim = Simulation::new_chain(self.spec.clone(), self.duration, seed);
+        let mut sim = Simulation::new(self.spec.clone(), self.duration, seed);
         sim.set_path_name(self.name.clone());
         sim.add_flow(FlowConfig::bulk(label, self.duration), cc);
         sim.run()
@@ -75,9 +64,8 @@ impl PathEmulator {
     /// Run a single sender over the chain on the flow-level fast path:
     /// same path, cross traffic, and metadata as
     /// [`PathEmulator::run_sender`], but the congestion behaviour comes
-    /// from a continuous [`FluidLaw`] instead of a per-ack controller.
-    /// Single-stage chains use [`FluidSim`] (with `hybrid` episode
-    /// splicing available); multi-stage chains use [`FluidChainSim`].
+    /// from a continuous [`FluidLaw`] instead of a per-ack controller,
+    /// with `hybrid` episode splicing on request.
     ///
     /// Panics if [`PathSpec::fluid_unsupported_reason`] is `Some` for the
     /// chain; callers should check and degrade to
@@ -89,25 +77,11 @@ impl PathEmulator {
         seed: u64,
         hybrid: bool,
     ) -> SimOutput {
-        if let Some(reason) = self.spec.fluid_unsupported_reason(hybrid) {
-            panic!("fluid fast path unsupported: {reason}");
-        }
-        if self.spec.is_single() {
-            let stage = &self.spec.stages[0];
-            let mut sim = FluidSim::new(stage.config.clone(), self.duration, seed);
-            sim.set_path_name(self.name.clone());
-            sim.set_hybrid(hybrid);
-            for c in &stage.cross {
-                sim.add_cross_traffic(c.clone());
-            }
-            sim.add_flow(FlowConfig::bulk(label, self.duration), law);
-            sim.run()
-        } else {
-            let mut sim = FluidChainSim::new(self.spec.clone(), self.duration, seed);
-            sim.set_path_name(self.name.clone());
-            sim.add_flow(FlowConfig::bulk(label, self.duration), law);
-            sim.run()
-        }
+        let mut sim = FluidSim::new(self.spec.clone(), self.duration, seed);
+        sim.set_path_name(self.name.clone());
+        sim.set_hybrid(hybrid);
+        sim.add_flow(FlowConfig::bulk(label, self.duration), law);
+        sim.run()
     }
 
     /// Run several senders concurrently (e.g. a main flow plus adaptive
@@ -118,7 +92,7 @@ impl PathEmulator {
         senders: Vec<(FlowConfig, Box<dyn CongestionControl>)>,
         seed: u64,
     ) -> SimOutput {
-        let mut sim = Simulation::new_chain(self.spec.clone(), self.duration, seed);
+        let mut sim = Simulation::new(self.spec.clone(), self.duration, seed);
         sim.set_path_name(self.name.clone());
         for (cfg, cc) in senders {
             sim.add_flow(cfg, cc);
@@ -131,12 +105,12 @@ impl PathEmulator {
 mod tests {
     use super::*;
     use crate::cc::FixedWindow;
-    use crate::config::PathStage;
+    use crate::config::{PathConfig, PathStage};
 
     #[test]
     fn emulator_runs_and_labels_traces() {
-        let emu = PathEmulator::new(
-            PathConfig::simple(8e6, SimTime::from_millis(20), 80_000),
+        let emu = PathEmulator::from_spec(
+            PathConfig::simple(8e6, SimTime::from_millis(20), 80_000).into(),
             SimTime::from_secs(5),
         )
         .with_name("unit-path")
@@ -154,8 +128,8 @@ mod tests {
 
     #[test]
     fn multi_sender_runs() {
-        let emu = PathEmulator::new(
-            PathConfig::simple(8e6, SimTime::from_millis(10), 80_000),
+        let emu = PathEmulator::from_spec(
+            PathConfig::simple(8e6, SimTime::from_millis(10), 80_000).into(),
             SimTime::from_secs(4),
         );
         let out = emu.run_senders(

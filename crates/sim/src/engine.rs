@@ -238,18 +238,14 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Create a simulation over a classic single-bottleneck `path` running
-    /// for `duration`, seeded for full determinism. Equivalent to
-    /// [`Simulation::new_chain`] with a 1-stage [`PathSpec`].
-    pub fn new(path: PathConfig, duration: SimTime, seed: u64) -> Self {
-        Self::new_chain(PathSpec::single(path), duration, seed)
-    }
-
-    /// Create a simulation over a chain of bottleneck stages. Cross traffic
-    /// declared on the spec's stages is registered here, stage order first
-    /// (so a 1-stage spec with stage-0 cross draws the same per-source seeds
-    /// as the legacy `new` + `add_cross_traffic` sequence).
-    pub fn new_chain(spec: PathSpec, duration: SimTime, seed: u64) -> Self {
+    /// Create a simulation over a chain of bottleneck stages (a bare
+    /// [`PathConfig`] converts to the classic 1-stage chain) running for
+    /// `duration`, seeded for full determinism. Cross traffic declared on
+    /// the spec's stages is registered here, stage order first (so a
+    /// 1-stage spec with stage-0 cross draws the same per-source seeds as
+    /// `new` + `add_cross_traffic`).
+    pub fn new(spec: impl Into<PathSpec>, duration: SimTime, seed: u64) -> Self {
+        let spec = spec.into();
         spec.validate();
         assert!(duration.as_nanos() > 0, "simulation needs a positive duration");
         let stages: Vec<StageState> = spec
@@ -1362,7 +1358,7 @@ mod chain_tests {
         let mut st = PathStage::new(path);
         st.cross.push(ct);
         let mut chained =
-            Simulation::new_chain(PathSpec::from_stages(vec![st]), SimTime::from_secs(8), 42);
+            Simulation::new(PathSpec::from_stages(vec![st]), SimTime::from_secs(8), 42);
         chained.add_flow(
             FlowConfig::bulk("m", SimTime::from_secs(8)),
             Box::new(FixedWindow::new(96.0)),
@@ -1386,7 +1382,7 @@ mod chain_tests {
             stage(8e6, 15, 100_000),
             stage(30e6, 2, 150_000),
         ]);
-        let mut sim = Simulation::new_chain(spec, SimTime::from_secs(10), 1);
+        let mut sim = Simulation::new(spec, SimTime::from_secs(10), 1);
         // Offer 12 Mbps: the middle stage should drain a full queue at
         // its 8 Mbps line rate regardless of the faster neighbours.
         sim.add_flow(FlowConfig::bulk("m", SimTime::from_secs(10)), Box::new(FixedRate::new(12e6)));
@@ -1400,7 +1396,7 @@ mod chain_tests {
     #[test]
     fn chain_min_delay_sums_stages() {
         let spec = PathSpec::from_stages(vec![stage(10e6, 30, 100_000), stage(10e6, 12, 100_000)]);
-        let mut sim = Simulation::new_chain(spec, SimTime::from_secs(5), 1);
+        let mut sim = Simulation::new(spec, SimTime::from_secs(5), 1);
         sim.add_flow(
             FlowConfig::bulk("m", SimTime::from_secs(5)),
             Box::new(FixedWindow::new(1.0)), // one in flight: no queueing
@@ -1420,7 +1416,7 @@ mod chain_tests {
                 s1.cross.push(CrossTrafficCfg::cbr(3.5e6, SimTime::ZERO, SimTime::from_secs(10)));
             }
             let spec = PathSpec::from_stages(vec![stage(50e6, 5, 200_000), s1]);
-            let mut sim = Simulation::new_chain(spec, SimTime::from_secs(10), 5);
+            let mut sim = Simulation::new(spec, SimTime::from_secs(10), 5);
             sim.add_flow(
                 FlowConfig::bulk("m", SimTime::from_secs(10)),
                 Box::new(FixedRate::new(3e6)),
@@ -1448,7 +1444,7 @@ mod chain_tests {
             };
             s1.cross.push(CrossTrafficCfg::cbr(1e6, SimTime::ZERO, SimTime::from_secs(6)));
             let spec = PathSpec::from_stages(vec![s0, s1]);
-            let mut sim = Simulation::new_chain(spec, SimTime::from_secs(6), 77);
+            let mut sim = Simulation::new(spec, SimTime::from_secs(6), 77);
             sim.add_flow(
                 FlowConfig::bulk("m", SimTime::from_secs(6)),
                 Box::new(FixedWindow::new(64.0)),
@@ -1470,7 +1466,7 @@ mod chain_tests {
         let mut s1 = stage(10e6, 5, 100_000);
         s1.config.random_loss = 0.05;
         let spec = PathSpec::from_stages(vec![s0, s1]);
-        let mut sim = Simulation::new_chain(spec, SimTime::from_secs(20), 3);
+        let mut sim = Simulation::new(spec, SimTime::from_secs(20), 3);
         sim.add_flow(FlowConfig::bulk("m", SimTime::from_secs(20)), Box::new(FixedRate::new(2e6)));
         let out = sim.run();
         let loss = out.traces[0].loss_rate();

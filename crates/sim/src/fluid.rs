@@ -3,26 +3,32 @@
 //!
 //! The packet engine ([`crate::engine::Simulation`]) pays one heap event
 //! per packet — ~6M packets/s, which bounds a 30 s replay at tens of
-//! milliseconds. Most of that work is redundant: over a constant-rate
-//! FIFO bottleneck (exactly iBoxNet's `(b, d, B, C)` model), per-flow
-//! send rates and the queue occupancy evolve *piecewise linearly*
-//! between control events. [`FluidSim`] exploits that:
+//! milliseconds. Most of that work is redundant: over a chain of
+//! constant-rate FIFO bottlenecks (iBoxNet's `(b, d, B, C)` model and
+//! any [`PathSpec`] composed of such stages), per-flow send rates and
+//! every queue's occupancy evolve *piecewise linearly* between control
+//! events. [`FluidSim`] exploits that:
 //!
 //! * Per-flow congestion state lives in a [`FluidLaw`] — a
 //!   continuous-time mirror of the `ibox-cc` laws (`cwnd' = f(cwnd, rtt)`
 //!   instead of per-ack updates).
-//! * The bottleneck queue is a scalar `q(t)`, advanced in closed form
-//!   across segments bounded by control ticks, cross-traffic impulses,
-//!   flow starts/stops, samples, and the analytic times at which `q`
-//!   hits `0` or the buffer limit `B`.
+//! * Each stage's queue is a scalar `q_k(t)`. A segment cascades the
+//!   senders' aggregate rate down the chain — stage `k`'s inflow is
+//!   stage `k-1`'s departure rate plus stage-`k` cross traffic, and a
+//!   stage departs at capacity while backlogged — then advances every
+//!   queue in closed form to the next breakpoint: a control tick, a
+//!   cross-rate bin edge, a flow start/stop, a sample, or the analytic
+//!   time at which any `q_k` hits `0` or its buffer limit `B_k`. A
+//!   single bottleneck is this loop over one stage.
 //! * Packet *records* (the `FlowTrace` every iBox model consumes) are
 //!   reconstructed by phase accumulation: a flow sending at `r` B/s
-//!   emits a record every `size/r` seconds, stamped with the analytic
-//!   queueing delay `(q(t) + size)·8/C + d` plus the same seeded
-//!   jitter/reorder/random-loss draws the packet engine would make.
-//! * Saturation loss is deterministic: while `q` is pinned at `B` with
-//!   aggregate inflow `A > C`, each flow accumulates drop debt
-//!   `(A − C)/A` per packet and loses a packet when the debt crosses 1.
+//!   emits a record every `size/r` seconds, stamped with the per-stage
+//!   sum of analytic delays `(q_k(t) + size)·8/C_k + d_k` plus the same
+//!   seeded jitter/reorder/random-loss draws the packet engine would
+//!   make.
+//! * Saturation loss is deterministic: while a `q_k` is pinned at `B_k`
+//!   with inflow `A > C_k`, each flow accumulates drop debt `(A − C_k)/A`
+//!   per packet and loses a packet when the debt crosses 1.
 //!
 //! ## Hybrid mode
 //!
@@ -37,10 +43,12 @@
 //! adapter that doubles as a live [`CongestionControl`], replays the
 //! scheduled cross-traffic emissions for the window, then splices the
 //! resulting packet records, congestion state, and closing queue depth
-//! back into the fluid clock. One known approximation: episode flows
-//! warm-start with an empty in-flight window, so the first RTT of each
-//! episode re-fills the pipe slightly faster than an uninterrupted
-//! packet run would.
+//! back into the fluid clock. Episodes are wired up for single-stage
+//! paths only ([`PathSpec::fluid_unsupported_reason`] rejects hybrid
+//! chains, which fall back to the packet engine upstream). One known
+//! approximation: episode flows warm-start with an empty in-flight
+//! window, so the first RTT of each episode re-fills the pipe slightly
+//! faster than an uninterrupted packet run would.
 //!
 //! Determinism matches the packet engine: integer-ns breakpoints, all
 //! randomness from [`rng::derive_seed`] streams of the run seed (the
@@ -51,13 +59,13 @@ use std::sync::{Arc, Mutex};
 
 use ibox_obs::Registry;
 use ibox_trace::{FlowMeta, FlowTrace, PacketRecord};
+use rand::rngs::StdRng;
 
 use crate::cc::{AckEvent, CongestionControl, CongestionSignal};
-use crate::config::{FlowConfig, PathConfig};
+use crate::config::{FlowConfig, PathSpec};
 use crate::crosstraffic::{CrossSource, CrossTrafficCfg};
 use crate::engine::Simulation;
 use crate::output::{FlowStats, LinkSample, SimOutput};
-use crate::queue::SchedulerKind;
 use crate::rate::RateModelCfg;
 use crate::rng;
 use crate::time::SimTime;
@@ -485,6 +493,10 @@ const EPISODE_REARM_FRAC: f64 = 0.75;
 const EPISODE_MIN_S: f64 = 0.05;
 const EPISODE_MAX_S: f64 = 0.25;
 
+/// Width (seconds) of the bins the cross-traffic schedule is averaged
+/// into before it drives the queue ODE.
+const CROSS_BIN_S: f64 = 0.05;
+
 /// One sender inside the fluid engine.
 struct FluidFlow {
     cfg: FlowConfig,
@@ -524,16 +536,61 @@ impl FluidFlow {
     }
 }
 
+/// One bottleneck of the chain: per-record constants hoisted out of the
+/// spec, the scalar queue, and the plan of the segment in progress.
+struct Stage {
+    cap_bps: f64,
+    cap_bytes: f64,
+    buffer: f64,
+    ns_per_byte: f64,
+    prop_ns: f64,
+    random_loss: f64,
+    jitter_s: Option<f64>,
+    /// `(probability, extra_min, extra_max)`, seconds.
+    reorder: Option<(f64, f64, f64)>,
+    /// Cross arrival rate (bytes/s) at this stage per [`CROSS_BIN_S`]
+    /// bin; empty when no source feeds this stage.
+    cross_bins: Vec<f64>,
+    /// Queue depth (bytes) at the segment start.
+    q: f64,
+    /// Aggregate arrival rate (bytes/s) over the segment: upstream
+    /// departures plus this stage's cross traffic.
+    inflow: f64,
+    /// Queue slope (bytes/s) over the segment.
+    slope: f64,
+    /// Pinned at the buffer limit with inflow above capacity.
+    saturated: bool,
+    was_saturated: bool,
+    /// Share of the inflow lost to overflow while saturated.
+    drop_frac: f64,
+}
+
+impl Stage {
+    fn cross_rate_at(&self, t: f64) -> f64 {
+        match self.cross_bins.len() {
+            0 => 0.0,
+            n => self.cross_bins[((t / CROSS_BIN_S) as usize).min(n - 1)],
+        }
+    }
+
+    /// Deepest queue a delivered `size`-byte packet can find ahead of it:
+    /// a packet only enters the queue if it fits.
+    fn q_cap(&self, size: f64) -> f64 {
+        (self.buffer - size).max(0.0)
+    }
+}
+
 /// The flow-level simulator. Construct with [`FluidSim::new`], add
-/// flows/cross traffic, then [`FluidSim::run`] — the same call shape as
+/// flows, then [`FluidSim::run`] — the same call shape as
 /// [`crate::engine::Simulation`], producing the same [`SimOutput`]
 /// schema.
 ///
-/// Supports the iBoxNet path family only (constant-rate FIFO
-/// bottleneck); call [`FluidSim::supports`] before constructing to fall
+/// Supports chains of constant-rate FIFO stages only (the iBoxNet path
+/// family and its compositions); check
+/// [`PathSpec::fluid_unsupported_reason`] before constructing to fall
 /// back to the packet engine for richer ground-truth paths.
 pub struct FluidSim {
-    path: PathConfig,
+    spec: PathSpec,
     end: SimTime,
     seed: u64,
     path_name: String,
@@ -541,30 +598,92 @@ pub struct FluidSim {
     hybrid: bool,
     report_global: bool,
     flows: Vec<FluidFlow>,
-    cross_cfgs: Vec<CrossTrafficCfg>,
     metrics: Registry,
+
+    stages: Vec<Stage>,
+    /// Every cross emission inside the run as `(secs, time, size,
+    /// source)`, in `(time, source)` order.
+    schedule: Vec<(f64, SimTime, u32, usize)>,
+    cross_log: Vec<Vec<(f64, u32)>>,
+    /// Propagation plus ack-path delay of the whole chain, seconds.
+    prop_ack_s: f64,
+    base_rtt: f64,
+    tick_dt: f64,
+    /// No stage has random loss, jitter or reordering: records are a
+    /// pure function of the queue trajectory.
+    plain: bool,
+    rng_loss: StdRng,
+    rng_reorder: StdRng,
+
+    // Run state.
+    t: f64,
+    last_tick: f64,
+    next_tick: f64,
+    next_sample: f64,
+    /// Hybrid: queue occupancy alone may trigger the next episode.
+    armed: bool,
+    /// Fraction of the senders' packets lost to overflow, chain-wide,
+    /// over the segment in progress.
+    drop_frac: f64,
+    cross_drop_bytes: f64,
+    samples: Vec<LinkSample>,
+    tallies: Tallies,
 }
 
 impl FluidSim {
-    /// Whether the fluid engine can model `path` (constant-rate FIFO
-    /// bottleneck — exactly the fitted-iBoxNet family). Paths with
-    /// time-varying rate models or PF scheduling need the packet engine.
-    pub fn supports(path: &PathConfig) -> bool {
-        matches!(path.rate, RateModelCfg::Constant { .. })
-            && matches!(path.scheduler, SchedulerKind::Fifo)
-    }
-
-    /// Create a fluid simulation of `path` for `duration`, seeded with
+    /// Create a fluid simulation of `spec` for `duration`, seeded with
     /// `seed` (same stream layout as the packet engine, so jitter /
-    /// reorder / random-loss draws are comparable).
+    /// reorder / random-loss draws are comparable, and cross sources are
+    /// seeded `derive_seed(seed, 100 + i)` in stage order so both engines
+    /// see identical emission schedules).
     ///
-    /// Panics if [`FluidSim::supports`] is false for `path`.
-    pub fn new(path: PathConfig, duration: SimTime, seed: u64) -> Self {
-        path.validate();
+    /// Panics if [`PathSpec::fluid_unsupported_reason`] is `Some`.
+    pub fn new(spec: impl Into<PathSpec>, duration: SimTime, seed: u64) -> Self {
+        let spec = spec.into();
+        spec.validate();
         assert!(duration.as_nanos() > 0, "simulation needs a positive duration");
-        assert!(Self::supports(&path), "fluid engine requires a constant-rate FIFO path");
+        if let Some(reason) = spec.fluid_unsupported_reason(false) {
+            panic!("fluid engine cannot model this spec: {reason}");
+        }
+
+        let stages: Vec<Stage> = spec
+            .stages
+            .iter()
+            .map(|st| {
+                let c = &st.config;
+                let RateModelCfg::Constant { rate_bps } = c.rate else {
+                    unreachable!("checked by fluid_unsupported_reason");
+                };
+                Stage {
+                    cap_bps: rate_bps,
+                    cap_bytes: rate_bps / 8.0,
+                    buffer: c.buffer_bytes as f64,
+                    ns_per_byte: 8e9 / rate_bps,
+                    prop_ns: c.prop_delay.as_secs_f64() * 1e9,
+                    random_loss: c.random_loss,
+                    jitter_s: c.jitter.map(|j| j.as_secs_f64()),
+                    reorder: c.reorder.as_ref().map(|r| {
+                        (r.probability, r.extra_min.as_secs_f64(), r.extra_max.as_secs_f64())
+                    }),
+                    cross_bins: Vec::new(),
+                    q: 0.0,
+                    inflow: 0.0,
+                    slope: 0.0,
+                    saturated: false,
+                    was_saturated: false,
+                    drop_frac: 0.0,
+                }
+            })
+            .collect();
+
+        let prop_s: f64 = spec.stages.iter().map(|s| s.config.prop_delay.as_secs_f64()).sum();
+        let ack_s: f64 = spec.stages.iter().map(|s| s.config.ack_delay.as_secs_f64()).sum();
+        // Control-tick cadence: a fraction of the uncongested RTT of a
+        // 1500-byte packet, bounded so both ultra-short and ultra-long
+        // paths tick sanely.
+        let base_rtt = prop_s + ack_s + stages.iter().map(|s| 12e3 / s.cap_bps).sum::<f64>();
+        let tick_dt = (base_rtt / 2.0).clamp(5e-4, 1e-2);
         Self {
-            path,
             end: duration,
             seed,
             path_name: "sim".to_string(),
@@ -572,8 +691,29 @@ impl FluidSim {
             hybrid: false,
             report_global: true,
             flows: Vec::new(),
-            cross_cfgs: Vec::new(),
             metrics: Registry::new(),
+            plain: stages
+                .iter()
+                .all(|s| s.random_loss <= 0.0 && s.jitter_s.is_none() && s.reorder.is_none()),
+            spec,
+            stages,
+            tallies: Tallies::default(),
+            schedule: Vec::new(),
+            cross_log: Vec::new(),
+            prop_ack_s: prop_s + ack_s,
+            base_rtt,
+            tick_dt,
+            // Same per-component rng stream layout as the packet engine.
+            rng_loss: rng::seeded(rng::derive_seed(seed, 3)),
+            rng_reorder: rng::seeded(rng::derive_seed(seed, 4)),
+            t: 0.0,
+            last_tick: 0.0,
+            next_tick: tick_dt,
+            next_sample: 0.0,
+            armed: true,
+            drop_frac: 0.0,
+            cross_drop_bytes: 0.0,
+            samples: Vec::new(),
         }
     }
 
@@ -582,14 +722,21 @@ impl FluidSim {
         self.path_name = name.into();
     }
 
-    /// Enable periodic ground-truth link sampling.
+    /// Enable periodic ground-truth link sampling (total queued bytes
+    /// across the chain, at the slowest stage's rate).
     pub fn set_sample_every(&mut self, every: Option<SimTime>) {
         self.sample_every = every;
     }
 
     /// Enable hybrid mode: congestion episodes are handed to the packet
     /// engine and spliced back (see module docs).
+    ///
+    /// Panics if [`PathSpec::fluid_unsupported_reason`] rejects hybrid
+    /// episodes on this spec (multi-stage chains).
     pub fn set_hybrid(&mut self, on: bool) {
+        if let Some(reason) = self.spec.fluid_unsupported_reason(on) {
+            panic!("fluid engine cannot model this spec: {reason}");
+        }
         self.hybrid = on;
     }
 
@@ -618,61 +765,42 @@ impl FluidSim {
         self.flows.len() - 1
     }
 
-    /// Add a non-adaptive cross-traffic source; returns its index.
-    /// Seeded exactly like the packet engine (`derive_seed(seed, 100+i)`)
-    /// so both engines see identical emission schedules.
-    pub fn add_cross_traffic(&mut self, cfg: CrossTrafficCfg) -> usize {
-        cfg.validate();
-        self.cross_cfgs.push(cfg);
-        self.cross_cfgs.len() - 1
-    }
-
-    fn cap_bps(&self) -> f64 {
-        match self.path.rate {
-            RateModelCfg::Constant { rate_bps } => rate_bps,
-            _ => unreachable!("checked by FluidSim::supports"),
-        }
-    }
-
-    /// Round-trip time (seconds) of flow `i` at queue depth `q` bytes:
-    /// propagation + ack path + own serialization + queue drain.
-    fn rtt_at(&self, i: usize, q: f64) -> f64 {
-        let cap = self.cap_bps();
+    /// Round-trip time (seconds) of flow `i` at the current queue depths:
+    /// propagation + ack path + own serialization and queue drain at
+    /// every stage.
+    fn flow_rtt(&self, i: usize) -> f64 {
         let pkt_bits = f64::from(self.flows[i].cfg.packet_size) * 8.0;
-        self.path.prop_delay.as_secs_f64()
-            + self.path.ack_delay.as_secs_f64()
-            + (q * 8.0 + pkt_bits) / cap
+        let queued: f64 = self.stages.iter().map(|s| (s.q * 8.0 + pkt_bits) / s.cap_bps).sum();
+        self.prop_ack_s + queued
     }
 
-    /// Run the fluid simulation to completion.
-    pub fn run(mut self) -> SimOutput {
-        let _run_span = ibox_obs::trace_span!("fluid-run");
-        let wall = std::time::Instant::now();
-        let cap = self.cap_bps();
-        let cap_bytes = cap / 8.0;
-        let buffer = self.path.buffer_bytes as f64;
-        let end_s = self.end.as_secs_f64();
+    /// Total queued bytes across the chain.
+    fn queued_bytes(&self) -> f64 {
+        self.stages.iter().map(|s| s.q).sum()
+    }
 
-        // Same per-component rng stream layout as the packet engine.
-        let mut rng_loss = rng::seeded(rng::derive_seed(self.seed, 3));
-        let mut rng_reorder = rng::seeded(rng::derive_seed(self.seed, 4));
-
-        // Enumerate every cross emission inside the run up front: the
-        // sources are non-adaptive, so the schedule is a pure function
-        // of (cfg, seed) and both engines compute the identical one.
-        let mut schedule: Vec<(f64, SimTime, u32, usize)> = Vec::new();
-        for (i, cfg) in self.cross_cfgs.iter().enumerate() {
-            let mut src =
-                CrossSource::new(cfg.clone(), rng::derive_seed(self.seed, 100 + i as u64));
-            while let Some(ts) = src.next_emission() {
-                if ts >= self.end {
-                    break;
+    /// Enumerate every cross emission inside the run up front: the
+    /// sources are non-adaptive, so the schedule is a pure function of
+    /// (cfg, seed) and both engines compute the identical one.
+    fn enumerate_cross(&mut self) {
+        let mut src_stage: Vec<usize> = Vec::new();
+        for (k, st) in self.spec.stages.iter().enumerate() {
+            for cfg in &st.cross {
+                let i = src_stage.len();
+                src_stage.push(k);
+                let mut src =
+                    CrossSource::new(cfg.clone(), rng::derive_seed(self.seed, 100 + i as u64));
+                while let Some(ts) = src.next_emission() {
+                    if ts >= self.end {
+                        break;
+                    }
+                    let size = src.emit(ts);
+                    self.schedule.push((ts.as_secs_f64(), ts, size, i));
                 }
-                let size = src.emit(ts);
-                schedule.push((ts.as_secs_f64(), ts, size, i));
             }
         }
-        schedule.sort_by_key(|a| (a.1, a.3));
+        self.schedule.sort_by_key(|a| (a.1, a.3));
+        self.tallies.cross = self.schedule.len() as u64;
         // The fluid model consumes cross traffic as a *rate*, not as
         // per-packet impulses: a piecewise-constant series (bytes/s per
         // bin) drives the queue ODE and the shared-loss accounting.
@@ -681,331 +809,345 @@ impl FluidSim {
         // letting window laws plateau against a full buffer. The exact
         // schedule is still the ground-truth emission log, and hybrid
         // episodes replay the packets inside their window verbatim.
-        let mut cross_log: Vec<Vec<(f64, u32)>> = vec![Vec::new(); self.cross_cfgs.len()];
-        for &(secs, _, size, src) in &schedule {
-            cross_log[src].push((secs, size));
+        let n_bins = (self.end.as_secs_f64() / CROSS_BIN_S).ceil() as usize + 1;
+        self.cross_log = vec![Vec::new(); src_stage.len()];
+        for &k in &src_stage {
+            self.stages[k].cross_bins.resize(n_bins, 0.0);
         }
-        const CROSS_BIN_S: f64 = 0.05;
-        let n_bins = (end_s / CROSS_BIN_S).ceil() as usize + 1;
-        let mut cross_bins = vec![0.0f64; n_bins];
-        for &(secs, _, size, _) in &schedule {
-            let idx = ((secs / CROSS_BIN_S) as usize).min(n_bins - 1);
-            cross_bins[idx] += f64::from(size) / CROSS_BIN_S;
+        for &(secs, _, size, src) in &self.schedule {
+            self.cross_log[src].push((secs, size));
+            self.stages[src_stage[src]].cross_bins
+                [((secs / CROSS_BIN_S) as usize).min(n_bins - 1)] += f64::from(size) / CROSS_BIN_S;
         }
-        let cross_rate_at = |t: f64| -> f64 {
-            if schedule.is_empty() {
-                0.0
-            } else {
-                cross_bins[((t / CROSS_BIN_S) as usize).min(n_bins - 1)]
-            }
-        };
-        let cross_pkt_bytes = if schedule.is_empty() {
-            0.0
-        } else {
-            schedule.iter().map(|e| f64::from(e.2)).sum::<f64>() / schedule.len() as f64
-        };
-        let mut cross_drop_bytes = 0.0f64;
+    }
 
-        // Control-tick cadence: a fraction of the uncongested RTT,
-        // bounded so both ultra-short and ultra-long paths tick sanely.
-        let base_rtt =
-            self.path.prop_delay.as_secs_f64() + self.path.ack_delay.as_secs_f64() + 12e3 / cap;
-        let tick_dt = (base_rtt / 2.0).clamp(5e-4, 1e-2);
+    /// Run the fluid simulation to completion.
+    pub fn run(mut self) -> SimOutput {
+        let _run_span = ibox_obs::trace_span!("fluid-run");
+        let wall = std::time::Instant::now();
+        let end_s = self.end.as_secs_f64();
+        self.enumerate_cross();
 
-        let mut t = 0.0f64;
-        let mut q = 0.0f64;
-        let mut last_tick = 0.0f64;
-        let mut next_tick = tick_dt;
-        let mut next_sample = 0.0f64;
-        let mut samples: Vec<LinkSample> = Vec::new();
-        let mut tallies = Tallies { cross: schedule.len() as u64, ..Default::default() };
-        let mut armed = true;
-        let mut was_saturated = false;
-        // Per-record constants, hoisted out of the emission loop.
-        let ns_per_byte = 8e9 / cap;
-        let prop_ns = self.path.prop_delay.as_secs_f64() * 1e9;
-        // Pre-size the record buffers: a flow can emit at most the link
-        // rate over its active span. Split evenly across flows (a few
-        // doublings if one flow dominates is fine).
+        // Pre-size the record buffers: a flow can emit at most the
+        // bottleneck rate over its active span. Split evenly across flows
+        // (a few doublings if one flow dominates is fine).
+        let bneck_bytes = self.spec.bottleneck_rate_bps() / 8.0;
         let nflows = self.flows.len().max(1) as f64;
         for f in &mut self.flows {
             let span = (f.cfg.stop.as_secs_f64().min(end_s) - f.cfg.start.as_secs_f64()).max(0.0);
-            let est = cap_bytes * span / f64::from(f.cfg.packet_size) / nflows * 1.1;
+            let est = bneck_bytes * span / f64::from(f.cfg.packet_size) / nflows * 1.1;
             f.records.reserve((est as usize).min(1 << 21));
         }
 
-        while t < end_s {
-            // --- Discrete events due now --------------------------------
-            tallies.hwm = tallies.hwm.max(q);
+        while self.t < end_s {
             if let Some(every) = self.sample_every {
-                while next_sample <= t + 1e-12 && next_sample < end_s {
-                    self.record_sample(&mut samples, next_sample, q, cap);
-                    next_sample += every.as_secs_f64();
+                while self.next_sample <= self.t + 1e-12 && self.next_sample < end_s {
+                    self.record_sample(self.next_sample, self.queued_bytes());
+                    self.next_sample += every.as_secs_f64();
                 }
             }
-            if next_tick <= t + 1e-12 {
-                let dt = t - last_tick;
-                last_tick = t;
-                next_tick = t + tick_dt;
-                tallies.ticks += 1;
-                let total_bytes = self.total_rate_bytes(t, q) + cross_rate_at(t);
-                let mut want_episode = false;
-                for i in 0..self.flows.len() {
-                    if !self.flows[i].active(t) {
-                        continue;
-                    }
-                    let rtt = self.rtt_at(i, q);
-                    let f = &mut self.flows[i];
-                    f.srtt = if f.srtt == 0.0 { rtt } else { 0.875 * f.srtt + 0.125 * rtt };
-                    let r_bits = f.rate_bytes(rtt) * 8.0;
-                    let delivered = if q > 1.0 && total_bytes > cap_bytes {
-                        r_bits * (cap_bytes / total_bytes)
-                    } else {
-                        r_bits
-                    };
-                    let srtt = f.srtt;
-                    f.law.advance(dt, srtt, delivered);
-                    if f.pending_loss {
-                        f.pending_loss = false;
-                        if self.hybrid {
-                            // Let the packet engine decide the backoff:
-                            // the episode delivers real Loss signals
-                            // through the spliced controller.
-                            want_episode = true;
-                        } else if t - f.last_backoff >= srtt {
-                            f.law.on_loss();
-                            f.last_backoff = t;
-                        }
-                    }
-                }
-                if self.hybrid && armed && q >= EPISODE_ENTER_FRAC * buffer {
-                    want_episode = true;
-                }
-                if !armed && q < EPISODE_REARM_FRAC * buffer {
-                    armed = true;
-                }
-                if want_episode && end_s - t > 2e-3 {
-                    let srtt_max = self
-                        .flows
-                        .iter()
-                        .filter(|f| f.active(t))
-                        .map(|f| f.srtt)
-                        .fold(base_rtt, f64::max);
-                    let chunk = (4.0 * srtt_max).clamp(EPISODE_MIN_S, EPISODE_MAX_S).min(end_s - t);
-                    q = self.run_episode(
-                        t,
-                        q,
-                        chunk,
-                        &schedule,
-                        &mut tallies,
-                        &mut samples,
-                        &mut next_sample,
-                    );
-                    t += chunk;
-                    last_tick = t;
-                    next_tick = t + tick_dt;
-                    armed = false;
-                    was_saturated = false;
-                    tallies.hwm = tallies.hwm.max(q);
-                    continue;
-                }
+            if self.next_tick <= self.t + 1e-12 && self.tick() {
+                continue; // an episode consumed the window
             }
-
-            // --- Pick the next breakpoint ------------------------------
-            let arrival_bytes = self.total_rate_bytes(t, q) + cross_rate_at(t);
-            let saturated = q >= buffer - 1e-9 && arrival_bytes > cap_bytes;
-            if saturated && !was_saturated {
-                // The packet engine drops the first arrival that doesn't
-                // fit the instant the buffer fills. Seed a whole packet of
-                // debt at overflow onset so the fluid backoff fires then,
-                // not after the fractional debt crawls up to 1.0 — without
-                // this the window overshoots and the whole sawtooth rides
-                // a few packets higher than the packet engine's.
-                for f in &mut self.flows {
-                    if f.active(t) {
-                        f.loss_debt = f.loss_debt.max(1.0);
-                    }
-                }
+            let seg_end = self.plan_segment();
+            self.emit_segment(seg_end);
+            for s in &mut self.stages {
+                s.q = (s.q + s.slope * (seg_end - self.t)).clamp(0.0, s.buffer);
             }
-            was_saturated = saturated;
-            let slope = if saturated || (q <= 1e-9 && arrival_bytes <= cap_bytes) {
-                0.0
-            } else {
-                arrival_bytes - cap_bytes
-            };
-            let mut seg_end = end_s.min(next_tick);
-            if self.sample_every.is_some() && next_sample < end_s {
-                seg_end = seg_end.min(next_sample);
-            }
-            if !schedule.is_empty() {
-                // The cross rate is piecewise-constant per bin.
-                seg_end = seg_end.min(((t / CROSS_BIN_S).floor() + 1.0) * CROSS_BIN_S);
-            }
-            for f in &self.flows {
-                let (start, stop) = (f.cfg.start.as_secs_f64(), f.cfg.stop.as_secs_f64());
-                if start > t {
-                    seg_end = seg_end.min(start);
-                }
-                if stop > t {
-                    seg_end = seg_end.min(stop);
-                }
-            }
-            if slope < 0.0 {
-                seg_end = seg_end.min(t + q / -slope);
-            } else if slope > 0.0 && q < buffer {
-                seg_end = seg_end.min(t + (buffer - q) / slope);
-            }
-            // Guard against zero-length segments from fp round-off.
-            seg_end = seg_end.max(t + 1e-9);
-
-            // --- Emit packet records across [t, seg_end) ----------------
-            tallies.segments += 1;
-            let drop_frac =
-                if saturated { (arrival_bytes - cap_bytes) / arrival_bytes } else { 0.0 };
-            for i in 0..self.flows.len() {
-                if !self.flows[i].active(t) {
-                    continue;
-                }
-                let rtt = self.rtt_at(i, q);
-                let f = &mut self.flows[i];
-                let rate = f.rate_bytes(rtt);
-                let spacing = f64::from(f.cfg.packet_size) / rate;
-                let stop = f.cfg.stop.as_secs_f64();
-                let size = f.cfg.packet_size;
-                let sizef = f64::from(size);
-                // A packet only enters the queue if it fits, so the queue
-                // *ahead* of any delivered packet is at most B - size.
-                let q_cap = (buffer - sizef).max(0.0);
-                let seg_stop = seg_end.min(stop);
-                // Fast path for the overwhelmingly common segment: no
-                // overflow, no random loss, no jitter, no reordering, and
-                // the linear queue never needs clamping — every record is
-                // a pure affine function of its send time.
-                let q_a = q + slope * (f.next_send - t);
-                let q_b = q + slope * (seg_stop - t);
-                if !saturated
-                    && self.path.random_loss <= 0.0
-                    && self.path.jitter.is_none()
-                    && self.path.reorder.is_none()
-                    && q_a.min(q_b) >= 0.0
-                    && q_a.max(q_b) <= q_cap
-                {
-                    let mut ts = f.next_send;
-                    let first_seq = f.next_seq;
-                    while ts < seg_stop {
-                        let send_ns = (ts * 1e9).round() as u64;
-                        let delay_ns = (q + slope * (ts - t) + sizef) * ns_per_byte + prop_ns;
-                        f.records.push(PacketRecord::delivered(
-                            f.next_seq,
-                            send_ns,
-                            size,
-                            send_ns + delay_ns.round() as u64,
-                        ));
-                        f.next_seq += 1;
-                        ts += spacing;
-                    }
-                    f.delivered += f.next_seq - first_seq;
-                    f.next_send = ts;
-                    continue;
-                }
-                while f.next_send < seg_end && f.next_send < stop {
-                    let ts = f.next_send;
-                    f.next_send += spacing;
-                    let seq = f.next_seq;
-                    f.next_seq += 1;
-                    let send_ns = (ts * 1e9).round() as u64;
-                    if saturated {
-                        f.loss_debt += drop_frac;
-                        if f.loss_debt >= 1.0 {
-                            f.loss_debt -= 1.0;
-                            f.pending_loss = true;
-                            tallies.queue_drops += 1;
-                            f.records.push(PacketRecord::lost(seq, send_ns, size));
-                            continue;
-                        }
-                    }
-                    if self.path.random_loss > 0.0
-                        && rng::coin(&mut rng_loss, self.path.random_loss)
-                    {
-                        tallies.dropped_random += 1;
-                        f.records.push(PacketRecord::lost(seq, send_ns, size));
-                        continue;
-                    }
-                    let q_at =
-                        if saturated { q_cap } else { (q + slope * (ts - t)).clamp(0.0, q_cap) };
-                    let mut delay_ns = (q_at + sizef) * ns_per_byte + prop_ns;
-                    if let Some(j) = self.path.jitter {
-                        delay_ns += rng::uniform(&mut rng_reorder, 0.0, j.as_secs_f64()) * 1e9;
-                    }
-                    if let Some(rc) = &self.path.reorder {
-                        if rng::coin(&mut rng_reorder, rc.probability) {
-                            delay_ns += rng::uniform(
-                                &mut rng_reorder,
-                                rc.extra_min.as_secs_f64(),
-                                rc.extra_max.as_secs_f64(),
-                            ) * 1e9;
-                            tallies.reordered += 1;
-                        }
-                    }
-                    let recv_ns = send_ns + delay_ns.round() as u64;
-                    f.records.push(PacketRecord::delivered(seq, send_ns, size, recv_ns));
-                    f.delivered += 1;
-                }
-            }
-            if saturated {
-                // Cross traffic loses its fair share of the overflow too;
-                // tallied in (average-sized) packets at the end of the run.
-                cross_drop_bytes += cross_rate_at(t) * (seg_end - t) * drop_frac;
-            }
-
-            // --- Advance the queue and the clock ------------------------
-            q = (q + slope * (seg_end - t)).clamp(0.0, buffer);
-            tallies.hwm = tallies.hwm.max(q);
-            t = seg_end;
+            self.tallies.hwm = self.tallies.hwm.max(self.queued_bytes());
+            self.t = seg_end;
         }
 
-        if cross_pkt_bytes > 0.0 {
-            tallies.queue_drops += (cross_drop_bytes / cross_pkt_bytes).round() as u64;
+        if !self.schedule.is_empty() {
+            let cross_pkt_bytes = self.schedule.iter().map(|e| f64::from(e.2)).sum::<f64>()
+                / self.schedule.len() as f64;
+            self.tallies.queue_drops += (self.cross_drop_bytes / cross_pkt_bytes).round() as u64;
         }
-        self.finish(cross_log, samples, tallies, wall.elapsed().as_secs_f64())
+        self.finish(wall.elapsed().as_secs_f64())
     }
 
-    /// Aggregate send rate (bytes/second) of all active flows at `t`
-    /// with queue depth `q`.
-    fn total_rate_bytes(&self, t: f64, q: f64) -> f64 {
+    /// Control tick: advance every active flow's law across the interval
+    /// since the last tick, apply pending saturation backoffs, and — in
+    /// hybrid mode — hand a congestion onset to the packet engine.
+    /// Returns `true` when an episode ran and moved the clock.
+    fn tick(&mut self) -> bool {
+        let t = self.t;
+        let dt = t - self.last_tick;
+        self.last_tick = t;
+        self.next_tick = t + self.tick_dt;
+        self.tallies.ticks += 1;
+        // A flow's achieved delivery rate is its send rate scaled by the
+        // tightest backlogged stage's service share.
+        self.cascade();
+        let mut share = 1.0f64;
+        for s in &self.stages {
+            if s.q > 1.0 && s.inflow > s.cap_bytes {
+                share = share.min(s.cap_bytes / s.inflow);
+            }
+        }
+        let mut want_episode = false;
+        for i in 0..self.flows.len() {
+            if !self.flows[i].active(t) {
+                continue;
+            }
+            let rtt = self.flow_rtt(i);
+            let f = &mut self.flows[i];
+            f.srtt = if f.srtt == 0.0 { rtt } else { 0.875 * f.srtt + 0.125 * rtt };
+            let delivered = f.rate_bytes(rtt) * 8.0 * share;
+            let srtt = f.srtt;
+            f.law.advance(dt, srtt, delivered);
+            if f.pending_loss {
+                f.pending_loss = false;
+                if self.hybrid {
+                    // Let the packet engine decide the backoff: the
+                    // episode delivers real Loss signals through the
+                    // spliced controller.
+                    want_episode = true;
+                } else if t - f.last_backoff >= srtt {
+                    f.law.on_loss();
+                    f.last_backoff = t;
+                }
+            }
+        }
+        if self.hybrid
+            && self.armed
+            && self.stages.iter().any(|s| s.q >= EPISODE_ENTER_FRAC * s.buffer)
+        {
+            want_episode = true;
+        }
+        if !self.armed && self.stages.iter().all(|s| s.q < EPISODE_REARM_FRAC * s.buffer) {
+            self.armed = true;
+        }
+        let left = self.end.as_secs_f64() - t;
+        if !want_episode || left <= 2e-3 {
+            return false;
+        }
+        let srtt_max =
+            self.flows.iter().filter(|f| f.active(t)).map(|f| f.srtt).fold(self.base_rtt, f64::max);
+        let chunk = (4.0 * srtt_max).clamp(EPISODE_MIN_S, EPISODE_MAX_S).min(left);
+        self.run_episode(chunk);
+        self.t += chunk;
+        self.last_tick = self.t;
+        self.next_tick = self.t + self.tick_dt;
+        self.armed = false;
+        for s in &mut self.stages {
+            s.was_saturated = false;
+        }
+        true
+    }
+
+    /// Aggregate send rate (bytes/second) of all active flows at the
+    /// current time and queue depths.
+    fn total_rate_bytes(&self) -> f64 {
         (0..self.flows.len())
-            .filter(|&i| self.flows[i].active(t))
-            .map(|i| self.flows[i].rate_bytes(self.rtt_at(i, q)))
+            .filter(|&i| self.flows[i].active(self.t))
+            .map(|i| self.flows[i].rate_bytes(self.flow_rtt(i)))
             .sum()
     }
 
-    fn record_sample(&self, samples: &mut Vec<LinkSample>, ts: f64, q: f64, cap: f64) {
+    /// Push the senders' aggregate rate down the chain at the current
+    /// queue depths: each stage's inflow is the upstream departure rate
+    /// plus its own cross traffic, it departs at capacity while
+    /// backlogged or overloaded, and a stage pinned at its buffer limit
+    /// sheds the excess.
+    fn cascade(&mut self) {
+        let mut inflow = self.total_rate_bytes();
+        let mut pass = 1.0f64;
+        self.drop_frac = 0.0;
+        for s in &mut self.stages {
+            inflow += s.cross_rate_at(self.t);
+            let idle = s.q <= 1e-9 && inflow <= s.cap_bytes;
+            s.inflow = inflow;
+            s.saturated = s.q >= s.buffer - 1e-9 && inflow > s.cap_bytes;
+            s.slope = if s.saturated || idle { 0.0 } else { inflow - s.cap_bytes };
+            s.drop_frac = if s.saturated { (inflow - s.cap_bytes) / inflow } else { 0.0 };
+            self.drop_frac += s.drop_frac * pass;
+            pass *= 1.0 - s.drop_frac;
+            if !idle {
+                inflow = s.cap_bytes;
+            }
+        }
+    }
+
+    /// Plan the segment starting now: cascade the rates, then pick the
+    /// next breakpoint — the earliest of the control tick, the next
+    /// sample, a cross-rate bin edge, a flow start/stop, and any stage's
+    /// queue emptying or filling.
+    fn plan_segment(&mut self) -> f64 {
+        let t = self.t;
+        self.cascade();
+        if self.stages.iter().any(|s| s.saturated && !s.was_saturated) {
+            // The packet engine drops the first arrival that doesn't fit
+            // the instant the buffer fills. Seed a whole packet of debt
+            // at overflow onset so the fluid backoff fires then, not
+            // after the fractional debt crawls up to 1.0 — without this
+            // the window overshoots and the whole sawtooth rides a few
+            // packets higher than the packet engine's.
+            for f in &mut self.flows {
+                if f.active(t) {
+                    f.loss_debt = f.loss_debt.max(1.0);
+                }
+            }
+        }
+        let end_s = self.end.as_secs_f64();
+        let mut seg_end = end_s.min(self.next_tick);
+        if self.sample_every.is_some() && self.next_sample < end_s {
+            seg_end = seg_end.min(self.next_sample);
+        }
+        if !self.schedule.is_empty() {
+            // The cross rate is piecewise-constant per bin.
+            seg_end = seg_end.min(((t / CROSS_BIN_S).floor() + 1.0) * CROSS_BIN_S);
+        }
+        for f in &self.flows {
+            let (start, stop) = (f.cfg.start.as_secs_f64(), f.cfg.stop.as_secs_f64());
+            if start > t {
+                seg_end = seg_end.min(start);
+            }
+            if stop > t {
+                seg_end = seg_end.min(stop);
+            }
+        }
+        for s in &mut self.stages {
+            s.was_saturated = s.saturated;
+            if s.slope < 0.0 {
+                seg_end = seg_end.min(t + s.q / -s.slope);
+            } else if s.slope > 0.0 && s.q < s.buffer {
+                seg_end = seg_end.min(t + (s.buffer - s.q) / s.slope);
+            }
+        }
+        // Guard against zero-length segments from fp round-off.
+        seg_end.max(t + 1e-9)
+    }
+
+    /// Emit every flow's packet records across `[t, seg_end)`: each
+    /// record's delay is the per-stage sum of queue drain, serialization
+    /// and propagation at its send time.
+    fn emit_segment(&mut self, seg_end: f64) {
+        let (t, plain, drop_frac) = (self.t, self.plain, self.drop_frac);
+        self.tallies.segments += 1;
+        let saturated = self.stages.iter().any(|s| s.saturated);
+        for i in 0..self.flows.len() {
+            if !self.flows[i].active(t) {
+                continue;
+            }
+            let rtt = self.flow_rtt(i);
+            let Self { flows, stages, rng_loss, rng_reorder, tallies, .. } = self;
+            let f = &mut flows[i];
+            let size = f.cfg.packet_size;
+            let sizef = f64::from(size);
+            let spacing = sizef / f.rate_bytes(rtt);
+            let seg_stop = seg_end.min(f.cfg.stop.as_secs_f64());
+            // Fast path for the overwhelmingly common segment: no
+            // overflow, no random loss, no jitter, no reordering, and no
+            // linear queue ever needs clamping — every record is a pure
+            // affine function of its send time.
+            let (dt_a, dt_b) = (f.next_send - t, seg_stop - t);
+            if plain
+                && !saturated
+                && stages.iter().all(|s| {
+                    let (q_a, q_b) = (s.q + s.slope * dt_a, s.q + s.slope * dt_b);
+                    q_a.min(q_b) >= 0.0 && q_a.max(q_b) <= s.q_cap(sizef)
+                })
+            {
+                let mut ts = f.next_send;
+                let first_seq = f.next_seq;
+                while ts < seg_stop {
+                    let send_ns = (ts * 1e9).round() as u64;
+                    let mut delay_ns = 0.0;
+                    for s in stages.iter() {
+                        delay_ns += (s.q + s.slope * (ts - t) + sizef) * s.ns_per_byte + s.prop_ns;
+                    }
+                    f.records.push(PacketRecord::delivered(
+                        f.next_seq,
+                        send_ns,
+                        size,
+                        send_ns + delay_ns.round() as u64,
+                    ));
+                    f.next_seq += 1;
+                    ts += spacing;
+                }
+                f.delivered += f.next_seq - first_seq;
+                f.next_send = ts;
+                continue;
+            }
+            'packets: while f.next_send < seg_stop {
+                let ts = f.next_send;
+                f.next_send += spacing;
+                let seq = f.next_seq;
+                f.next_seq += 1;
+                let send_ns = (ts * 1e9).round() as u64;
+                if saturated {
+                    f.loss_debt += drop_frac;
+                    if f.loss_debt >= 1.0 {
+                        f.loss_debt -= 1.0;
+                        f.pending_loss = true;
+                        tallies.queue_drops += 1;
+                        f.records.push(PacketRecord::lost(seq, send_ns, size));
+                        continue;
+                    }
+                }
+                for s in stages.iter() {
+                    if s.random_loss > 0.0 && rng::coin(rng_loss, s.random_loss) {
+                        tallies.dropped_random += 1;
+                        f.records.push(PacketRecord::lost(seq, send_ns, size));
+                        continue 'packets;
+                    }
+                }
+                let mut delay_ns = 0.0;
+                for s in stages.iter() {
+                    let q_cap = s.q_cap(sizef);
+                    let q_at = if s.saturated {
+                        q_cap
+                    } else {
+                        (s.q + s.slope * (ts - t)).clamp(0.0, q_cap)
+                    };
+                    delay_ns += (q_at + sizef) * s.ns_per_byte + s.prop_ns;
+                    if let Some(j) = s.jitter_s {
+                        delay_ns += rng::uniform(rng_reorder, 0.0, j) * 1e9;
+                    }
+                    if let Some((p, lo, hi)) = s.reorder {
+                        if rng::coin(rng_reorder, p) {
+                            delay_ns += rng::uniform(rng_reorder, lo, hi) * 1e9;
+                            tallies.reordered += 1;
+                        }
+                    }
+                }
+                let recv_ns = send_ns + delay_ns.round() as u64;
+                f.records.push(PacketRecord::delivered(seq, send_ns, size, recv_ns));
+                f.delivered += 1;
+            }
+        }
+        // Cross traffic loses its fair share of each overflow too;
+        // tallied in (average-sized) packets at the end of the run.
+        for s in self.stages.iter().filter(|s| s.saturated) {
+            self.cross_drop_bytes += s.cross_rate_at(t) * (seg_end - t) * s.drop_frac;
+        }
+    }
+
+    fn record_sample(&mut self, ts: f64, q: f64) {
         let queue_bytes = q.round().max(0.0) as u64;
-        samples.push(LinkSample { t: SimTime::from_secs_f64(ts), queue_bytes, rate_bps: cap });
+        self.samples.push(LinkSample {
+            t: SimTime::from_secs_f64(ts),
+            queue_bytes,
+            rate_bps: self.spec.bottleneck_rate_bps(),
+        });
         self.metrics.histogram("sim.queue_depth_bytes").record(queue_bytes as f64);
         if self.report_global {
             ibox_obs::global().histogram("sim.queue_depth_bytes").record(queue_bytes as f64);
         }
     }
 
-    /// Hand the window `[t0, t0 + chunk_s)` to the packet engine and
-    /// splice the results back; returns the closing queue depth.
-    #[allow(clippy::too_many_arguments)]
-    fn run_episode(
-        &mut self,
-        t0: f64,
-        q0: f64,
-        chunk_s: f64,
-        schedule: &[(f64, SimTime, u32, usize)],
-        tallies: &mut Tallies,
-        samples: &mut Vec<LinkSample>,
-        next_sample: &mut f64,
-    ) -> f64 {
+    /// Hand the window `[t, t + chunk_s)` of the (single-stage, see
+    /// [`FluidSim::set_hybrid`]) path to the packet engine and splice the
+    /// results back, leaving the closing queue depth in the stage.
+    fn run_episode(&mut self, chunk_s: f64) {
+        let (t0, q0) = (self.t, self.stages[0].q);
         let t_end = t0 + chunk_s;
         let dur = SimTime::from_secs_f64(chunk_s);
-        let seed = rng::derive_seed(self.seed, 1000 + tallies.episodes);
-        tallies.episodes += 1;
-        let mut sim = Simulation::new(self.path.clone(), dur, seed);
+        let seed = rng::derive_seed(self.seed, 1000 + self.tallies.episodes);
+        self.tallies.episodes += 1;
+        // The stage config alone: cross traffic enters as a replay below.
+        let mut sim = Simulation::new(self.spec.first().clone(), dur, seed);
         sim.set_path_name(self.path_name.clone());
         sim.set_report_global(false);
         sim.set_sample_every(Some(SimTime::from_millis(1)));
@@ -1022,7 +1164,7 @@ impl FluidSim {
             }
             let shared = Arc::new(Mutex::new(EpisodeCc {
                 law: f.law.clone(),
-                srtt: if f.srtt > 0.0 { f.srtt } else { self.rtt_at(i, q0) },
+                srtt: if f.srtt > 0.0 { f.srtt } else { self.flow_rtt(i) },
                 last_ack_s: None,
                 pkt_bytes: f.cfg.packet_size,
             }));
@@ -1041,13 +1183,13 @@ impl FluidSim {
         // replay source (build_replay_schedule emits exactly one packet
         // of `bytes` at each bin start when `bytes <= pkt_size`). They
         // are already in the run-wide emission log and tallies.
-        let lo = schedule.partition_point(|e| e.0 < t0);
-        let hi = schedule.partition_point(|e| e.0 < t_end);
+        let lo = self.schedule.partition_point(|e| e.0 < t0);
+        let hi = self.schedule.partition_point(|e| e.0 < t_end);
         let t0_st = SimTime::from_secs_f64(t0);
-        for s in 0..self.cross_cfgs.len() {
+        for s in 0..self.cross_log.len() {
             let mut bins: Vec<(SimTime, f64)> = Vec::new();
             let mut max_size = 0u32;
-            for &(_, ts, size, src) in &schedule[lo..hi] {
+            for &(_, ts, size, src) in &self.schedule[lo..hi] {
                 if src != s {
                     continue;
                 }
@@ -1096,41 +1238,35 @@ impl FluidSim {
             f.pending_loss = false;
             f.last_backoff = t_end;
         }
-        tallies.queue_drops += out.queue_drops;
+        self.tallies.queue_drops += out.queue_drops;
         let c = |name: &str| out.metrics.counters.get(name).copied().unwrap_or(0);
-        tallies.dropped_random += c("sim.packets_dropped_random");
-        tallies.reordered += c("sim.packets_reordered");
+        self.tallies.dropped_random += c("sim.packets_dropped_random");
+        self.tallies.reordered += c("sim.packets_reordered");
         if let Some(hwm) = out.metrics.gauges.get("sim.queue_depth_hwm_bytes") {
-            tallies.hwm = tallies.hwm.max(*hwm);
+            self.tallies.hwm = self.tallies.hwm.max(*hwm);
         }
 
         // Ground-truth samples the fluid clock owes for this window come
         // from the episode's own 1 ms sampling.
-        let cap = self.cap_bps();
         if let Some(every) = self.sample_every {
-            while *next_sample < t_end && *next_sample < self.end.as_secs_f64() {
-                let rel = *next_sample - t0;
+            while self.next_sample < t_end && self.next_sample < self.end.as_secs_f64() {
+                let rel = self.next_sample - t0;
                 let qb = out
                     .link_samples
                     .iter()
                     .take_while(|s| s.t.as_secs_f64() <= rel + 1e-12)
                     .last()
                     .map_or(q0, |s| s.queue_bytes as f64);
-                self.record_sample(samples, *next_sample, qb, cap);
-                *next_sample += every.as_secs_f64();
+                self.record_sample(self.next_sample, qb);
+                self.next_sample += every.as_secs_f64();
             }
         }
 
-        out.link_samples.last().map_or(q0, |s| s.queue_bytes as f64)
+        self.stages[0].q = out.link_samples.last().map_or(q0, |s| s.queue_bytes as f64);
+        self.tallies.hwm = self.tallies.hwm.max(self.stages[0].q);
     }
 
-    fn finish(
-        self,
-        cross_log: Vec<Vec<(f64, u32)>>,
-        samples: Vec<LinkSample>,
-        tallies: Tallies,
-        elapsed_s: f64,
-    ) -> SimOutput {
+    fn finish(self, elapsed_s: f64) -> SimOutput {
         // One pass per flow: count, then hand the record buffer to the
         // trace without copying (the buffers are megabytes at line rate).
         let mut traces = Vec::new();
@@ -1155,6 +1291,7 @@ impl FluidSim {
                 traces.push(FlowTrace::from_records(meta, f.records));
             }
         }
+        let tallies = self.tallies;
         self.metrics.counter("sim.packets_sent").add(sent);
         self.metrics.counter("sim.packets_delivered").add(delivered);
         self.metrics.counter("sim.packets_dropped_random").add(tallies.dropped_random);
@@ -1163,6 +1300,7 @@ impl FluidSim {
         self.metrics.counter("sim.cross_packets_emitted").add(tallies.cross);
         self.metrics.counter("sim.packets_dropped_buffer").add(tallies.queue_drops);
         self.metrics.gauge("sim.queue_depth_hwm_bytes").record_max(tallies.hwm);
+        self.metrics.counter("fluid.stages").add(self.stages.len() as u64);
         self.metrics.counter("fluid.segments").add(tallies.segments);
         self.metrics.counter("fluid.ticks").add(tallies.ticks);
         self.metrics.counter("fluid.episodes").add(tallies.episodes);
@@ -1175,8 +1313,8 @@ impl FluidSim {
         SimOutput {
             traces,
             flow_stats,
-            cross_emissions: cross_log,
-            link_samples: samples,
+            cross_emissions: self.cross_log,
+            link_samples: self.samples,
             queue_drops: tallies.queue_drops,
             metrics,
         }
@@ -1199,10 +1337,18 @@ struct Tallies {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{PathConfig, PathStage};
     use ibox_trace::metrics::avg_rate_mbps;
 
     fn simple_path(rate_bps: f64, delay_ms: u64, buffer: u64) -> PathConfig {
         PathConfig::simple(rate_bps, SimTime::from_millis(delay_ms), buffer)
+    }
+
+    /// A 1-stage spec over `path` with one cross source at its queue.
+    fn with_cross(path: PathConfig, cross: CrossTrafficCfg) -> PathSpec {
+        let mut stage = PathStage::new(path);
+        stage.cross.push(cross);
+        PathSpec::from_stages(vec![stage])
     }
 
     #[test]
@@ -1239,12 +1385,15 @@ mod tests {
     #[test]
     fn run_is_deterministic() {
         let run = || {
-            let mut sim = FluidSim::new(simple_path(12e6, 15, 80_000), SimTime::from_secs(6), 42);
+            let spec = with_cross(
+                simple_path(12e6, 15, 80_000),
+                CrossTrafficCfg::cbr(2e6, SimTime::ZERO, SimTime::from_secs(6)),
+            );
+            let mut sim = FluidSim::new(spec, SimTime::from_secs(6), 42);
             sim.add_flow(
                 FlowConfig::bulk("main", SimTime::from_secs(6)),
                 FluidLaw::by_name("cubic").unwrap(),
             );
-            sim.add_cross_traffic(CrossTrafficCfg::cbr(2e6, SimTime::ZERO, SimTime::from_secs(6)));
             sim.set_sample_every(Some(SimTime::from_millis(50)));
             sim.run()
         };
@@ -1280,22 +1429,22 @@ mod tests {
     fn cross_schedule_matches_packet_engine() {
         // Identical seeds and configs must yield the identical Poisson
         // cross-traffic emission log in both engines.
-        let path = simple_path(10e6, 10, 200_000);
-        let cross = CrossTrafficCfg::Poisson {
-            mean_rate_bps: 1.5e6,
-            pkt_size: 1200,
-            start: SimTime::ZERO,
-            stop: SimTime::from_secs(4),
-        };
-        let mut fluid = FluidSim::new(path.clone(), SimTime::from_secs(4), 11);
+        let spec = with_cross(
+            simple_path(10e6, 10, 200_000),
+            CrossTrafficCfg::Poisson {
+                mean_rate_bps: 1.5e6,
+                pkt_size: 1200,
+                start: SimTime::ZERO,
+                stop: SimTime::from_secs(4),
+            },
+        );
+        let mut fluid = FluidSim::new(spec.clone(), SimTime::from_secs(4), 11);
         fluid.add_flow(FlowConfig::bulk("f", SimTime::from_secs(4)), FluidLaw::fixed_rate(1e6));
-        fluid.add_cross_traffic(cross.clone());
-        let mut pkt = Simulation::new(path, SimTime::from_secs(4), 11);
+        let mut pkt = Simulation::new(spec, SimTime::from_secs(4), 11);
         pkt.add_flow(
             FlowConfig::bulk("f", SimTime::from_secs(4)),
             Box::new(crate::cc::FixedRate::new(1e6)),
         );
-        pkt.add_cross_traffic(cross);
         assert_eq!(fluid.run().cross_emissions, pkt.run().cross_emissions);
     }
 
@@ -1349,13 +1498,16 @@ mod tests {
     #[test]
     fn hybrid_is_deterministic() {
         let run = || {
-            let mut sim = FluidSim::new(simple_path(8e6, 20, 50_000), SimTime::from_secs(5), 17);
+            let spec = with_cross(
+                simple_path(8e6, 20, 50_000),
+                CrossTrafficCfg::cbr(1e6, SimTime::ZERO, SimTime::from_secs(5)),
+            );
+            let mut sim = FluidSim::new(spec, SimTime::from_secs(5), 17);
             sim.set_hybrid(true);
             sim.add_flow(
                 FlowConfig::bulk("main", SimTime::from_secs(5)),
                 FluidLaw::by_name("cubic").unwrap(),
             );
-            sim.add_cross_traffic(CrossTrafficCfg::cbr(1e6, SimTime::ZERO, SimTime::from_secs(5)));
             sim.run()
         };
         let (a, b) = (run(), run());
@@ -1365,12 +1517,121 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_paths_are_rejected() {
+    #[should_panic(expected = "cannot model")]
+    fn non_constant_rate_rejected() {
         let mut p = simple_path(5e6, 10, 50_000);
         p.rate =
             RateModelCfg::Markov { states: vec![1e6, 5e6], mean_dwell: SimTime::from_millis(200) };
-        assert!(!FluidSim::supports(&p));
-        assert!(FluidSim::supports(&simple_path(5e6, 10, 50_000)));
+        FluidSim::new(p, SimTime::from_secs(1), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "hybrid")]
+    fn hybrid_chain_rejected() {
+        FluidSim::new(two_stage(8e6), SimTime::from_secs(1), 1).set_hybrid(true);
+    }
+
+    fn two_stage(bneck_bps: f64) -> PathSpec {
+        PathSpec::from_stages(vec![
+            PathStage::new(PathConfig::simple(20e6, SimTime::from_millis(5), 150_000)),
+            PathStage::new(PathConfig::simple(bneck_bps, SimTime::from_millis(15), 80_000)),
+        ])
+    }
+
+    fn run_chain(spec: PathSpec, law: FluidLaw, secs: u64, seed: u64) -> SimOutput {
+        let dur = SimTime::from_secs(secs);
+        let mut sim = FluidSim::new(spec, dur, seed);
+        sim.set_report_global(false);
+        sim.add_flow(FlowConfig::bulk("m", dur), law);
+        sim.run()
+    }
+
+    #[test]
+    fn chain_saturates_the_slowest_stage() {
+        let out = run_chain(two_stage(8e6), FluidLaw::by_name("cubic").unwrap(), 10, 1);
+        let rate = avg_rate_mbps(out.trace("m").unwrap());
+        assert!((rate - 8.0).abs() < 1.0, "rate = {rate} Mbps");
+    }
+
+    #[test]
+    fn chain_min_delay_crosses_every_stage() {
+        let out = run_chain(two_stage(8e6), FluidLaw::by_name("vegas").unwrap(), 5, 1);
+        let min_ms = out.trace("m").unwrap().min_delay_ns().unwrap() as f64 / 1e6;
+        // At least the 20 ms of summed propagation plus some serialization.
+        assert!(min_ms > 20.0, "min delay = {min_ms} ms");
+    }
+
+    #[test]
+    fn chain_is_deterministic_given_seed() {
+        let mk = || {
+            let mut spec = two_stage(6e6);
+            spec.stages[0].config.jitter = Some(SimTime::from_micros(400));
+            spec.stages[1].config.random_loss = 0.01;
+            spec.stages[1].cross.push(CrossTrafficCfg::cbr(
+                1e6,
+                SimTime::from_secs(1),
+                SimTime::from_secs(5),
+            ));
+            run_chain(spec, FluidLaw::by_name("cubic").unwrap(), 6, 42)
+        };
+        let a = mk();
+        let b = mk();
+        assert_eq!(a.traces, b.traces);
+        assert_eq!(a.metrics.counters, b.metrics.counters);
+    }
+
+    #[test]
+    fn chain_reports_segments_not_packet_engine_events() {
+        let out = run_chain(two_stage(8e6), FluidLaw::by_name("cubic").unwrap(), 3, 1);
+        let c = |n: &str| out.metrics.counters.get(n).copied().unwrap_or(0);
+        assert_eq!(c("sim.events_processed"), 0);
+        assert!(c("sim.packets_sent") > 0);
+        assert!(c("fluid.segments") > 0);
+        assert_eq!(c("fluid.stages"), 2);
+    }
+
+    #[test]
+    fn chain_cross_traffic_inflates_delay_at_its_stage() {
+        let base = run_chain(two_stage(6e6), FluidLaw::fixed_rate(3e6), 10, 5);
+        let mut spec = two_stage(6e6);
+        // 3 + 3.5 Mbps demand on the 6 Mbps second stage: standing queue.
+        spec.stages[1].cross.push(CrossTrafficCfg::cbr(
+            3.5e6,
+            SimTime::ZERO,
+            SimTime::from_secs(10),
+        ));
+        let loaded = run_chain(spec, FluidLaw::fixed_rate(3e6), 10, 5);
+        let p95 = |o: &SimOutput| {
+            ibox_trace::metrics::delay_percentile_ms(o.trace("m").unwrap(), 0.95).unwrap()
+        };
+        assert!(
+            p95(&loaded) > p95(&base) + 5.0,
+            "cross traffic should add queueing delay: {} -> {}",
+            p95(&base),
+            p95(&loaded)
+        );
+    }
+
+    #[test]
+    fn chain_overflow_drops_and_backs_off() {
+        // CBR at 2x the bottleneck into a small buffer: sustained loss.
+        let mut spec = two_stage(4e6);
+        spec.stages[1].config.buffer_bytes = 20_000;
+        let out = run_chain(spec, FluidLaw::fixed_rate(8e6), 10, 3);
+        let loss = out.trace("m").unwrap().loss_rate();
+        assert!(loss > 0.3, "loss = {loss}");
+        assert!(out.queue_drops > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot model")]
+    fn chain_non_fifo_stage_rejected() {
+        let mut spec = two_stage(8e6);
+        spec.stages[0].config.scheduler = crate::queue::SchedulerKind::Codel {
+            target: SimTime::from_millis(5),
+            interval: SimTime::from_millis(100),
+        };
+        FluidSim::new(spec, SimTime::from_secs(1), 1);
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub mod emulator;
 pub mod engine;
 pub mod flow;
 pub mod fluid;
-pub mod fluid_chain;
 pub mod output;
 pub mod packet;
 pub mod pie;
@@ -71,7 +70,6 @@ pub use crosstraffic::{CrossTrafficCfg, CT_PACKET_SIZE};
 pub use emulator::PathEmulator;
 pub use engine::Simulation;
 pub use fluid::{FluidLaw, FluidSim};
-pub use fluid_chain::FluidChainSim;
 pub use output::{FlowStats, LinkSample, SimOutput};
 pub use packet::{Packet, PacketFate, StreamId};
 pub use queue::SchedulerKind;

@@ -38,8 +38,5 @@ pub mod profile;
 pub mod rtc;
 
 pub use instance::{run_instance, InstanceScenario, INSTANCE_PATTERNS};
-pub use pantheon::{
-    generate_dataset, generate_dataset_jobs, generate_paired_datasets,
-    generate_paired_datasets_jobs, run_protocol,
-};
+pub use pantheon::{generate_dataset, generate_paired_datasets, run_protocol};
 pub use profile::{PathInstance, Profile, ProfileBuilder};

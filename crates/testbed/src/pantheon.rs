@@ -40,22 +40,10 @@ pub fn run_protocol(
 /// Generate a dataset of `n` runs of `protocol` over `profile`, one fresh
 /// path instance per run (instance seed = `base_seed + i`).
 ///
-/// Serial — [`generate_dataset_jobs`] at `jobs = 1`, which is what it
-/// calls. Prefer the `_jobs` variant for more than a couple of runs.
+/// Runs are spread over `jobs` worker threads (`0` = all cores). Every
+/// run is seeded from the spec alone, so the dataset is identical at any
+/// `jobs`.
 pub fn generate_dataset(
-    profile: Profile,
-    protocol: &str,
-    n: usize,
-    duration: SimTime,
-    base_seed: u64,
-) -> TraceDataset {
-    generate_dataset_jobs(profile, protocol, n, duration, base_seed, 1)
-}
-
-/// [`generate_dataset`] with runs spread over `jobs` worker threads
-/// (`0` = all cores). Every run is seeded from the spec alone (instance
-/// seed = `base_seed + i`), so the dataset is identical at any `jobs`.
-pub fn generate_dataset_jobs(
     profile: Profile,
     protocol: &str,
     n: usize,
@@ -75,24 +63,10 @@ pub fn generate_dataset_jobs(
 /// protocol over the identical instance (identical hidden network state).
 /// Returns one dataset per protocol, in the order given.
 ///
-/// Serial — [`generate_paired_datasets_jobs`] at `jobs = 1`, which is
-/// what it calls. Prefer the `_jobs` variant for more than a couple of
-/// instances.
+/// Instances are spread over `jobs` worker threads (`0` = all cores).
+/// Each pool job runs every protocol over one instance; traces fold back
+/// in instance order, so the datasets are identical at any `jobs`.
 pub fn generate_paired_datasets(
-    profile: Profile,
-    protocols: &[&str],
-    n: usize,
-    duration: SimTime,
-    base_seed: u64,
-) -> Vec<TraceDataset> {
-    generate_paired_datasets_jobs(profile, protocols, n, duration, base_seed, 1)
-}
-
-/// [`generate_paired_datasets`] with instances spread over `jobs` worker
-/// threads (`0` = all cores). Each pool job runs every protocol over one
-/// instance; traces fold back in instance order, so the datasets are
-/// identical at any `jobs`.
-pub fn generate_paired_datasets_jobs(
     profile: Profile,
     protocols: &[&str],
     n: usize,
@@ -136,7 +110,7 @@ mod tests {
 
     #[test]
     fn dataset_has_n_runs_with_distinct_paths() {
-        let d = generate_dataset(Profile::IndiaCellular, "cubic", 3, SHORT, 10);
+        let d = generate_dataset(Profile::IndiaCellular, "cubic", 3, SHORT, 10, 1);
         assert_eq!(d.len(), 3);
         assert_ne!(d.traces[0].meta.path, d.traces[1].meta.path);
         // Distinct path instances ⇒ distinct dynamics.
@@ -146,7 +120,7 @@ mod tests {
     #[test]
     fn paired_datasets_share_instances() {
         let ds =
-            generate_paired_datasets(Profile::IndiaCellular, &["cubic", "vegas"], 2, SHORT, 20);
+            generate_paired_datasets(Profile::IndiaCellular, &["cubic", "vegas"], 2, SHORT, 20, 1);
         assert_eq!(ds.len(), 2);
         assert_eq!(ds[0].traces[0].meta.path, ds[1].traces[0].meta.path);
         assert_eq!(ds[0].traces[0].meta.protocol, "cubic");
@@ -155,21 +129,19 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = generate_dataset(Profile::Ethernet, "reno", 2, SimTime::from_secs(3), 5);
-        let b = generate_dataset(Profile::Ethernet, "reno", 2, SimTime::from_secs(3), 5);
+        let a = generate_dataset(Profile::Ethernet, "reno", 2, SimTime::from_secs(3), 5, 1);
+        let b = generate_dataset(Profile::Ethernet, "reno", 2, SimTime::from_secs(3), 5, 1);
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_generation_matches_serial() {
-        let serial = generate_dataset(Profile::Ethernet, "reno", 4, SimTime::from_secs(3), 5);
-        let parallel =
-            generate_dataset_jobs(Profile::Ethernet, "reno", 4, SimTime::from_secs(3), 5, 4);
+        let serial = generate_dataset(Profile::Ethernet, "reno", 4, SimTime::from_secs(3), 5, 1);
+        let parallel = generate_dataset(Profile::Ethernet, "reno", 4, SimTime::from_secs(3), 5, 4);
         assert_eq!(serial, parallel);
 
-        let ps = generate_paired_datasets(Profile::Ethernet, &["cubic", "vegas"], 3, SHORT, 20);
-        let pp =
-            generate_paired_datasets_jobs(Profile::Ethernet, &["cubic", "vegas"], 3, SHORT, 20, 3);
+        let ps = generate_paired_datasets(Profile::Ethernet, &["cubic", "vegas"], 3, SHORT, 20, 1);
+        let pp = generate_paired_datasets(Profile::Ethernet, &["cubic", "vegas"], 3, SHORT, 20, 3);
         assert_eq!(ps, pp);
     }
 
@@ -183,8 +155,8 @@ mod tests {
     #[test]
     fn composed_profiles_generate_multi_hop_traces_jobs_invariantly() {
         for p in [Profile::Wifi, Profile::Satellite, Profile::CellularHandover] {
-            let serial = generate_dataset(p, "cubic", 3, SHORT, 40);
-            let parallel = generate_dataset_jobs(p, "cubic", 3, SHORT, 40, 3);
+            let serial = generate_dataset(p, "cubic", 3, SHORT, 40, 1);
+            let parallel = generate_dataset(p, "cubic", 3, SHORT, 40, 3);
             assert_eq!(serial, parallel, "{} must be jobs-invariant", p.name());
             for t in &serial.traces {
                 assert!(t.len() > 200, "{}: packets = {}", p.name(), t.len());
@@ -192,7 +164,7 @@ mod tests {
         }
         // The GEO chain's delay floor is the summed propagation of all
         // three stages — dominated by the ~270 ms space segment.
-        let sat = generate_dataset(Profile::Satellite, "cubic", 1, SHORT, 41);
+        let sat = generate_dataset(Profile::Satellite, "cubic", 1, SHORT, 41, 1);
         let min_delay = sat.traces[0].min_delay_ns().unwrap();
         assert!(
             min_delay >= 250_000_000,
@@ -202,7 +174,7 @@ mod tests {
 
     #[test]
     fn cellular_traces_exhibit_reordering() {
-        let d = generate_dataset(Profile::IndiaCellular, "cubic", 2, SHORT, 33);
+        let d = generate_dataset(Profile::IndiaCellular, "cubic", 2, SHORT, 33, 1);
         let any_reordering =
             d.traces.iter().any(|t| ibox_trace::metrics::overall_reordering_rate(t) > 0.0);
         assert!(any_reordering, "cellular profile must reorder some packets");

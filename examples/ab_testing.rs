@@ -21,10 +21,10 @@ fn main() {
 
     println!("generating {n} paired cubic/vegas measurement runs (india-cellular profile)…");
     let ds =
-        generate_paired_datasets(Profile::IndiaCellular, &["cubic", "vegas"], n, duration, 777);
+        generate_paired_datasets(Profile::IndiaCellular, &["cubic", "vegas"], n, duration, 777, 1);
 
     println!("fitting one iBoxNet per cubic run; replaying cubic and vegas through each…\n");
-    let report = ensemble_test(&ds[0], &ds[1], ModelKind::IBoxNet, duration, 3);
+    let report = ensemble_test(&ds[0], &ds[1], ModelKind::IBoxNet, duration, 3, 1);
 
     println!("per-run p95 delay (ms):");
     println!("  run   cubic/gt  cubic/sim  vegas/gt  vegas/sim");

@@ -23,7 +23,7 @@ use ibox_trace::metrics::overall_reordering_rate;
 fn main() {
     let duration = SimTime::from_secs(15);
     println!("generating ground-truth cellular traces…");
-    let gt = generate_dataset(Profile::IndiaCellular, "cubic", 5, duration, 321);
+    let gt = generate_dataset(Profile::IndiaCellular, "cubic", 5, duration, 321, 1);
 
     println!("replaying each through a fitted iBoxNet…");
     let sims: Vec<_> = gt

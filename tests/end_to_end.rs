@@ -99,9 +99,9 @@ fn profile_roundtrip_preserves_simulation() {
 fn iboxnet_beats_statistical_loss_baseline_on_delay() {
     let duration = SimTime::from_secs(10);
     let ds =
-        generate_paired_datasets(Profile::IndiaCellular, &["cubic", "vegas"], 6, duration, 400);
-    let full = ensemble_test(&ds[0], &ds[1], ModelKind::IBoxNet, duration, 2);
-    let stat = ensemble_test(&ds[0], &ds[1], ModelKind::StatisticalLoss, duration, 2);
+        generate_paired_datasets(Profile::IndiaCellular, &["cubic", "vegas"], 6, duration, 400, 1);
+    let full = ensemble_test(&ds[0], &ds[1], ModelKind::IBoxNet, duration, 2, 1);
+    let stat = ensemble_test(&ds[0], &ds[1], ModelKind::StatisticalLoss, duration, 2, 1);
     assert!(
         full.ks_delay.b.statistic <= stat.ks_delay.b.statistic + 0.17,
         "full D={} vs statistical D={}",
@@ -134,8 +134,14 @@ fn statistical_baseline_is_loss_calibrated() {
 fn pipeline_is_deterministic() {
     let duration = SimTime::from_secs(8);
     let run = || {
-        let ds =
-            generate_paired_datasets(Profile::IndiaCellular, &["cubic", "vegas"], 2, duration, 77);
+        let ds = generate_paired_datasets(
+            Profile::IndiaCellular,
+            &["cubic", "vegas"],
+            2,
+            duration,
+            77,
+            1,
+        );
         let model = IBoxNet::fit(&ds[0].traces[0]);
         model.simulate("vegas", duration, 5)
     };

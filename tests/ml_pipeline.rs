@@ -72,7 +72,7 @@ fn iboxml_transfers_to_held_out_traces() {
 #[test]
 fn discovery_and_repair_loop() {
     let duration = SimTime::from_secs(12);
-    let gt = generate_dataset(Profile::IndiaCellular, "cubic", 4, duration, 888);
+    let gt = generate_dataset(Profile::IndiaCellular, "cubic", 4, duration, 888, 1);
     let sims: Vec<FlowTrace> = gt
         .traces
         .iter()
