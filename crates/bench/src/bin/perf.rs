@@ -1,6 +1,6 @@
 //! Steady-state compute-throughput guardrails for the hot paths.
 //!
-//! Three measurements via the vendored criterion's timed API:
+//! Four measurements via the vendored criterion's timed API:
 //!
 //! 1. **LSTM train-step throughput** — the workspace (allocation-free)
 //!    kernels vs a naive reference compiled into this binary. The
@@ -11,6 +11,9 @@
 //! 2. **Simulator packet throughput** on a saturated bottleneck.
 //! 3. **End-to-end [`ibox::IBoxMl::fit`] wall time** on a synthetic
 //!    dataset.
+//! 4. **Trace JSON encode throughput** — the streaming `write_json` path
+//!    vs the value-tree reference (`to_string(&trace.to_value())`), same
+//!    bytes asserted. Asserts the streamed path is at least 3× faster.
 //!
 //! Results land as `perf.*` gauges in `BENCH_perf.json`. With
 //! `--baseline <path>` the previously committed manifest is read *before*
@@ -34,6 +37,7 @@ use ibox_sim::{
 use ibox_trace::FlowTrace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::Serialize;
 
 /// Layer shape for the train-step benchmark (input × hidden).
 const INPUT: usize = 32;
@@ -326,6 +330,31 @@ fn bench_train_steps(c: &mut Criterion) -> (f64, f64) {
     (steps_per_sec(&naive), steps_per_sec(&workspace))
 }
 
+/// A saturated 20 Mbps bottleneck with Poisson cross traffic plus random
+/// loss and reordering, so a run exercises every per-packet code path (and
+/// its trace carries lost records), not just clean FIFO forwarding.
+fn impaired_sim(secs: u64, seed: u64) -> Simulation {
+    let mut path = PathConfig::simple(20e6, SimTime::from_millis(20), 100_000);
+    path.random_loss = 0.002;
+    path.reorder = Some(ReorderCfg {
+        probability: 0.005,
+        extra_min: SimTime::from_millis(1),
+        extra_max: SimTime::from_millis(6),
+    });
+    let mut sim = Simulation::new(path, SimTime::from_secs(secs), seed);
+    sim.add_cross_traffic(CrossTrafficCfg::Poisson {
+        mean_rate_bps: 2e6,
+        pkt_size: 1200,
+        start: SimTime::ZERO,
+        stop: SimTime::from_secs(secs),
+    });
+    sim.add_flow(
+        FlowConfig::bulk("main", SimTime::from_secs(secs)),
+        Box::new(FixedWindow::new(200.0)),
+    );
+    sim
+}
+
 fn bench_sim(c: &mut Criterion) -> (f64, f64) {
     let secs = Scale::from_args().pick(2, 10) as u64;
     let build = |seed: u64| {
@@ -340,32 +369,10 @@ fn bench_sim(c: &mut Criterion) -> (f64, f64) {
         );
         sim
     };
-    // Impaired variant: Poisson cross traffic plus random loss and
-    // reordering, so the bench — and the committed manifest's
+    // The impaired variant keeps the committed manifest's
     // `sim.cross_packets_emitted` / `sim.packets_dropped_random` /
-    // `sim.packets_reordered` counters — exercises every per-packet
-    // code path, not just clean FIFO forwarding.
-    let build_impaired = |seed: u64| {
-        let mut path = PathConfig::simple(20e6, SimTime::from_millis(20), 100_000);
-        path.random_loss = 0.002;
-        path.reorder = Some(ReorderCfg {
-            probability: 0.005,
-            extra_min: SimTime::from_millis(1),
-            extra_max: SimTime::from_millis(6),
-        });
-        let mut sim = Simulation::new(path, SimTime::from_secs(secs), seed);
-        sim.add_cross_traffic(CrossTrafficCfg::Poisson {
-            mean_rate_bps: 2e6,
-            pkt_size: 1200,
-            start: SimTime::ZERO,
-            stop: SimTime::from_secs(secs),
-        });
-        sim.add_flow(
-            FlowConfig::bulk("main", SimTime::from_secs(secs)),
-            Box::new(FixedWindow::new(200.0)),
-        );
-        sim
-    };
+    // `sim.packets_reordered` counters live.
+    let build_impaired = |seed: u64| impaired_sim(secs, seed);
     let packets = build(1).run().flow_stats[0].sent;
     assert!(packets > 0, "saturated flow must send packets");
     let impaired = build_impaired(1).run();
@@ -433,6 +440,35 @@ fn bench_fit(c: &mut Criterion) -> f64 {
     stats.min_ns / 1e6
 }
 
+/// JSON encode throughput of a replay trace, MB/s: the streaming
+/// `Serialize::write_json` path every reply takes vs the value-tree
+/// reference (`to_value()` first, then render), which is what `to_string`
+/// did before the writer existed. Asserts equal bytes and a >= 3x gain.
+fn bench_trace_encode(c: &mut Criterion) -> (f64, f64) {
+    let secs = Scale::from_args().pick(2, 10) as u64;
+    let trace = impaired_sim(secs, 1).run().traces.remove(0);
+    assert!(trace.lost_count() > 0, "the encoded trace must carry lost records");
+    let streamed = serde_json::to_string(&trace).expect("traces serialize");
+    let tree = serde_json::to_string(&trace.to_value()).expect("value trees serialize");
+    assert_eq!(streamed, tree, "streamed and tree-rendered traces must be the same bytes");
+
+    let mut group = c.benchmark_group("trace_encode");
+    group.sample_size(Scale::from_args().pick(10, 30));
+    let tree_stats = group
+        .bench_function_timed("value_tree_reference", |b| {
+            b.iter(|| black_box(serde_json::to_string(&black_box(&trace).to_value())))
+        })
+        .expect("measured");
+    let stream_stats = group
+        .bench_function_timed("streamed", |b| {
+            b.iter(|| black_box(serde_json::to_string(black_box(&trace))))
+        })
+        .expect("measured");
+    group.finish();
+    let mb = streamed.len() as f64 / 1e6;
+    (mb * best_per_sec(&tree_stats), mb * best_per_sec(&stream_stats))
+}
+
 fn main() {
     let bench = ibox_bench::BenchRun::start("perf");
     let mut criterion = Criterion::default();
@@ -441,6 +477,8 @@ fn main() {
     let speedup = ws_sps / naive_sps.max(1e-9);
     let (sim_pps, sim_pps_impaired) = bench_sim(&mut criterion);
     let fit_ms = bench_fit(&mut criterion);
+    let (encode_tree_mbps, encode_mbps) = bench_trace_encode(&mut criterion);
+    let encode_speedup = encode_mbps / encode_tree_mbps.max(1e-9);
 
     let registry = ibox_obs::global();
     registry.gauge("perf.lstm_train_steps_per_sec").set(ws_sps);
@@ -449,6 +487,8 @@ fn main() {
     registry.gauge("perf.sim_packets_per_sec").set(sim_pps);
     registry.gauge("perf.sim_packets_per_sec_impaired").set(sim_pps_impaired);
     registry.gauge("perf.fit_wall_ms").set(fit_ms);
+    registry.gauge("perf.trace_encode_mb_per_s").set(encode_mbps);
+    registry.gauge("perf.trace_encode_mb_per_s_tree").set(encode_tree_mbps);
 
     print!(
         "{}",
@@ -462,6 +502,9 @@ fn main() {
                 vec!["sim packets/s".into(), cell(sim_pps, 0)],
                 vec!["sim packets/s (cross+loss+reorder)".into(), cell(sim_pps_impaired, 0)],
                 vec!["IBoxMl::fit wall ms".into(), cell(fit_ms, 1)],
+                vec!["trace encode MB/s (streamed)".into(), cell(encode_mbps, 0)],
+                vec!["trace encode MB/s (value tree)".into(), cell(encode_tree_mbps, 0)],
+                vec!["encode speedup".into(), format!("{encode_speedup:.2}x")],
             ],
         )
     );
@@ -471,6 +514,7 @@ fn main() {
         ("perf.lstm_train_steps_per_sec", ws_sps, 0.20, Better::Higher),
         ("perf.sim_packets_per_sec", sim_pps, 0.20, Better::Higher),
         ("perf.sim_packets_per_sec_impaired", sim_pps_impaired, 0.20, Better::Higher),
+        ("perf.trace_encode_mb_per_s", encode_mbps, 0.20, Better::Higher),
     ]);
 
     bench.finish();
@@ -478,6 +522,10 @@ fn main() {
     assert!(
         speedup >= 1.5,
         "workspace kernels must be >= 1.5x the naive reference, got {speedup:.2}x"
+    );
+    assert!(
+        encode_speedup >= 3.0,
+        "streamed trace encode must be >= 3x the value-tree reference, got {encode_speedup:.2}x"
     );
     ibox_bench::exit_on_regressions("perf", &baseline_failures);
 }

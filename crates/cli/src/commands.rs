@@ -578,7 +578,7 @@ fn cmd_ingest(argv: &[String]) -> Result<(), String> {
             let mut done = 0;
             while done < records.len() {
                 let end = (done + per).min(records.len());
-                let payload = serde_json::to_string(&records[done..end].to_vec())
+                let payload = serde_json::to_string(&records[done..end])
                     .map_err(|e| format!("cannot serialize records: {e}"))?;
                 let body = format!(r#"{{"offset": {done}, "meta": {meta}, "records": {payload}}}"#);
                 let (status, resp) =

@@ -304,11 +304,25 @@ struct Manifest {
     fit_seq: u64,
 }
 
-/// On-disk chunk format (both accepted and pending files).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// On-disk chunk format (both accepted and pending files), as read back.
+#[derive(Debug, Clone, Deserialize)]
 struct ChunkFile {
     offset: u64,
     records: Vec<PacketRecord>,
+}
+
+/// [`ChunkFile`] as written: the same keys in the same order, over borrowed
+/// records — the append path prints a chunk without copying it.
+#[derive(Serialize)]
+struct ChunkFileRef<'a> {
+    offset: u64,
+    records: &'a [PacketRecord],
+}
+
+impl ChunkFileRef<'_> {
+    fn to_json(&self) -> String {
+        serde_json::to_string(self).expect("chunk serialization cannot fail")
+    }
 }
 
 /// One live session: manifest plus fold state.
@@ -448,8 +462,7 @@ impl SessionStore {
             return Err(IngestError::Overlap { id: id.to_string(), offset, expected: next });
         }
 
-        let text = serde_json::to_string(&ChunkFile { offset, records: records.clone() })
-            .expect("chunk serialization cannot fail");
+        let text = ChunkFileRef { offset, records: &records }.to_json();
         let bytes = text.len() as u64;
         let session_total = session.total_bytes() + bytes;
         if session_total > self.config.session_budget_bytes {
@@ -487,11 +500,7 @@ impl SessionStore {
             }
             let (pend_bytes, pend_records) =
                 session.pending.remove(&pend_off).expect("checked key");
-            let pend_text = serde_json::to_string(&ChunkFile {
-                offset: pend_off,
-                records: pend_records.clone(),
-            })
-            .expect("chunk serialization cannot fail");
+            let pend_text = ChunkFileRef { offset: pend_off, records: &pend_records }.to_json();
             let pending_path = self.dir(id).join(pending_name(pend_off));
             match self.accept_chunk(session, pend_off, pend_records, &pend_text, pend_bytes) {
                 Ok(()) => {
@@ -935,6 +944,12 @@ mod tests {
         range.map(rec).collect()
     }
 
+    /// What the chunk file at `offset` must hold: the owned `ChunkFile`
+    /// layout, whichever type wrote it.
+    fn chunk_bytes(offset: u64, records: &[PacketRecord]) -> String {
+        format!(r#"{{"offset":{offset},"records":{}}}"#, serde_json::to_string(records).unwrap())
+    }
+
     fn store(tag: &str, config: IngestConfig) -> (SessionStore, PathBuf) {
         let dir =
             std::env::temp_dir().join(format!("ibox_ingest_test_{tag}_{}", std::process::id()));
@@ -969,6 +984,11 @@ mod tests {
         assert_eq!(r.outcome, AppendOutcome::Buffered);
         assert_eq!(r.next_offset, 0);
         assert_eq!(r.buffered, 1);
+        let session_dir = store.dir("s1");
+        assert_eq!(
+            std::fs::read_to_string(session_dir.join(pending_name(40))).unwrap(),
+            chunk_bytes(40, &recs(40..60))
+        );
         // Finalize refuses while the gap is open.
         let err = store.finalize("s1").unwrap_err();
         assert!(matches!(err, IngestError::Gap { expected: 0, buffered: 1, .. }));
@@ -978,6 +998,14 @@ mod tests {
         assert_eq!(r.next_offset, 60);
         assert_eq!(r.buffered, 0);
         assert_eq!(r.chunks, 2);
+        // Both write sites (direct, and the drained pending chunk) leave the
+        // owned `ChunkFile` bytes on disk, and they read back as such.
+        for (offset, records) in [(0, recs(0..40)), (40, recs(40..60))] {
+            let text = std::fs::read_to_string(session_dir.join(chunk_name(offset))).unwrap();
+            assert_eq!(text, chunk_bytes(offset, &records));
+            let back: ChunkFile = serde_json::from_str(&text).unwrap();
+            assert_eq!((back.offset, back.records), (offset, records));
+        }
         assert_eq!(store.finalize("s1").unwrap().trace.len(), 60);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -736,8 +736,15 @@ fn handle_replay(app: &Arc<App>, req: &Request) -> Response {
     ibox_obs::global().counter("serve.replay.packets").add(trace.len() as u64);
     // Exactly the bytes `ibox replay -o out.json` writes for this model:
     // the replay path is byte-identical online and offline.
-    match serde_json::to_string(&trace) {
-        Ok(json) => Response::json(200, json),
+    let encoded = {
+        let _span = ibox_obs::trace_span!("json.encode");
+        serde_json::to_string(&trace)
+    };
+    match encoded {
+        Ok(json) => {
+            ibox_obs::global().counter("serve.replay.encode_bytes").add(json.len() as u64);
+            Response::json(200, json)
+        }
         Err(e) => Response::error(500, &format!("cannot serialize trace: {e}")),
     }
 }
@@ -849,6 +856,28 @@ mod tests {
         let listing = body_text(&handle(&app, &get("/traces")));
         assert!(listing.contains("request.fit"), "{listing}");
         assert_eq!(handle(&app, &get("/trace/ffffffffffffff01")).status, 404);
+
+        // A traced replay of the fitted model shows its layers: the model
+        // replay, the engine run under it, and the reply encode.
+        let fit_body = serde_json::parse_value(&body_text(&resp)).unwrap();
+        let Some(serde::Value::Str(model)) = fit_body.get("model") else {
+            panic!("fit reply names no model: {fit_body:?}");
+        };
+        let mut replay = post(
+            "/replay",
+            &format!(r#"{{"model":"{model}","protocol":"vegas","duration_s":2,"seed":5}}"#),
+        );
+        replay.headers.push(("x-ibox-trace-id".to_string(), "routes-test-replay".to_string()));
+        let encoded_before = ibox_obs::global().counter("serve.replay.encode_bytes").get();
+        let reply = handle(&app, &replay);
+        assert_eq!(reply.status, 200, "{}", body_text(&reply));
+        let encoded =
+            ibox_obs::global().counter("serve.replay.encode_bytes").get() - encoded_before;
+        assert!(encoded >= reply.body.len() as u64, "{encoded} < {}", reply.body.len());
+        let body = body_text(&handle(&app, &get("/trace/routes-test-replay")));
+        for span in ["request.replay", "model-replay", "sim-run", "json.encode"] {
+            assert!(body.contains(span), "span {span:?} missing from:\n{body}");
+        }
 
         let _ = std::fs::remove_dir_all(&dir);
     }

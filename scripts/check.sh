@@ -2,6 +2,9 @@
 # Local gate: everything CI would run, offline.
 #   scripts/check.sh [--quick] [--perf]   (flags in either order)
 #
+# Always: the grep gates, release build, workspace tests, the vendored
+# serde shims' unit tests, the request ledger's self-tests (benchmark/),
+# clippy -D warnings and rustfmt --check.
 # --quick additionally smoke-tests the release binary end to end: a
 # 5-spec batch file (every model kind, incl. a tiny iBoxML) through
 # `ibox batch --jobs 2 --model-cache`, then a fit → save → reload →
@@ -97,6 +100,13 @@ done
 
 run cargo build --release --workspace --offline
 run cargo test -q --workspace --offline
+# The vendored serde shims sit outside the workspace: their unit tests (the
+# JSON writer's number/string/layout goldens) need naming.
+run cargo test -q --offline -p serde -p serde_json
+# The request ledger is a workspace of its own; its self-tests include a
+# smoke pass that byte-checks every reply of all five workloads against
+# offline references, so a byte drift in any reply fails here first.
+run cargo test -q --offline --manifest-path benchmark/Cargo.toml
 run cargo clippy --workspace --offline -- -D warnings
 run cargo fmt --check
 
