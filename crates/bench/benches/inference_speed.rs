@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use ibox_ml::{Logistic, LogisticConfig, SequenceModel, SequenceModelConfig};
+use ibox_ml::{InferenceSession, Logistic, LogisticConfig, SequenceModel, SequenceModelConfig};
 
 fn paper_scale_model() -> SequenceModel {
     // 4 layers × 256 hidden ≈ 2.1M parameters (the paper's scale).
@@ -31,21 +31,29 @@ fn small_model() -> SequenceModel {
     })
 }
 
+/// A one-slot session with its slot held — what a single-connection
+/// replay steps once per packet.
+fn held_session(model: &SequenceModel) -> InferenceSession {
+    let mut session = InferenceSession::new(model, 1);
+    session.acquire_slot().expect("fresh session has a free slot");
+    session
+}
+
 fn bench_inference(c: &mut Criterion) {
     let mut group = c.benchmark_group("per_packet_inference");
 
     let big = paper_scale_model();
     assert!(big.param_count() > 1_800_000, "paper-scale model must be ~2M params");
-    let mut big_state = big.zero_state();
+    let mut big_session = held_session(&big);
     let x = [0.1f32, -0.2, 0.3, 0.0, 0.5, -0.1];
     group.bench_function("iboxml_4x256_2M_params", |b| {
-        b.iter(|| black_box(big.step_inference(black_box(&x), &mut big_state)))
+        b.iter(|| black_box(big_session.step_batch(&big, black_box(&x))[0]))
     });
 
     let small = small_model();
-    let mut small_state = small.zero_state();
+    let mut small_session = held_session(&small);
     group.bench_function("iboxml_2x32", |b| {
-        b.iter(|| black_box(small.step_inference(black_box(&x), &mut small_state)))
+        b.iter(|| black_box(small_session.step_batch(&small, black_box(&x))[0]))
     });
 
     // The linear reordering model (§5.1's "lightweight and much faster").

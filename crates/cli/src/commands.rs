@@ -6,8 +6,8 @@
 use std::path::Path;
 
 use ibox::{
-    fit_model, BatchSpec, FitCache, FittedModel, IBoxMlSpec, ModelArtifact, ModelKind, PathModel,
-    RunRecord, RunSpec, ValidityRegion,
+    fit_model, load_trace, BatchSpec, FitCache, FittedModel, IBoxMlSpec, ModelArtifact, ModelKind,
+    PathModel, RunRecord, RunSpec, ValidityRegion,
 };
 use ibox_obs::{RunManifest, RunManifestBuilder};
 use ibox_sim::SimTime;
@@ -16,7 +16,7 @@ use ibox_testbed::Profile;
 use ibox_trace::metrics::TraceMetrics;
 
 use crate::args::{parse, CmdSpec, OptSpec, PosSpec};
-use crate::io::{load_model, load_trace, save_text, save_trace};
+use crate::io::{load_model, save_text, save_trace};
 
 const OUTPUT: OptSpec = OptSpec::value("--output", "path").with_short("-o");
 const DURATION: OptSpec = OptSpec::value("--duration", "S");
@@ -43,7 +43,6 @@ const REPLAY: CmdSpec = CmdSpec {
         PROTOCOL,
         DURATION,
         SEED,
-        OptSpec::flag("--per-stream"),
         OptSpec::value("--fidelity", "packet|flow|hybrid"),
         OptSpec::value("--path", "path.json"),
         OUTPUT,
@@ -228,6 +227,17 @@ fn model_cache(p: &crate::args::Parsed) -> Result<FitCache, String> {
     }
 }
 
+/// `--duration` in seconds (default 30): finite and positive, since the
+/// engine asserts both.
+fn duration_arg(p: &crate::args::Parsed) -> Result<f64, String> {
+    let secs = p.num("--duration", 30.0f64)?;
+    if secs.is_finite() && secs > 0.0 {
+        Ok(secs)
+    } else {
+        Err(format!("--duration must be a positive number of seconds, got {secs}"))
+    }
+}
+
 /// Map the `fit --model` selector (plus the legacy iBoxNet fit-variant
 /// flags) onto a [`ModelKind`].
 fn fit_kind(p: &crate::args::Parsed) -> Result<ModelKind, String> {
@@ -293,15 +303,13 @@ fn cmd_fit(argv: &[String]) -> Result<(), String> {
 
 fn cmd_replay(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, &REPLAY)?;
+    let duration = SimTime::from_secs_f64(duration_arg(&p)?);
     let artifact = load_model(p.positional(0, "model artifact")?)?;
     let protocol = p.required("--protocol")?;
     if ibox_cc::by_name(protocol).is_none() {
         return Err(format!("unknown protocol {protocol:?}"));
     }
-    let duration = SimTime::from_secs_f64(p.num("--duration", 30.0f64)?);
     let seed = p.num("--seed", 1u64)?;
-    // --per-stream selects the legacy unroll for ML models; the batched
-    // session is the default and produces byte-identical traces.
     let fidelity = p.opt("--fidelity").unwrap_or("packet").parse::<ibox::Fidelity>()?;
     // --path <file.json> replays the model through a composed chain of
     // bottleneck stages (a PathSpec: a bare stage array or
@@ -327,7 +335,7 @@ fn cmd_replay(argv: &[String]) -> Result<(), String> {
             spec.total_prop_delay().as_millis_f64()
         );
     }
-    let opts = ibox::ReplayOpts { batch_streams: !p.flag("--per-stream"), fidelity, path };
+    let opts = ibox::ReplayOpts { fidelity, path, ..Default::default() };
     let trace = artifact.model.simulate_with(protocol, duration, seed, opts);
     println!("model         : {} (fitted on {})", artifact.kind, artifact.fitted_on);
     print_metrics(&trace);
@@ -351,7 +359,7 @@ fn cmd_simulate(argv: &[String]) -> Result<(), String> {
     if ibox_cc::by_name(protocol).is_none() {
         return Err(format!("unknown protocol {protocol:?}"));
     }
-    let duration_s = p.num("--duration", 30.0f64)?;
+    let duration_s = duration_arg(&p)?;
     let seed = p.num("--seed", 1u64)?;
     let runs = p.num("--runs", 1usize)?;
     let jobs = p.num("--jobs", 1usize)?;
@@ -414,7 +422,7 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
     if ibox_cc::by_name(protocol).is_none() {
         return Err(format!("unknown protocol {protocol:?}"));
     }
-    let duration = SimTime::from_secs_f64(p.num("--duration", 30.0f64)?);
+    let duration = SimTime::from_secs_f64(duration_arg(&p)?);
     let seed = p.num("--seed", 1u64)?;
     let inst = profile.builder().seed(seed).duration(duration).sample();
     let trace = run_protocol(&inst, protocol, duration, seed);
@@ -957,6 +965,26 @@ mod tests {
         for p in [&trace_path, &profile_path, &out_path] {
             let _ = std::fs::remove_file(p);
             let _ = std::fs::remove_file(RunManifest::path_for_output(Path::new(p)));
+        }
+    }
+
+    /// `--duration` is validated before any file is opened or engine
+    /// built: a sentence, never an engine assert.
+    #[test]
+    fn non_positive_durations_are_rejected_with_a_sentence() {
+        for bad in ["-5", "0", "nan"] {
+            for cmd in [
+                &["replay", "m.json", "--protocol", "cubic"][..],
+                &["simulate", "p.json", "--protocol", "cubic"],
+                &["synth", "--profile", "ethernet", "--protocol", "cubic"],
+            ] {
+                let err = dispatch(&argv(&[cmd, &["--duration", bad]].concat())).unwrap_err();
+                assert!(
+                    err.contains("--duration must be a positive number of seconds"),
+                    "{} --duration {bad}: {err}",
+                    cmd[0]
+                );
+            }
         }
     }
 

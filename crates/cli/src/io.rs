@@ -3,20 +3,7 @@
 use std::fs;
 use std::path::Path;
 
-use ibox_trace::{from_csv, to_csv, FlowMeta, FlowTrace};
-
-/// Load a single-flow trace from `.json` or `.csv`.
-pub fn load_trace(path: &str) -> Result<FlowTrace, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    match extension(path) {
-        "json" => serde_json::from_str(&text).map_err(|e| format!("bad JSON in {path}: {e}")),
-        "csv" => {
-            let meta = FlowMeta::new(path, "unknown", "imported");
-            from_csv(&text, meta).map_err(|e| format!("bad CSV in {path}: {e}"))
-        }
-        other => Err(format!("unsupported trace extension {other:?} (use .json or .csv)")),
-    }
-}
+use ibox_trace::{to_csv, FlowTrace};
 
 /// Save a trace as `.json` or `.csv`.
 pub fn save_trace(trace: &FlowTrace, path: &str) -> Result<(), String> {
@@ -48,7 +35,8 @@ fn extension(path: &str) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibox_trace::PacketRecord;
+    use ibox::load_trace;
+    use ibox_trace::{FlowMeta, PacketRecord};
 
     fn tmp(name: &str) -> String {
         std::env::temp_dir().join(name).to_string_lossy().into_owned()

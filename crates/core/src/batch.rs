@@ -64,7 +64,7 @@ impl BatchResult {
 }
 
 /// Load a single-flow trace from `.json` or `.csv` (by extension).
-fn load_trace(path: &str) -> Result<FlowTrace, String> {
+pub fn load_trace(path: &str) -> Result<FlowTrace, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let ext = std::path::Path::new(path).extension().and_then(|e| e.to_str()).unwrap_or("");
     match ext {
@@ -109,7 +109,7 @@ pub fn execute_run_cached(
         }
         None => None,
     };
-    let opts = ReplayOpts { batch_streams: spec.batch_streams, fidelity: spec.fidelity, path };
+    let opts = ReplayOpts { fidelity: spec.fidelity, path, ..ReplayOpts::default() };
     let (model_name, sim) = match &spec.source {
         RunSource::Synth { profile, protocol, seed } => {
             if ibox_cc::by_name(protocol).is_none() {
@@ -159,22 +159,10 @@ pub fn execute_run_cached(
     Ok((record, sim))
 }
 
-/// [`execute_run_cached`] with a run-private cache — for one-shot callers
-/// that have no batch to share fits across.
-pub fn execute_run(spec: &RunSpec) -> Result<(RunRecord, FlowTrace), String> {
-    execute_run_cached(spec, &FitCache::in_memory())
-}
-
-/// Run every spec in the batch on the runner pool at the batch's own
-/// `jobs` setting. Fails on the first erroring run (reported with its
-/// index); otherwise returns records in spec order.
-pub fn run_batch(batch: &BatchSpec) -> Result<BatchResult, String> {
-    run_batch_jobs(batch, batch.jobs)
-}
-
-/// [`run_batch`] with the parallelism overridden (`0` = all cores) — the
-/// `--jobs` flag. Results are identical at any value. Fits share a
-/// batch-wide in-memory cache.
+/// Run every spec in the batch on `jobs` runner-pool workers (`0` = all
+/// cores; results are identical at any value). Fails on the first erroring
+/// run (reported with its index); otherwise returns records in spec order.
+/// Fits share a batch-wide in-memory cache.
 pub fn run_batch_jobs(batch: &BatchSpec, jobs: usize) -> Result<BatchResult, String> {
     run_batch_with_cache(batch, jobs, &FitCache::in_memory())
 }
@@ -286,7 +274,7 @@ mod tests {
     #[test]
     fn records_are_labelled_in_spec_order() {
         let batch = small_batch();
-        let result = run_batch(&batch).unwrap();
+        let result = run_batch_jobs(&batch, 1).unwrap();
         assert_eq!(result.records.len(), 4);
         assert_eq!(result.records[0].id, "run0");
         assert_eq!(result.records[0].model, "iBoxNet");
@@ -310,7 +298,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        let err = run_batch(&batch).unwrap_err();
+        let err = run_batch_jobs(&batch, 1).unwrap_err();
         assert!(err.contains("run 0"), "{err}");
         assert!(err.contains("nope"), "{err}");
 
@@ -325,7 +313,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        assert!(run_batch(&bad_profile).unwrap_err().contains("unknown profile"));
+        assert!(run_batch_jobs(&bad_profile, 1).unwrap_err().contains("unknown profile"));
     }
 
     #[test]
@@ -345,7 +333,7 @@ mod tests {
             .build()
             .unwrap();
         let scope = ibox_obs::scoped();
-        let (record, trace) = execute_run(&spec).unwrap();
+        let (record, trace) = execute_run_cached(&spec, &FitCache::in_memory()).unwrap();
         let metrics = scope.finish().snapshot();
         assert_eq!(record.model, "profile replay");
         assert!(trace.len() > 100);
@@ -488,7 +476,7 @@ mod tests {
                 .path(serde_json::parse_value(raw).unwrap())
                 .build()
                 .unwrap();
-            run_batch(&BatchSpec::builder().run(spec).build().unwrap()).unwrap_err()
+            run_batch_jobs(&BatchSpec::builder().run(spec).build().unwrap(), 1).unwrap_err()
         };
         let err = run_with("[]");
         assert!(err.contains("at least one stage"), "{err}");
@@ -538,13 +526,12 @@ mod tests {
         assert_ne!(r1.records[0].metrics, r1.records[1].metrics, "replay seeds differ");
     }
 
-    /// Satellite: ML replays through the batched session stay
-    /// jobs-invariant — a 4-run iBoxML batch produces byte-identical
-    /// results at `--jobs 1` and `--jobs 4` — and flipping
-    /// `batch_streams` off (the legacy per-stream unroll) changes nothing
-    /// but the code path.
+    /// ML replays through the batched session stay jobs-invariant — a
+    /// 4-run iBoxML batch produces byte-identical results at `--jobs 1` and
+    /// `--jobs 4` — and a batch file still carrying the retired
+    /// `"batch_streams": false` key parses and runs to the same bytes.
     #[test]
-    fn ml_replay_is_deterministic_across_jobs_and_session_paths() {
+    fn ml_replay_is_jobs_invariant_and_ignores_the_retired_session_key() {
         let ml = ModelKind::IBoxMl(ibox_runner::IBoxMlSpec {
             hidden_sizes: vec![5],
             epochs: 1,
@@ -553,36 +540,30 @@ mod tests {
             with_cross_traffic: false,
             seed: 9,
         });
-        let batch_with = |batch_streams: bool| {
-            let mut b = BatchSpec::builder();
-            for i in 0..4u64 {
-                b = b.run(
-                    RunSpec::builder()
-                        .synth("ethernet", "cubic", 51)
-                        .protocol("vegas")
-                        .duration_s(2.0)
-                        .seed(20 + i)
-                        .model(ml.clone())
-                        .batch_streams(batch_streams)
-                        .build()
-                        .unwrap(),
-                );
-            }
-            b.build().unwrap()
-        };
-
-        let batched = batch_with(true);
-        let r1 = run_batch_jobs(&batched, 1).unwrap();
-        let r4 = run_batch_jobs(&batched, 4).unwrap();
+        let mut b = BatchSpec::builder();
+        for i in 0..4u64 {
+            b = b.run(
+                RunSpec::builder()
+                    .synth("ethernet", "cubic", 51)
+                    .protocol("vegas")
+                    .duration_s(2.0)
+                    .seed(20 + i)
+                    .model(ml.clone())
+                    .build()
+                    .unwrap(),
+            );
+        }
+        let batch = b.build().unwrap();
+        let r1 = run_batch_jobs(&batch, 1).unwrap();
+        let r4 = run_batch_jobs(&batch, 4).unwrap();
         assert_eq!(r1.to_json(), r4.to_json(), "ML replay must not depend on jobs");
 
-        // The acceptance criterion: the session-batched path replays
-        // byte-identically to the pre-redesign per-stream path.
-        let per_stream = run_batch_jobs(&batch_with(false), 4).unwrap();
-        assert_eq!(
-            r1.to_json(),
-            per_stream.to_json(),
-            "batched and per-stream ML replay must agree bit-for-bit"
-        );
+        let json = batch.to_json();
+        let with_key =
+            json.replace("\"fidelity\":", "\"batch_streams\": false,\n      \"fidelity\":");
+        assert_eq!(with_key.matches("batch_streams").count(), 4);
+        let legacy = BatchSpec::from_json(&with_key).unwrap();
+        assert_eq!(legacy, batch, "an unknown key must not change the parsed spec");
+        assert_eq!(run_batch_jobs(&legacy, 4).unwrap().to_json(), r1.to_json());
     }
 }

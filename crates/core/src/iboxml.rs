@@ -235,10 +235,10 @@ impl IBoxMl {
         self.predict_impl(trace, Some(seed), true)
     }
 
-    /// [`IBoxMl::predict_trace_sampled`] via the legacy per-stream
-    /// closed-loop unroll (one matvec per packet). Kept as the reference
-    /// implementation for the `batch_streams` replay knob; deprecated for
-    /// hot paths.
+    /// [`IBoxMl::predict_trace_sampled`] via the sequential per-stream
+    /// closed-loop unroll (one matvec per packet): the independent
+    /// reference the session path is tested against
+    /// ([`crate::ReplayOpts::batch_streams`]` = false`).
     pub fn predict_trace_sampled_per_stream(&self, trace: &FlowTrace, seed: u64) -> FlowTrace {
         self.predict_impl(trace, Some(seed), false)
     }

@@ -96,8 +96,7 @@ pub use adaptive::AdaptiveCross;
 pub use artifact::{ArtifactError, ModelArtifact, ARTIFACT_FILE_SUFFIX, MODEL_ARTIFACT_SCHEMA};
 pub use baseline::StatisticalLossModel;
 pub use batch::{
-    execute_run, execute_run_cached, run_batch, run_batch_jobs, run_batch_with_cache, BatchResult,
-    RunRecord,
+    execute_run_cached, load_trace, run_batch_jobs, run_batch_with_cache, BatchResult, RunRecord,
 };
 pub use cache::{FitCache, FitCacheKey};
 pub use estimator::{CrossTrafficEstimate, StaticParams};

@@ -94,14 +94,15 @@ pub struct FittedIBoxMl {
     pub driver: IBoxNet,
 }
 
-/// Replay options threaded from `RunSpec`/`POST /replay` down to the
-/// model.
+/// Replay options threaded from `RunSpec`/`POST /replay`/`ibox replay`
+/// down to the model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOpts {
     /// Drive ML inference through the batched
-    /// [`ibox_ml::InferenceSession`] (default). `false` selects the
-    /// legacy per-stream closed-loop unroll — bitwise identical output,
-    /// one matvec per packet instead of one matmul per wave.
+    /// [`ibox_ml::InferenceSession`] (default, and what every CLI, HTTP
+    /// and batch-file replay runs). `false` selects the independent
+    /// sequential closed-loop unroll — bitwise identical output — which
+    /// tests use as the session's oracle; no user-facing surface sets it.
     pub batch_streams: bool,
     /// Simulation fidelity of the replay engine: `Packet` (default,
     /// reference), `Flow` (fluid fast path), or `Hybrid` (fluid with
@@ -400,6 +401,9 @@ mod tests {
         assert_eq!(a, b);
         let c = fitted.simulate("cubic", SimTime::from_secs(3), 12);
         assert_ne!(a, c, "different seeds must diverge");
+        // The sequential reference unroll is the oracle for the session.
+        let reference = ReplayOpts { batch_streams: false, ..ReplayOpts::default() };
+        assert_eq!(a, fitted.simulate_with("cubic", SimTime::from_secs(3), 11, reference));
     }
 
     #[test]

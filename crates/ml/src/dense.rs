@@ -34,13 +34,6 @@ impl Dense {
         }
     }
 
-    /// Forward pass — allocating shim over [`Dense::forward_into`].
-    pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.w.rows()];
-        self.forward_into(x, &mut y);
-        y
-    }
-
     /// Forward pass into a caller-owned buffer (no allocation).
     pub fn forward_into(&self, x: &[f32], y: &mut [f32]) {
         self.w.matvec_into(x, y);
@@ -75,13 +68,6 @@ impl Dense {
         }
     }
 
-    /// Backward — allocating shim over [`Dense::backward_into`].
-    pub fn backward(&mut self, x: &[f32], dy: &[f32]) -> Vec<f32> {
-        let mut dx = vec![0.0f32; self.w.cols()];
-        self.backward_into(x, dy, &mut dx);
-        dx
-    }
-
     /// Backward: given `dy` and the cached input `x`, accumulate gradients
     /// and write `dx` into a caller-owned buffer (no allocation).
     pub fn backward_into(&mut self, x: &[f32], dy: &[f32], dx: &mut [f32]) {
@@ -108,7 +94,9 @@ mod tests {
         let mut d = Dense::new(2, 2, &mut rng);
         d.w = Mat::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         d.b = vec![10.0, 20.0];
-        assert_eq!(d.forward(&[1.0, 1.0]), vec![13.0, 27.0]);
+        let mut y = [f32::NAN; 2];
+        d.forward_into(&[1.0, 1.0], &mut y);
+        assert_eq!(y, [13.0, 27.0]);
     }
 
     #[test]
@@ -137,13 +125,17 @@ mod tests {
         let mut d = Dense::new(3, 2, &mut rng);
         let x = [0.5f32, -1.0, 0.25];
         // Loss = sum(y²).
-        let loss = |d: &Dense| -> f64 {
-            d.forward(&x).iter().map(|v| f64::from(*v) * f64::from(*v)).sum()
+        let loss = |d: &Dense, x: &[f32]| -> f64 {
+            let mut y = [0.0f32; 2];
+            d.forward_into(x, &mut y);
+            y.iter().map(|v| f64::from(*v) * f64::from(*v)).sum()
         };
         d.zero_grad();
-        let y = d.forward(&x);
-        let dy: Vec<f32> = y.iter().map(|v| 2.0 * v).collect();
-        let dx = d.backward(&x, &dy);
+        let mut y = [0.0f32; 2];
+        d.forward_into(&x, &mut y);
+        let dy = y.map(|v| 2.0 * v);
+        let mut dx = [0.0f32; 3];
+        d.backward_into(&x, &dy, &mut dx);
 
         let eps = 1e-3f32;
         // Weight gradient check.
@@ -151,9 +143,9 @@ mod tests {
             let analytic = f64::from(d.gw.get(r, c));
             let mut dp = d.clone();
             dp.w.set(r, c, dp.w.get(r, c) + eps);
-            let lp = loss(&dp);
+            let lp = loss(&dp, &x);
             dp.w.set(r, c, dp.w.get(r, c) - 2.0 * eps);
-            let lm = loss(&dp);
+            let lm = loss(&dp, &x);
             let numeric = (lp - lm) / (2.0 * f64::from(eps));
             assert!((analytic - numeric).abs() < 1e-2, "{analytic} vs {numeric}");
         }
@@ -161,9 +153,9 @@ mod tests {
         let analytic_dx0 = f64::from(dx[0]);
         let mut xp = x;
         xp[0] += eps;
-        let lp: f64 = d.forward(&xp).iter().map(|v| f64::from(*v) * f64::from(*v)).sum();
+        let lp = loss(&d, &xp);
         xp[0] -= 2.0 * eps;
-        let lm: f64 = d.forward(&xp).iter().map(|v| f64::from(*v) * f64::from(*v)).sum();
+        let lm = loss(&d, &xp);
         let numeric = (lp - lm) / (2.0 * f64::from(eps));
         assert!((analytic_dx0 - numeric).abs() < 1e-2);
     }

@@ -81,15 +81,6 @@ impl GaussianHead {
         self.raw_var.zero_grad();
     }
 
-    /// Backward for one step — allocating shim over
-    /// [`GaussianHead::backward_into`].
-    pub fn backward(&mut self, h: &[f32], out: &GaussianOut, y: f32) -> Vec<f32> {
-        let mut dh = Vec::new();
-        let mut tmp = Vec::new();
-        self.backward_into(h, out, y, &mut dh, &mut tmp);
-        dh
-    }
-
     /// Backward for one step into caller-owned buffers: accumulates head
     /// gradients and leaves `dh` holding the hidden-state gradient (`tmp`
     /// is scratch of the same width). Allocation-free once warm.
@@ -167,15 +158,9 @@ impl BernoulliHead {
         self.logit.zero_grad();
     }
 
-    /// Backward: accumulate gradients, return `dh`.
+    /// Backward: accumulate gradients and write `dh` into a caller-owned
+    /// buffer; allocation-free once warm.
     /// (`dBCE/dlogit = p − y` — the classic simplification.)
-    pub fn backward(&mut self, h: &[f32], p: f32, y: f32) -> Vec<f32> {
-        let mut dh = Vec::new();
-        self.backward_into(h, p, y, &mut dh);
-        dh
-    }
-
-    /// Backward into a caller-owned buffer; allocation-free once warm.
     pub fn backward_into(&mut self, h: &[f32], p: f32, y: f32, dh: &mut Vec<f32>) {
         reset(dh, h.len());
         self.logit.backward_into(h, &[p - y], dh);
@@ -221,7 +206,8 @@ mod tests {
         let y = 0.8f32;
         head.zero_grad();
         let out = head.forward(&h);
-        let dh = head.backward(&h, &out, y);
+        let (mut dh, mut tmp) = (Vec::new(), Vec::new());
+        head.backward_into(&h, &out, y, &mut dh, &mut tmp);
 
         let eps = 1e-3f32;
         for k in 0..3 {
@@ -278,7 +264,8 @@ mod tests {
         let y = 1.0f32;
         head.zero_grad();
         let p = head.forward(&h);
-        let dh = head.backward(&h, p, y);
+        let mut dh = Vec::new();
+        head.backward_into(&h, p, y, &mut dh);
         let eps = 1e-3f32;
         for k in 0..3 {
             let mut hp = h;

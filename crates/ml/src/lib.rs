@@ -10,8 +10,6 @@
 //! * [`matrix`] — dense matrix/vector kernels (`f32`).
 //! * [`lstm`] — LSTM layers and stacks with exact analytic BPTT gradients
 //!   (numerically verified in the tests).
-//! * [`gru`] — GRU layers, the swappable alternative recurrent cell
-//!   (same gradient-check discipline).
 //! * [`dense`] — fully-connected layers.
 //! * [`heads`] — the Gaussian delay head `N(w₁ᵀh, softplus(w₂ᵀh))` and
 //!   Bernoulli loss head of §4.1.
@@ -19,10 +17,10 @@
 //! * [`model`] — [`model::SequenceModel`]: the assembled iBoxML network
 //!   with TBPTT training, teacher-forced (open-loop) and self-fed
 //!   (closed-loop) inference.
-//! * [`session`] — [`session::InferenceSession`]: batched multi-stream
-//!   inference over struct-of-arrays state planes — one matmul per layer
-//!   per packet wave instead of one matvec per stream, bitwise identical
-//!   to single-stream stepping.
+//! * [`session`] — [`session::InferenceSession`]: the inference path.
+//!   Batched multi-stream stepping over struct-of-arrays state planes —
+//!   one matmul per layer per packet wave, bitwise identical per stream
+//!   to the sequential `predict_*` reference in [`model`].
 //! * [`logistic`] — the "lightweight and much faster" linear logistic
 //!   regression of §5.1 for reordering prediction.
 //! * [`scaler`] — feature/target standardization stored with the model.
@@ -33,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod dense;
-pub mod gru;
 pub mod heads;
 pub mod init;
 pub mod logistic;

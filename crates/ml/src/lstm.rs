@@ -6,11 +6,10 @@
 //! and stacked layers from scratch with exact analytic gradients
 //! (verified against numerical differentiation in the tests).
 //!
-//! Hot paths are allocation-free: [`Lstm::step_into`] /
+//! Every step is allocation-free: [`Lstm::step_into`] /
 //! [`Lstm::step_backward_into`] write into caller-owned state, a reusable
 //! [`StepCache`], and a per-layer [`LstmWorkspace`] holding the fused `4H`
-//! gate buffers. The allocating [`Lstm::step`] / [`Lstm::step_backward`]
-//! remain as thin shims over the same kernels (bit-identical results).
+//! gate buffers.
 
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -159,15 +158,6 @@ impl Lstm {
         self.wx.len() + self.wh.len() + self.b.len()
     }
 
-    /// One forward step — allocating shim over [`Lstm::step_into`].
-    pub fn step(&self, x: &[f32], state: &LstmState) -> (LstmState, StepCache) {
-        let mut new_state = state.clone();
-        let mut ws = LstmWorkspace::for_layer(self);
-        let mut cache = StepCache::for_layer(self);
-        self.step_into(x, &mut new_state, &mut ws, &mut cache);
-        (new_state, cache)
-    }
-
     /// One forward step, updating `state` in place and refilling `cache`;
     /// allocation-free once the buffers are warm.
     pub fn step_into(
@@ -227,32 +217,6 @@ impl Lstm {
         } else {
             self.gb.fill(0.0);
         }
-    }
-
-    /// One backward step — allocating shim over
-    /// [`Lstm::step_backward_into`].
-    pub fn step_backward(
-        &mut self,
-        cache: &StepCache,
-        dh: &[f32],
-        dh_next: &[f32],
-        dc_next: &[f32],
-    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
-        let mut ws = LstmWorkspace::for_layer(self);
-        let mut dx = vec![0.0f32; self.input_size];
-        let mut dh_prev = vec![0.0f32; self.hidden_size];
-        let mut dc_prev = vec![0.0f32; self.hidden_size];
-        self.step_backward_into(
-            cache,
-            dh,
-            dh_next,
-            dc_next,
-            &mut ws,
-            &mut dx,
-            &mut dh_prev,
-            &mut dc_prev,
-        );
-        (dx, dh_prev, dc_prev)
     }
 
     /// One backward step, writing `(dx, dh_prev, dc_prev)` into
@@ -389,18 +353,6 @@ impl LstmStack {
         self.layers.iter().map(StepCache::for_layer).collect()
     }
 
-    /// One forward step through all layers — allocating shim over
-    /// [`LstmStack::step_into`]. Returns the top hidden vector, the new
-    /// states, and the caches.
-    pub fn step(&self, x: &[f32], states: &[LstmState]) -> (Vec<f32>, Vec<LstmState>, StackCache) {
-        let mut new_states = states.to_vec();
-        let mut ws = self.workspace();
-        let mut caches = self.new_cache();
-        self.step_into(x, &mut new_states, &mut ws, &mut caches);
-        let top = new_states.last().expect("nonempty").h.clone();
-        (top, new_states, caches)
-    }
-
     /// One forward step through all layers, updating `states` in place and
     /// refilling `caches[l]` per layer; allocation-free. The top hidden
     /// vector is `states.last().h` afterwards.
@@ -433,13 +385,6 @@ impl LstmStack {
         for l in &mut self.layers {
             l.zero_grad();
         }
-    }
-
-    /// Backward through a whole (sub)sequence — allocating shim over
-    /// [`LstmStack::backward_into`].
-    pub fn backward(&mut self, caches: &[StackCache], dh_top: &[Vec<f32>]) {
-        let mut ws = self.workspace();
-        self.backward_into(caches, dh_top, &mut ws);
     }
 
     /// Backward through a whole (sub)sequence using caller-owned scratch;
@@ -495,38 +440,49 @@ mod tests {
     use super::*;
     use crate::init::seeded;
 
+    /// One step from `state` with freshly allocated scratch.
+    fn fresh_step(l: &Lstm, x: &[f32], state: &LstmState) -> (LstmState, StepCache) {
+        let (mut next, mut cache) = (state.clone(), StepCache::for_layer(l));
+        l.step_into(x, &mut next, &mut LstmWorkspace::for_layer(l), &mut cache);
+        (next, cache)
+    }
+
     #[test]
     fn step_shapes_and_determinism() {
         let mut rng = seeded(1);
         let l = Lstm::new(3, 5, &mut rng);
         let s0 = LstmState::zeros(5);
         let x = [0.1, -0.2, 0.3];
-        let (s1, _) = l.step(&x, &s0);
+        let (s1, _) = fresh_step(&l, &x, &s0);
         assert_eq!(s1.h.len(), 5);
         assert_eq!(s1.c.len(), 5);
-        let (s1b, _) = l.step(&x, &s0);
-        assert_eq!(s1, s1b);
+        assert_eq!(s1, fresh_step(&l, &x, &s0).0);
         // State evolves.
-        let (s2, _) = l.step(&x, &s1);
-        assert_ne!(s1, s2);
+        assert_ne!(s1, fresh_step(&l, &x, &s1).0);
     }
 
-    /// The workspace path and the allocating shim share kernels, so a
-    /// reused cache/workspace must produce bit-identical trajectories.
+    /// A workspace and cache reused across steps — and NaN-poisoned
+    /// before each one — give the same bits as fresh ones: `step_into`
+    /// reads nothing a previous step left behind.
     #[test]
-    fn workspace_step_matches_shim_across_steps() {
+    fn reused_poisoned_workspace_matches_fresh_across_steps() {
         let mut rng = seeded(11);
         let l = Lstm::new(3, 5, &mut rng);
         let mut ws = LstmWorkspace::for_layer(&l);
         let mut cache = StepCache::for_layer(&l);
         let mut state = LstmState::zeros(5);
-        let mut shim_state = LstmState::zeros(5);
+        let mut fresh_state = LstmState::zeros(5);
         for t in 0..7 {
             let x = [0.1 * t as f32, -0.2, (t as f32).sin()];
+            for buf in [&mut ws.z, &mut ws.dz, &mut cache.x, &mut cache.h_prev, &mut cache.c_prev]
+                .into_iter()
+                .chain([&mut cache.i, &mut cache.f, &mut cache.g, &mut cache.o, &mut cache.tanh_c])
+            {
+                buf.fill(f32::NAN);
+            }
             l.step_into(&x, &mut state, &mut ws, &mut cache);
-            let (ns, _) = l.step(&x, &shim_state);
-            shim_state = ns;
-            assert_eq!(state, shim_state, "diverged at step {t}");
+            fresh_state = fresh_step(&l, &x, &fresh_state).0;
+            assert_eq!(state, fresh_state, "diverged at step {t}");
         }
     }
 
@@ -562,9 +518,8 @@ mod tests {
             let mut state = LstmState::zeros(3);
             let mut loss = 0.0f64;
             for x in &xs {
-                let (ns, _) = layer.step(x, &state);
-                loss += ns.h.iter().map(|v| f64::from(*v) * f64::from(*v)).sum::<f64>();
-                state = ns;
+                state = fresh_step(layer, x, &state).0;
+                loss += state.h.iter().map(|v| f64::from(*v) * f64::from(*v)).sum::<f64>();
             }
             loss
         };
@@ -575,18 +530,28 @@ mod tests {
         let mut caches = Vec::new();
         let mut dhs = Vec::new();
         for x in &xs {
-            let (ns, cache) = layer.step(x, &state);
+            let (ns, cache) = fresh_step(&layer, x, &state);
             dhs.push(ns.h.iter().map(|v| 2.0 * v).collect::<Vec<f32>>());
             caches.push(cache);
             state = ns;
         }
-        let mut dh_next = vec![0.0f32; 3];
-        let mut dc_next = vec![0.0f32; 3];
+        let mut ws = LstmWorkspace::for_layer(&layer);
+        let (mut dh_next, mut dc_next) = (vec![0.0f32; 3], vec![0.0f32; 3]);
+        let (mut dx, mut dh_prev, mut dc_prev) =
+            (vec![0.0f32; 2], vec![0.0f32; 3], vec![0.0f32; 3]);
         for t in (0..xs.len()).rev() {
-            let (_, dh_prev, dc_prev) =
-                layer.step_backward(&caches[t], &dhs[t], &dh_next, &dc_next);
-            dh_next = dh_prev;
-            dc_next = dc_prev;
+            layer.step_backward_into(
+                &caches[t],
+                &dhs[t],
+                &dh_next,
+                &dc_next,
+                &mut ws,
+                &mut dx,
+                &mut dh_prev,
+                &mut dc_prev,
+            );
+            mem::swap(&mut dh_next, &mut dh_prev);
+            mem::swap(&mut dc_next, &mut dc_prev);
         }
 
         // Numerical check on a sample of wx, wh, and b entries.
@@ -645,17 +610,13 @@ mod tests {
         let mut stack = LstmStack::new(2, &[4, 3], &mut rng);
         stack.zero_grad();
         let mut states = stack.zero_state();
-        let mut caches = Vec::new();
-        let mut dhs = Vec::new();
-        for t in 0..5 {
-            let x = [t as f32 * 0.1, -0.2];
-            let (top, ns, cache) = stack.step(&x, &states);
-            assert_eq!(top.len(), 3);
-            caches.push(cache);
-            dhs.push(vec![1.0; 3]);
-            states = ns;
+        let mut ws = stack.workspace();
+        let mut caches: Vec<StackCache> = (0..5).map(|_| stack.new_cache()).collect();
+        for (t, cache) in caches.iter_mut().enumerate() {
+            stack.step_into(&[t as f32 * 0.1, -0.2], &mut states, &mut ws, cache);
+            assert_eq!(states[1].h.len(), 3);
         }
-        stack.backward(&caches, &dhs);
+        stack.backward_into(&caches, &vec![vec![1.0; 3]; 5], &mut ws);
         let g0 = stack.layers()[0].gwx.sq_norm();
         let g1 = stack.layers()[1].gwx.sq_norm();
         assert!(g0 > 0.0, "gradient must reach the bottom layer");

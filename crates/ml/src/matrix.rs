@@ -6,10 +6,7 @@
 //! exactly the three kernels backpropagation needs: `W·v`, `Wᵀ·u`, and the
 //! rank-1 accumulation `G += u ⊗ v`.
 //!
-//! Hot paths use the `*_into` out-param kernels, which write into
-//! caller-owned buffers and never allocate; the allocating [`Mat::matvec`]
-//! / [`Mat::matvec_t`] wrappers are thin shims over the same kernels, so
-//! both spellings are bit-identical.
+//! Every kernel writes into a caller-owned buffer and never allocates.
 //!
 //! ## Canonical summation order
 //!
@@ -20,7 +17,6 @@
 //! bit-for-bit across runs and `--jobs` settings.
 
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 
 /// Dot product with the canonical 4-lane summation order.
 ///
@@ -129,13 +125,6 @@ impl Mat {
         &mut self.data
     }
 
-    /// `y = W · v` — allocating shim over [`Mat::matvec_into`].
-    pub fn matvec(&self, v: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.rows];
-        self.matvec_into(v, &mut y);
-        y
-    }
-
     /// `y = W · v`, written into a caller-owned buffer (no allocation).
     pub fn matvec_into(&self, v: &[f32], y: &mut [f32]) {
         assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
@@ -151,18 +140,6 @@ impl Mat {
         assert_eq!(y.len(), self.rows, "matvec output length mismatch");
         for (row, yr) in self.data.chunks_exact(self.cols).zip(y.iter_mut()) {
             *yr += dot4(row, v);
-        }
-    }
-
-    /// `y[r - rows.start] = W[rows] · v` for a contiguous row block —
-    /// lets the GRU touch only the gate block it needs.
-    pub fn matvec_rows_into(&self, rows: Range<usize>, v: &[f32], y: &mut [f32]) {
-        assert!(rows.end <= self.rows, "row block out of range");
-        assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
-        assert_eq!(y.len(), rows.len(), "matvec output length mismatch");
-        let block = &self.data[rows.start * self.cols..rows.end * self.cols];
-        for (row, yr) in block.chunks_exact(self.cols).zip(y.iter_mut()) {
-            *yr = dot4(row, v);
         }
     }
 
@@ -204,56 +181,15 @@ impl Mat {
         }
     }
 
-    /// `ys[s][r - rows.start] = W[rows] · xs[s]` for a contiguous row
-    /// block — the batched [`Mat::matvec_rows_into`]. Output rows are
-    /// `rows.len()` wide per stream.
-    pub fn matmul_rows_into(
-        &self,
-        rows: Range<usize>,
-        xs: &[f32],
-        ys: &mut [f32],
-        active: &[bool],
-    ) {
-        assert!(rows.end <= self.rows, "row block out of range");
-        let n = active.len();
-        let width = rows.len();
-        assert_eq!(xs.len(), n * self.cols, "matmul input plane mismatch");
-        assert_eq!(ys.len(), n * width, "matmul output plane mismatch");
-        let block = &self.data[rows.start * self.cols..rows.end * self.cols];
-        for (r, row) in block.chunks_exact(self.cols).enumerate() {
-            for s in 0..n {
-                if active[s] {
-                    ys[s * width + r] = dot4(row, &xs[s * self.cols..(s + 1) * self.cols]);
-                }
-            }
-        }
-    }
-
-    /// `y = Wᵀ · u` — allocating shim over [`Mat::matvec_t_into`].
-    pub fn matvec_t(&self, u: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.cols];
-        self.matvec_t_into(u, &mut y);
-        y
-    }
-
     /// `y = Wᵀ · u`, written into a caller-owned buffer (no allocation).
     ///
     /// The inner axpy is branchless: gradients are almost never exactly
     /// zero, so skipping on `ur == 0.0` only defeated vectorization.
     pub fn matvec_t_into(&self, u: &[f32], y: &mut [f32]) {
+        assert_eq!(u.len(), self.rows, "matvec_t dimension mismatch");
         assert_eq!(y.len(), self.cols, "matvec_t output length mismatch");
         y.fill(0.0);
-        self.matvec_t_rows_acc(0..self.rows, u, y);
-    }
-
-    /// `y += W[rows]ᵀ · u` for a contiguous row block, accumulating into
-    /// `y` (`u` indexes the block, not the full matrix).
-    pub fn matvec_t_rows_acc(&self, rows: Range<usize>, u: &[f32], y: &mut [f32]) {
-        assert!(rows.end <= self.rows, "row block out of range");
-        assert_eq!(u.len(), rows.len(), "matvec_t dimension mismatch");
-        assert_eq!(y.len(), self.cols, "matvec_t output length mismatch");
-        let block = &self.data[rows.start * self.cols..rows.end * self.cols];
-        for (row, &ur) in block.chunks_exact(self.cols).zip(u) {
+        for (row, &ur) in self.data.chunks_exact(self.cols).zip(u) {
             for (yc, &w) in y.iter_mut().zip(row) {
                 *yc += ur * w;
             }
@@ -264,17 +200,8 @@ impl Mat {
     /// Branchless for the same reason as [`Mat::matvec_t_into`].
     pub fn add_outer(&mut self, u: &[f32], v: &[f32], scale: f32) {
         assert_eq!(u.len(), self.rows, "outer rows mismatch");
-        self.add_outer_rows(0..u.len(), u, v, scale);
-    }
-
-    /// `self[rows] += scale · (u ⊗ v)` for a contiguous row block
-    /// (`u` indexes the block, not the full matrix).
-    pub fn add_outer_rows(&mut self, rows: Range<usize>, u: &[f32], v: &[f32], scale: f32) {
-        assert!(rows.end <= self.rows, "row block out of range");
-        assert_eq!(u.len(), rows.len(), "outer rows mismatch");
         assert_eq!(v.len(), self.cols, "outer cols mismatch");
-        let block = &mut self.data[rows.start * self.cols..rows.end * self.cols];
-        for (row, &ur) in block.chunks_exact_mut(self.cols).zip(u) {
+        for (row, &ur) in self.data.chunks_exact_mut(self.cols).zip(u) {
             let s = scale * ur;
             for (w, &vc) in row.iter_mut().zip(v) {
                 *w += s * vc;
@@ -353,13 +280,17 @@ mod tests {
     #[test]
     fn matvec_known_values() {
         let w = Mat::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(w.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
+        let mut y = [f32::NAN; 2];
+        w.matvec_into(&[1.0, 0.0, -1.0], &mut y);
+        assert_eq!(y, [-2.0, -2.0]);
     }
 
     #[test]
     fn matvec_t_is_transpose() {
         let w = Mat::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(w.matvec_t(&[1.0, 1.0]), vec![5.0, 7.0, 9.0]);
+        let mut y = [f32::NAN; 3];
+        w.matvec_t_into(&[1.0, 1.0], &mut y);
+        assert_eq!(y, [5.0, 7.0, 9.0]);
     }
 
     #[test]
@@ -374,34 +305,14 @@ mod tests {
     }
 
     #[test]
-    fn matvec_into_matches_allocating() {
+    fn matvec_acc_adds_onto_the_buffer() {
         let w = Mat::from_vec(2, 5, (0..10).map(|i| i as f32 * 0.37 - 1.0).collect());
         let v = [0.5, -1.5, 2.0, 0.25, -0.75];
         let mut y = [0.0f32; 2];
         w.matvec_into(&v, &mut y);
-        assert_eq!(y.to_vec(), w.matvec(&v));
         let mut acc = y;
         w.matvec_acc(&v, &mut acc);
-        assert_eq!(acc[0], y[0] + y[0]);
-    }
-
-    #[test]
-    fn row_block_kernels_match_full() {
-        let w = Mat::from_vec(4, 3, (0..12).map(|i| i as f32 - 5.5).collect());
-        let v = [1.0, -2.0, 0.5];
-        let full = w.matvec(&v);
-        let mut block = [0.0f32; 2];
-        w.matvec_rows_into(1..3, &v, &mut block);
-        assert_eq!(block.to_vec(), full[1..3].to_vec());
-
-        let u = [0.5f32, -1.0, 2.0, 0.25];
-        let t_full = w.matvec_t(&u);
-        let mut t_block = vec![0.0f32; 3];
-        w.matvec_t_rows_acc(0..2, &u[..2], &mut t_block);
-        w.matvec_t_rows_acc(2..4, &u[2..], &mut t_block);
-        for (a, b) in t_block.iter().zip(&t_full) {
-            assert!((a - b).abs() < 1e-5);
-        }
+        assert_eq!(acc, [y[0] + y[0], y[1] + y[1]]);
     }
 
     #[test]
@@ -434,23 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_rows_matches_row_block_kernel() {
-        let w = Mat::from_vec(4, 3, (0..12).map(|i| i as f32 - 5.5).collect());
-        let n = 3;
-        let xs: Vec<f32> = (0..n * 3).map(|i| 0.5 - i as f32 * 0.3).collect();
-        let active = [true, true, false];
-        let mut ys = vec![0.0f32; n * 2];
-        w.matmul_rows_into(1..3, &xs, &mut ys, &active);
-        for s in 0..n {
-            let mut block = [0.0f32; 2];
-            if active[s] {
-                w.matvec_rows_into(1..3, &xs[s * 3..(s + 1) * 3], &mut block);
-            }
-            assert_eq!(&ys[s * 2..(s + 1) * 2], &block, "stream {s}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "matmul input plane mismatch")]
     fn matmul_plane_mismatch_panics() {
         let w = Mat::zeros(2, 3);
@@ -465,13 +359,6 @@ mod tests {
         assert_eq!(g.data(), &[3.0, 4.0, 6.0, 8.0]);
         g.add_outer(&[1.0, 0.0], &[1.0, 1.0], 0.5);
         assert_eq!(g.data(), &[3.5, 4.5, 6.0, 8.0]);
-    }
-
-    #[test]
-    fn add_outer_rows_touches_only_the_block() {
-        let mut g = Mat::zeros(3, 2);
-        g.add_outer_rows(1..2, &[2.0], &[1.0, -1.0], 1.0);
-        assert_eq!(g.data(), &[0.0, 0.0, 2.0, -2.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -496,6 +383,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "matvec dimension mismatch")]
     fn dimension_mismatch_panics() {
-        Mat::zeros(2, 3).matvec(&[1.0, 2.0]);
+        Mat::zeros(2, 3).matvec_into(&[1.0, 2.0], &mut [0.0; 2]);
     }
 }

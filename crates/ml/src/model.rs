@@ -6,7 +6,8 @@
 //! enter a deep LSTM whose hidden state parameterizes
 //! `P(d_t | x_{0..t}, d_{0..t−1})`. During inference "we feed the
 //! predicted delays as we unroll the LSTM network over time (blue dashed
-//! lines in Fig. 6)" — that is [`SequenceModel::predict_closed_loop`].
+//! lines in Fig. 6)" — that is [`SequenceModel::predict_closed_loop_clamped`]
+//! and its sampled sibling.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -442,14 +443,9 @@ impl SequenceModel {
 
     /// Closed-loop prediction: feature column `feedback_idx` of each input
     /// row is **replaced** by the previous step's predicted delay mean —
-    /// the self-fed unrolling of Fig. 6. The first step uses the provided
-    /// value as-is.
-    pub fn predict_closed_loop(&self, inputs: &[Vec<f32>], feedback_idx: usize) -> Vec<Prediction> {
-        self.predict_closed_loop_clamped(inputs, feedback_idx, (f32::MIN, f32::MAX))
-    }
-
-    /// Closed-loop prediction with the fed-back (and reported) delay mean
-    /// clamped to `clamp = (lo, hi)` in target (standardized) units.
+    /// the self-fed unrolling of Fig. 6 (the first step uses the provided
+    /// value as-is) — with the fed-back (and reported) mean clamped to
+    /// `clamp = (lo, hi)` in target (standardized) units.
     ///
     /// Autoregressive unrolls can run away once a prediction leaves the
     /// training support — each out-of-range output feeds an even more
@@ -515,29 +511,6 @@ impl SequenceModel {
             out.push(p);
         }
         out
-    }
-
-    /// Streaming single-step inference: advances `states` in place and
-    /// returns the prediction.
-    ///
-    /// **Deprecated for hot paths.** This is a thin single-stream shim
-    /// over [`crate::InferenceSession`]: it builds a one-slot session per
-    /// call (allocating), loads `states`, steps, and stores the slot back.
-    /// Replay and batch paths must hold a session across packets instead —
-    /// one `step_batch` per packet wave amortizes the per-layer matmuls
-    /// across every live connection and never allocates once warm.
-    pub fn step_inference(&self, x: &[f32], states: &mut [LstmState]) -> Prediction {
-        let mut session = crate::InferenceSession::new(self, 1);
-        let slot = session.acquire_slot().expect("fresh session has a free slot");
-        session.load_state(slot, states);
-        let p = session.step_batch(self, x)[slot];
-        session.store_state(slot, states);
-        p
-    }
-
-    /// Fresh zero recurrent state.
-    pub fn zero_state(&self) -> Vec<LstmState> {
-        self.stack.zero_state()
     }
 
     fn head_outputs(&self, top: &[f32]) -> Prediction {
@@ -685,7 +658,7 @@ mod tests {
         let model = SequenceModel::new(cfg(2, &[8], false));
         let inputs: Vec<Vec<f32>> = (0..10).map(|t| vec![t as f32 / 10.0, 99.0]).collect();
         let open = model.predict_open_loop(&inputs);
-        let closed = model.predict_closed_loop(&inputs, 1);
+        let closed = model.predict_closed_loop_clamped(&inputs, 1, (f32::MIN, f32::MAX));
         // First step identical (same provided feedback), later steps differ
         // because closed-loop replaces the bogus 99.0 with predictions.
         assert_eq!(open[0].mu, closed[0].mu);

@@ -1,7 +1,7 @@
 //! Batched multi-stream inference sessions.
 //!
 //! The iBox paper concedes that deep-model inference is too slow for
-//! line-rate emulation: [`crate::SequenceModel::step_inference`] runs one
+//! line-rate emulation: stepping each connection on its own runs one
 //! matvec per packet per connection, so N concurrent connections pay for
 //! the weight matrices N times per packet wave. An [`InferenceSession`]
 //! owns N per-connection LSTM states in a struct-of-arrays layout —
@@ -20,8 +20,9 @@
 //! update replays [`crate::lstm::Lstm::step_into`]'s arithmetic
 //! element-for-element (the gate and cell loops are elementwise, so fusing
 //! them is reassociation-free). Consequently `step_batch` with K active
-//! streams is **bitwise identical** to K independent
-//! `step_inference` sequences — a property the proptests in
+//! streams is **bitwise identical** to K independent sequential unrolls
+//! ([`SequenceModel::predict_open_loop`], which shares nothing with this
+//! module but the scalar `dot4`/`sigmoid` helpers) — a property the proptests in
 //! `tests/props.rs` pin down, including across mid-run slot release and
 //! reuse.
 //!
@@ -42,7 +43,6 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::init::seeded;
-use crate::lstm::LstmState;
 use crate::matrix::vecops::{add_assign, sigmoid};
 use crate::model::{Prediction, SequenceModel};
 
@@ -167,34 +167,13 @@ impl InferenceSession {
         self.active[s] = false;
     }
 
-    /// Copy per-layer `(h, c)` state into slot `s` (the single-stream
-    /// shim's bridge from caller-owned [`LstmState`]s).
-    pub fn load_state(&mut self, s: usize, states: &[LstmState]) {
-        assert_eq!(states.len(), self.dims.len(), "state count mismatch");
-        for (l, st) in states.iter().enumerate() {
-            let h = self.dims[l].1;
-            self.h[l][s * h..(s + 1) * h].copy_from_slice(&st.h);
-            self.c[l][s * h..(s + 1) * h].copy_from_slice(&st.c);
-        }
-    }
-
-    /// Copy slot `s`'s per-layer state back out into [`LstmState`]s.
-    pub fn store_state(&self, s: usize, states: &mut [LstmState]) {
-        assert_eq!(states.len(), self.dims.len(), "state count mismatch");
-        for (l, st) in states.iter_mut().enumerate() {
-            let h = self.dims[l].1;
-            st.h.copy_from_slice(&self.h[l][s * h..(s + 1) * h]);
-            st.c.copy_from_slice(&self.c[l][s * h..(s + 1) * h]);
-        }
-    }
-
     /// Advance every active stream one step and return the per-slot
     /// predictions (entries for inactive slots are stale and must be
     /// ignored).
     ///
     /// `xs` is a `[n_slots × input_size]` feature plane, row per slot.
     /// One `matmul` per weight matrix per layer; allocation-free; bitwise
-    /// identical per stream to [`SequenceModel::step_inference`].
+    /// identical per stream to [`SequenceModel::predict_open_loop`].
     pub fn step_batch(&mut self, model: &SequenceModel, xs: &[f32]) -> &[Prediction] {
         let n = self.n;
         assert_eq!(xs.len(), n * self.input_size, "input plane mismatch");
@@ -394,26 +373,26 @@ mod tests {
     }
 
     #[test]
-    fn step_batch_matches_step_inference_bitwise() {
+    fn step_batch_matches_sequential_open_loop_bitwise() {
         let m = model(3, &[8, 6], true);
         let n = 4;
+        let inputs: Vec<Vec<Vec<f32>>> = (0..n).map(|s| rows(20, 3, s as u64 * 100)).collect();
         let mut session = InferenceSession::new(&m, n);
-        let mut states: Vec<_> = (0..n).map(|_| m.zero_state()).collect();
         for s in 0..n {
             assert_eq!(session.acquire_slot(), Some(s));
         }
         let mut xs = vec![0.0f32; n * 3];
+        let mut batched: Vec<Vec<Prediction>> = vec![Vec::new(); n];
         for t in 0..20 {
-            let per_rows: Vec<Vec<f32>> =
-                (0..n).map(|s| rows(1, 3, (s * 100 + t) as u64)[0].clone()).collect();
-            for (s, row) in per_rows.iter().enumerate() {
-                xs[s * 3..(s + 1) * 3].copy_from_slice(row);
+            for (s, stream) in inputs.iter().enumerate() {
+                xs[s * 3..(s + 1) * 3].copy_from_slice(&stream[t]);
             }
-            let batched: Vec<Prediction> = session.step_batch(&m, &xs).to_vec();
-            for (s, row) in per_rows.iter().enumerate() {
-                let single = m.step_inference(row, &mut states[s]);
-                assert_eq!(batched[s], single, "stream {s} step {t}");
+            for (s, p) in session.step_batch(&m, &xs).iter().enumerate() {
+                batched[s].push(*p);
             }
+        }
+        for (s, stream) in inputs.iter().enumerate() {
+            assert_eq!(batched[s], m.predict_open_loop(stream), "stream {s}");
         }
     }
 
@@ -423,16 +402,16 @@ mod tests {
         let mut session = InferenceSession::new(&m, 2);
         assert_eq!(session.acquire_slot(), Some(0));
         assert_eq!(session.acquire_slot(), Some(1));
-        let xs = vec![0.4f32; 2 * 2];
+        let row = vec![0.4f32; 2];
+        let xs = [row.clone(), row.clone()].concat();
         session.step_batch(&m, &xs);
         session.release_slot(0);
-        // A fresh acquire starts from the zero state, matching a fresh
-        // single-stream sequence.
+        // A fresh acquire starts from the zero state, matching step one of
+        // a fresh sequential unroll; the untouched slot is on step two.
         assert_eq!(session.acquire_slot(), Some(0));
-        let batched = session.step_batch(&m, &xs)[0];
-        let mut states = m.zero_state();
-        let single = m.step_inference(&xs[0..2], &mut states);
-        assert_eq!(batched, single);
+        let batched = session.step_batch(&m, &xs).to_vec();
+        let sequential = m.predict_open_loop(&[row.clone(), row]);
+        assert_eq!(batched, sequential);
     }
 
     #[test]

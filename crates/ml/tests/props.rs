@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 
-use ibox_ml::lstm::{LstmStack, LstmState};
+use ibox_ml::lstm::{
+    Lstm, LstmStack, LstmState, LstmWorkspace, StackCache, StackWorkspace, StepCache,
+};
 use ibox_ml::matrix::Mat;
 use ibox_ml::{Logistic, LogisticConfig, SequenceModel, SequenceModelConfig, StandardScaler};
 
@@ -52,8 +54,9 @@ proptest! {
         }
         let u: Vec<f32> = (0..rows).map(|_| rng.random::<f32>() - 0.5).collect();
         let v: Vec<f32> = (0..cols).map(|_| rng.random::<f32>() - 0.5).collect();
-        let wv = w.matvec(&v);
-        let wtu = w.matvec_t(&u);
+        let (mut wv, mut wtu) = (vec![0.0f32; rows], vec![0.0f32; cols]);
+        w.matvec_into(&v, &mut wv);
+        w.matvec_t_into(&u, &mut wtu);
         let lhs: f64 = wtu.iter().zip(&v).map(|(a, b)| f64::from(a * b)).sum();
         let rhs: f64 = u.iter().zip(&wv).map(|(a, b)| f64::from(a * b)).sum();
         prop_assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
@@ -69,10 +72,10 @@ proptest! {
         let mut rng = seeded(seed);
         let stack = LstmStack::new(3, &[8, 4], &mut rng);
         let mut states: Vec<LstmState> = stack.zero_state();
+        let (mut ws, mut cache) = (stack.workspace(), stack.new_cache());
         for x in &inputs {
-            let (top, ns, _) = stack.step(x, &states);
-            states = ns;
-            for h in &top {
+            stack.step_into(x, &mut states, &mut ws, &mut cache);
+            for h in &states[1].h {
                 prop_assert!(h.abs() <= 1.0 + 1e-6, "|h| = {}", h.abs());
                 prop_assert!(h.is_finite());
             }
@@ -96,8 +99,8 @@ proptest! {
             model.predict_open_loop(&inputs)
         );
         prop_assert_eq!(
-            model.predict_closed_loop(&inputs, 1),
-            model.predict_closed_loop(&inputs, 1)
+            model.predict_closed_loop_clamped(&inputs, 1, (-3.0, 3.0)),
+            model.predict_closed_loop_clamped(&inputs, 1, (-3.0, 3.0))
         );
     }
 
@@ -140,8 +143,7 @@ proptest! {
 }
 
 /// Assert two f32 slices are bit-identical (not merely approximately
-/// equal): the allocating shims and the workspace kernels must share the
-/// exact same summation order.
+/// equal).
 fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) -> Result<(), proptest::TestCaseError> {
     prop_assert_eq!(a.len(), b.len(), "{} length", what);
     for (k, (x, y)) in a.iter().zip(b).enumerate() {
@@ -150,164 +152,164 @@ fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) -> Result<(), proptest::Test
     Ok(())
 }
 
+/// Random values in `[-scale, scale)`.
+fn uniform(rng: &mut rand::rngs::StdRng, n: usize, scale: f32) -> Vec<f32> {
+    use rand::Rng;
+    (0..n).map(|_| (rng.random::<f32>() * 2.0 - 1.0) * scale).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The allocating `matvec`/`matvec_t` wrappers and the out-param
-    /// kernels produce bit-identical results over random shapes — the
-    /// wrappers must stay thin shims over the same fixed-accumulator
-    /// kernels.
+    /// `matvec_into` / `matvec_t_into` overwrite their output: a reused,
+    /// NaN-poisoned buffer ends up with the same bits as a fresh zeroed
+    /// one over random shapes.
     #[test]
-    fn matvec_into_matches_allocating_bitwise(
+    fn matvec_kernels_ignore_prior_output_contents(
         rows in 1usize..24,
         cols in 1usize..24,
         seed in 0u64..1000,
     ) {
-        use rand::Rng;
         let mut rng = seeded(seed);
-        let mut w = Mat::zeros(rows, cols);
-        for x in w.data_mut() {
-            *x = rng.random::<f32>() * 2.0 - 1.0;
-        }
-        let v: Vec<f32> = (0..cols).map(|_| rng.random::<f32>() * 2.0 - 1.0).collect();
-        let u: Vec<f32> = (0..rows).map(|_| rng.random::<f32>() * 2.0 - 1.0).collect();
+        let w = Mat::from_vec(rows, cols, uniform(&mut rng, rows * cols, 1.0));
+        let v = uniform(&mut rng, cols, 1.0);
+        let u = uniform(&mut rng, rows, 1.0);
 
-        let mut y = vec![f32::NAN; rows];
-        w.matvec_into(&v, &mut y);
-        assert_bits_eq(&w.matvec(&v), &y, "matvec")?;
+        let (mut reused, mut fresh) = (vec![f32::NAN; rows], vec![0.0f32; rows]);
+        w.matvec_into(&v, &mut reused);
+        w.matvec_into(&v, &mut fresh);
+        assert_bits_eq(&fresh, &reused, "matvec")?;
 
-        let mut yt = vec![f32::NAN; cols];
-        w.matvec_t_into(&u, &mut yt);
-        assert_bits_eq(&w.matvec_t(&u), &yt, "matvec_t")?;
+        let (mut reused, mut fresh) = (vec![f32::NAN; cols], vec![0.0f32; cols]);
+        w.matvec_t_into(&u, &mut reused);
+        w.matvec_t_into(&u, &mut fresh);
+        assert_bits_eq(&fresh, &reused, "matvec_t")?;
     }
 
-    /// A multi-step LSTM forward+backward through the workspace kernels
-    /// (reused buffers, `step_into`/`step_backward_into`) is bit-identical
-    /// to the allocating per-step API (`step`/`step_backward`) — states,
-    /// input gradients, and accumulated weight gradients alike.
+    /// One layer, forward and backward: a workspace and cache ring reused
+    /// across steps — NaN-poisoned before every call, output buffers
+    /// included — give the same bits as fresh ones per step: states, input
+    /// and recurrent gradients, and accumulated weight gradients alike.
+    /// The `_into` kernels carry nothing between calls but their arguments.
     #[test]
-    fn lstm_workspace_matches_allocating_bitwise(
+    fn lstm_reused_poisoned_workspace_matches_fresh_bitwise(
         input_size in 1usize..6,
-        hidden_size in 1usize..10,
+        hidden in 1usize..10,
         steps in 1usize..12,
         seed in 0u64..500,
     ) {
-        use ibox_ml::lstm::{Lstm, LstmWorkspace, StepCache};
-        use rand::Rng;
         let mut rng = seeded(seed);
-        let reference = Lstm::new(input_size, hidden_size, &mut rng);
-        let mut workspace_layer = reference.clone();
-        let mut alloc_layer = reference.clone();
-        let xs: Vec<Vec<f32>> = (0..steps)
-            .map(|_| (0..input_size).map(|_| rng.random::<f32>() * 4.0 - 2.0).collect())
-            .collect();
-        let dhs: Vec<Vec<f32>> = (0..steps)
-            .map(|_| (0..hidden_size).map(|_| rng.random::<f32>() * 2.0 - 1.0).collect())
-            .collect();
+        let reference = Lstm::new(input_size, hidden, &mut rng);
+        let (mut reused, mut fresh) = (reference.clone(), reference.clone());
+        let xs: Vec<Vec<f32>> = (0..steps).map(|_| uniform(&mut rng, input_size, 2.0)).collect();
+        let dhs: Vec<Vec<f32>> = (0..steps).map(|_| uniform(&mut rng, hidden, 1.0)).collect();
+        let nan = |n: usize| vec![f32::NAN; n];
+        // Poison through the public kernels: an all-NaN step forward and
+        // backward on a throwaway clone fills every workspace/cache buffer.
+        let poison = |ws: &mut LstmWorkspace, cache: &mut StepCache| {
+            let mut state = LstmState { h: nan(hidden), c: nan(hidden) };
+            let mut scratch = reference.clone();
+            scratch.step_into(&nan(input_size), &mut state, ws, cache);
+            let (h, i) = (nan(hidden), nan(input_size));
+            scratch.step_backward_into(cache, &h, &h, &h, ws, &mut i.clone(), &mut h.clone(), &mut h.clone());
+        };
 
-        // Allocating path: fresh state + cache per step.
-        let mut alloc_states = vec![LstmState::zeros(hidden_size)];
-        let mut alloc_caches = Vec::new();
-        for x in &xs {
-            let (s, c) = alloc_layer.step(x, alloc_states.last().unwrap());
-            alloc_states.push(s);
-            alloc_caches.push(c);
-        }
-
-        // Workspace path: one state, a reused workspace, a cache ring.
-        let mut ws = LstmWorkspace::for_layer(&workspace_layer);
-        let mut caches: Vec<StepCache> =
-            (0..steps).map(|_| StepCache::for_layer(&workspace_layer)).collect();
-        let mut state = LstmState::zeros(hidden_size);
+        let mut ws = LstmWorkspace::for_layer(&reused);
+        let mut r_caches: Vec<StepCache> = xs.iter().map(|_| StepCache::for_layer(&reused)).collect();
+        let mut f_caches = r_caches.clone();
+        let (mut r_state, mut f_state) = (LstmState::zeros(hidden), LstmState::zeros(hidden));
         for (t, x) in xs.iter().enumerate() {
-            workspace_layer.step_into(x, &mut state, &mut ws, &mut caches[t]);
-            assert_bits_eq(&alloc_states[t + 1].h, &state.h, "h")?;
-            assert_bits_eq(&alloc_states[t + 1].c, &state.c, "c")?;
+            poison(&mut ws, &mut r_caches[t]);
+            reused.step_into(x, &mut r_state, &mut ws, &mut r_caches[t]);
+            fresh.step_into(x, &mut f_state, &mut LstmWorkspace::for_layer(&fresh), &mut f_caches[t]);
+            assert_bits_eq(&f_state.h, &r_state.h, "h")?;
+            assert_bits_eq(&f_state.c, &r_state.c, "c")?;
         }
 
-        // Backward over the whole sequence, both paths.
-        alloc_layer.zero_grad();
-        workspace_layer.zero_grad();
-        let mut a_dh_next = vec![0.0f32; hidden_size];
-        let mut a_dc_next = vec![0.0f32; hidden_size];
-        let mut w_dh_next = vec![0.0f32; hidden_size];
-        let mut w_dc_next = vec![0.0f32; hidden_size];
-        let mut dx = vec![0.0f32; input_size];
-        let mut dh_prev = vec![0.0f32; hidden_size];
-        let mut dc_prev = vec![0.0f32; hidden_size];
+        reused.zero_grad();
+        fresh.zero_grad();
+        let (mut dh_next, mut dc_next) = (vec![0.0f32; hidden], vec![0.0f32; hidden]);
         for t in (0..steps).rev() {
-            let (a_dx, a_dh, a_dc) =
-                alloc_layer.step_backward(&alloc_caches[t], &dhs[t], &a_dh_next, &a_dc_next);
-            workspace_layer.step_backward_into(
-                &caches[t], &dhs[t], &w_dh_next, &w_dc_next,
-                &mut ws, &mut dx, &mut dh_prev, &mut dc_prev,
+            let (mut r_dx, mut r_dh, mut r_dc) = (nan(input_size), nan(hidden), nan(hidden));
+            poison(&mut ws, &mut StepCache::for_layer(&reused));
+            reused.step_backward_into(
+                &r_caches[t], &dhs[t], &dh_next, &dc_next, &mut ws, &mut r_dx, &mut r_dh, &mut r_dc,
             );
-            assert_bits_eq(&a_dx, &dx, "dx")?;
-            assert_bits_eq(&a_dh, &dh_prev, "dh_prev")?;
-            assert_bits_eq(&a_dc, &dc_prev, "dc_prev")?;
-            a_dh_next = a_dh;
-            a_dc_next = a_dc;
-            std::mem::swap(&mut w_dh_next, &mut dh_prev);
-            std::mem::swap(&mut w_dc_next, &mut dc_prev);
+            let (mut f_dx, mut f_dh, mut f_dc) =
+                (vec![0.0f32; input_size], vec![0.0f32; hidden], vec![0.0f32; hidden]);
+            let mut fresh_ws = LstmWorkspace::for_layer(&fresh);
+            fresh.step_backward_into(
+                &f_caches[t], &dhs[t], &dh_next, &dc_next, &mut fresh_ws, &mut f_dx, &mut f_dh,
+                &mut f_dc,
+            );
+            assert_bits_eq(&f_dx, &r_dx, "dx")?;
+            assert_bits_eq(&f_dh, &r_dh, "dh_prev")?;
+            assert_bits_eq(&f_dc, &r_dc, "dc_prev")?;
+            (dh_next, dc_next) = (f_dh, f_dc);
         }
-        assert_bits_eq(alloc_layer.gwx.data(), workspace_layer.gwx.data(), "gwx")?;
-        assert_bits_eq(alloc_layer.gwh.data(), workspace_layer.gwh.data(), "gwh")?;
-        assert_bits_eq(&alloc_layer.gb, &workspace_layer.gb, "gb")?;
+        assert_bits_eq(fresh.gwx.data(), reused.gwx.data(), "gwx")?;
+        assert_bits_eq(fresh.gwh.data(), reused.gwh.data(), "gwh")?;
+        assert_bits_eq(&fresh.gb, &reused.gb, "gb")?;
     }
 
-    /// Same equivalence at the stack level: `step`/`backward` (allocating)
-    /// vs `step_into`/`backward_into` (workspace), gradients included.
+    /// Same at the stack level (`step_into` / `backward_into`, inter-layer
+    /// gradient rotation buffers included), gradients of every layer
+    /// compared.
     #[test]
-    fn lstm_stack_workspace_matches_allocating_bitwise(
+    fn lstm_stack_reused_poisoned_workspace_matches_fresh_bitwise(
         steps in 1usize..8,
         seed in 0u64..200,
     ) {
-        use rand::Rng;
         let mut rng = seeded(seed);
         let reference = LstmStack::new(3, &[7, 5], &mut rng);
-        let mut alloc_stack = reference.clone();
-        let mut ws_stack = reference.clone();
-        let xs: Vec<Vec<f32>> = (0..steps)
-            .map(|_| (0..3).map(|_| rng.random::<f32>() * 4.0 - 2.0).collect())
-            .collect();
-        let dh_top: Vec<Vec<f32>> = (0..steps)
-            .map(|_| (0..5).map(|_| rng.random::<f32>() * 2.0 - 1.0).collect())
-            .collect();
+        let (mut reused, mut fresh) = (reference.clone(), reference.clone());
+        let xs: Vec<Vec<f32>> = (0..steps).map(|_| uniform(&mut rng, 3, 2.0)).collect();
+        let dh_top: Vec<Vec<f32>> = (0..steps).map(|_| uniform(&mut rng, 5, 1.0)).collect();
+        // One all-NaN step forward and backward on a throwaway clone.
+        let poison = |ws: &mut StackWorkspace, cache: &mut StackCache| {
+            let mut scratch = reference.clone();
+            let mut states = scratch.zero_state();
+            for s in &mut states {
+                s.h.fill(f32::NAN);
+                s.c.fill(f32::NAN);
+            }
+            scratch.step_into(&[f32::NAN; 3], &mut states, ws, cache);
+            scratch.zero_grad();
+            scratch.backward_into(std::slice::from_ref(cache), &[vec![f32::NAN; 5]], ws);
+        };
 
-        let mut a_states = alloc_stack.zero_state();
-        let mut a_caches = Vec::new();
-        for x in &xs {
-            let (_, ns, c) = alloc_stack.step(x, &a_states);
-            a_states = ns;
-            a_caches.push(c);
-        }
-
-        let mut ws = ws_stack.workspace();
-        let mut w_states = ws_stack.zero_state();
-        let mut w_caches: Vec<_> = (0..steps).map(|_| ws_stack.new_cache()).collect();
+        let mut ws = reused.workspace();
+        let mut r_caches: Vec<StackCache> = xs.iter().map(|_| reused.new_cache()).collect();
+        let mut f_caches = r_caches.clone();
+        let (mut r_states, mut f_states) = (reused.zero_state(), fresh.zero_state());
         for (t, x) in xs.iter().enumerate() {
-            ws_stack.step_into(x, &mut w_states, &mut ws, &mut w_caches[t]);
-        }
-        for (a, w) in a_states.iter().zip(&w_states) {
-            assert_bits_eq(&a.h, &w.h, "stack h")?;
-            assert_bits_eq(&a.c, &w.c, "stack c")?;
+            poison(&mut ws, &mut r_caches[t]);
+            reused.step_into(x, &mut r_states, &mut ws, &mut r_caches[t]);
+            fresh.step_into(x, &mut f_states, &mut fresh.workspace(), &mut f_caches[t]);
+            for (f, r) in f_states.iter().zip(&r_states) {
+                assert_bits_eq(&f.h, &r.h, "stack h")?;
+                assert_bits_eq(&f.c, &r.c, "stack c")?;
+            }
         }
 
-        alloc_stack.zero_grad();
-        ws_stack.zero_grad();
-        alloc_stack.backward(&a_caches, &dh_top);
-        ws_stack.backward_into(&w_caches, &dh_top, &mut ws);
-        for (la, lw) in alloc_stack.layers().iter().zip(ws_stack.layers()) {
-            assert_bits_eq(la.gwx.data(), lw.gwx.data(), "stack gwx")?;
-            assert_bits_eq(la.gwh.data(), lw.gwh.data(), "stack gwh")?;
-            assert_bits_eq(&la.gb, &lw.gb, "stack gb")?;
+        reused.zero_grad();
+        fresh.zero_grad();
+        poison(&mut ws, &mut reused.new_cache());
+        reused.backward_into(&r_caches, &dh_top, &mut ws);
+        fresh.backward_into(&f_caches, &dh_top, &mut fresh.workspace());
+        for (lf, lr) in fresh.layers().iter().zip(reused.layers()) {
+            assert_bits_eq(lf.gwx.data(), lr.gwx.data(), "stack gwx")?;
+            assert_bits_eq(lf.gwh.data(), lr.gwh.data(), "stack gwh")?;
+            assert_bits_eq(&lf.gb, &lr.gb, "stack gb")?;
         }
     }
 
     /// `InferenceSession::step_batch` with K active streams is bitwise
-    /// identical to K independent `step_inference` sequences — including
-    /// across a mid-run slot release and reuse, where the reacquired slot
-    /// must restart from the zero state exactly like a fresh sequence.
+    /// identical to K independent sequential unrolls
+    /// (`predict_open_loop`: `LstmStack::step_into` + the head forwards) —
+    /// including across a mid-run slot release and reuse, where the
+    /// reacquired slot must restart from the zero state exactly like a
+    /// fresh sequence.
     #[test]
     fn session_step_batch_matches_independent_streams_bitwise(
         k in 1usize..5,
@@ -316,7 +318,6 @@ proptest! {
         seed in 0u64..500,
     ) {
         use ibox_ml::{InferenceSession, Prediction};
-        use rand::Rng;
         let model = SequenceModel::new(SequenceModelConfig {
             input_size: 3,
             hidden_sizes: vec![hidden, hidden],
@@ -325,31 +326,34 @@ proptest! {
         });
         let mut rng = seeded(seed ^ 0xABCD);
         let mut session = InferenceSession::new(&model, k);
-        let mut states: Vec<Vec<LstmState>> = (0..k).map(|_| model.zero_state()).collect();
         for s in 0..k {
             prop_assert_eq!(session.acquire_slot(), Some(s));
         }
-        let mut xs = vec![0.0f32; k * 3];
+        // Per stream: the rows fed and predictions read since its slot was
+        // last acquired.
+        let mut fed: Vec<Vec<Vec<f32>>> = vec![Vec::new(); k];
+        let mut got: Vec<Vec<Prediction>> = vec![Vec::new(); k];
         let released = seed as usize % k;
         for phase in 0..2 {
             if phase == 1 {
                 // Mid-run release/reacquire: the slot restarts from zero,
-                // so its reference sequence restarts from zero too.
+                // so its reference sequence restarts too.
                 session.release_slot(released);
                 prop_assert_eq!(session.acquire_slot(), Some(released));
-                states[released] = model.zero_state();
+                fed[released].clear();
+                got[released].clear();
             }
-            for t in 0..steps {
-                for v in xs.iter_mut() {
-                    *v = rng.random::<f32>() * 4.0 - 2.0;
-                }
-                let batched: Vec<Prediction> = session.step_batch(&model, &xs).to_vec();
+            for _ in 0..steps {
+                let xs = uniform(&mut rng, k * 3, 2.0);
+                let batched = session.step_batch(&model, &xs);
                 for s in 0..k {
-                    let row = xs[s * 3..(s + 1) * 3].to_vec();
-                    let single = model.step_inference(&row, &mut states[s]);
-                    prop_assert_eq!(batched[s], single, "stream {} step {}/{}", s, phase, t);
+                    fed[s].push(xs[s * 3..(s + 1) * 3].to_vec());
+                    got[s].push(batched[s]);
                 }
             }
+        }
+        for s in 0..k {
+            prop_assert_eq!(&got[s], &model.predict_open_loop(&fed[s]), "stream {}", s);
         }
     }
 
@@ -394,59 +398,5 @@ proptest! {
             };
             prop_assert_eq!(&batch[s], &seq, "stream {}", s);
         }
-    }
-
-    /// GRU: workspace kernels match the allocating per-step API
-    /// bit-for-bit, forward and backward.
-    #[test]
-    fn gru_workspace_matches_allocating_bitwise(
-        input_size in 1usize..6,
-        hidden_size in 1usize..10,
-        steps in 1usize..10,
-        seed in 0u64..200,
-    ) {
-        use ibox_ml::gru::{Gru, GruCache, GruWorkspace};
-        use rand::Rng;
-        let mut rng = seeded(seed);
-        let reference = Gru::new(input_size, hidden_size, &mut rng);
-        let mut alloc_layer = reference.clone();
-        let mut ws_layer = reference.clone();
-        let xs: Vec<Vec<f32>> = (0..steps)
-            .map(|_| (0..input_size).map(|_| rng.random::<f32>() * 4.0 - 2.0).collect())
-            .collect();
-        let dhs: Vec<Vec<f32>> = (0..steps)
-            .map(|_| (0..hidden_size).map(|_| rng.random::<f32>() * 2.0 - 1.0).collect())
-            .collect();
-
-        let mut a_hs = vec![vec![0.0f32; hidden_size]];
-        let mut a_caches = Vec::new();
-        for x in &xs {
-            let (h, c) = alloc_layer.step(x, a_hs.last().unwrap());
-            a_hs.push(h);
-            a_caches.push(c);
-        }
-
-        let mut ws = GruWorkspace::for_layer(&ws_layer);
-        let mut caches: Vec<GruCache> =
-            (0..steps).map(|_| GruCache::for_layer(&ws_layer)).collect();
-        let mut h = vec![0.0f32; hidden_size];
-        for (t, x) in xs.iter().enumerate() {
-            ws_layer.step_into(x, &mut h, &mut ws, &mut caches[t]);
-            assert_bits_eq(&a_hs[t + 1], &h, "gru h")?;
-        }
-
-        alloc_layer.zero_grad();
-        ws_layer.zero_grad();
-        let mut dx = vec![0.0f32; input_size];
-        let mut dh_prev = vec![0.0f32; hidden_size];
-        for t in (0..steps).rev() {
-            let (a_dx, a_dh) = alloc_layer.step_backward(&a_caches[t], &dhs[t]);
-            ws_layer.step_backward_into(&caches[t], &dhs[t], &mut ws, &mut dx, &mut dh_prev);
-            assert_bits_eq(&a_dx, &dx, "gru dx")?;
-            assert_bits_eq(&a_dh, &dh_prev, "gru dh_prev")?;
-        }
-        assert_bits_eq(alloc_layer.gwx.data(), ws_layer.gwx.data(), "gru gwx")?;
-        assert_bits_eq(alloc_layer.gwh.data(), ws_layer.gwh.data(), "gru gwh")?;
-        assert_bits_eq(&alloc_layer.gb, &ws_layer.gb, "gru gb")?;
     }
 }

@@ -19,9 +19,8 @@ use serde::{Deserialize, Serialize};
 /// Serializes as a lowercase string (`"packet"` | `"flow"` | `"hybrid"`),
 /// which is also the spelling accepted by `ibox replay --fidelity` and the
 /// `/replay` HTTP body. Absent spec fields deserialize to
-/// [`Fidelity::Packet`] (see the hand-written [`Deserialize`] on
-/// [`RunSpec`]), so every pre-existing batch file keeps its exact
-/// behavior.
+/// [`Fidelity::Packet`] (`#[serde(default)]` on [`RunSpec::fidelity`]), so
+/// every pre-existing batch file keeps its exact behavior.
 ///
 /// Fidelity never enters the fit-cache key: fitting consumes the training
 /// trace only, so a fitted artifact is shared across fidelity levels and
@@ -99,10 +98,11 @@ impl Deserialize for Fidelity {
 /// (plain numbers, no `crates/ml` types) so the runner stays dependency-free.
 /// The executor in `ibox::model` translates it into an `IBoxMlConfig`.
 ///
-/// Every field defaults on deserialize (see the hand-written
-/// [`Deserialize`] impl below), so batch files may spell `{"IBoxMl": {}}`
-/// or override only what they need.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Every field defaults on deserialize (container-level
+/// `#[serde(default)]`), so batch files may spell `{"IBoxMl": {}}` or
+/// override only what they need.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct IBoxMlSpec {
     /// Hidden sizes of the recurrent stack.
     pub hidden_sizes: Vec<usize>,
@@ -128,36 +128,6 @@ impl Default for IBoxMlSpec {
             with_cross_traffic: false,
             seed: 17,
         }
-    }
-}
-
-// Hand-written so absent fields fall back to the defaults above (the
-// derive would reject them as missing), keeping `{"IBoxMl": {}}` and
-// partially specified batch files valid.
-impl Deserialize for IBoxMlSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if !matches!(v, serde::Value::Object(_)) {
-            return Err(serde::Error::expected("an IBoxMlSpec object", v));
-        }
-        let d = IBoxMlSpec::default();
-        fn field<T: Deserialize>(
-            v: &serde::Value,
-            name: &str,
-            default: T,
-        ) -> Result<T, serde::Error> {
-            match v.get(name) {
-                Some(x) => T::from_value(x),
-                None => Ok(default),
-            }
-        }
-        Ok(Self {
-            hidden_sizes: field(v, "hidden_sizes", d.hidden_sizes)?,
-            epochs: field(v, "epochs", d.epochs)?,
-            lr: field(v, "lr", d.lr)?,
-            tbptt: field(v, "tbptt", d.tbptt)?,
-            with_cross_traffic: field(v, "with_cross_traffic", d.with_cross_traffic)?,
-            seed: field(v, "seed", d.seed)?,
-        })
     }
 }
 
@@ -252,7 +222,10 @@ pub enum RunSource {
 /// Construct with [`RunSpec::builder`]. All randomness in a run derives
 /// from the spec itself (`seed`, and `source` seeds), which is what makes
 /// batches reproducible at any parallelism.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// `fidelity` and `path` postdate the first batch files and default when
+/// absent; every other field is required. Unknown keys are ignored.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunSpec {
     /// Optional human-readable label echoed into results (empty = none).
     pub id: String,
@@ -266,14 +239,9 @@ pub struct RunSpec {
     pub seed: u64,
     /// Model family to fit (ignored for [`RunSource::ProfileFile`]).
     pub model: ModelKind,
-    /// Drive ML replays through the batched [`InferenceSession`] path
-    /// (default). `false` selects the legacy per-stream unroll — same
-    /// bytes out, kept as an escape hatch / reference arm.
-    ///
-    /// [`InferenceSession`]: https://docs.rs/ibox-ml
-    pub batch_streams: bool,
     /// Replay engine fidelity (default [`Fidelity::Packet`]). `flow` and
     /// `hybrid` trade per-packet exactness for 10–100x replay throughput.
+    #[serde(default)]
     pub fidelity: Fidelity,
     /// Optional composed path to replay through — raw JSON in the shape
     /// of `ibox_sim::PathSpec` (an array of stages, or `{"stages":
@@ -281,44 +249,8 @@ pub struct RunSpec {
     /// domain-light; the executor in `ibox::batch` parses and validates
     /// it. `None` (the default) replays through the model's own fitted
     /// single-bottleneck path.
+    #[serde(default)]
     pub path: Option<serde::Value>,
-}
-
-// Hand-written so batch files written before `batch_streams` / `fidelity`
-// existed (the fields are absent) keep parsing with their defaults; every
-// other field stays required, matching the previous derive.
-impl Deserialize for RunSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if !matches!(v, serde::Value::Object(_)) {
-            return Err(serde::Error::expected("a RunSpec object", v));
-        }
-        fn req<T: Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::Error> {
-            match v.get(name) {
-                Some(x) => T::from_value(x),
-                None => Err(serde::Error::missing("RunSpec", name)),
-            }
-        }
-        Ok(Self {
-            id: req(v, "id")?,
-            source: req(v, "source")?,
-            protocol: req(v, "protocol")?,
-            duration_s: req(v, "duration_s")?,
-            seed: req(v, "seed")?,
-            model: req(v, "model")?,
-            batch_streams: match v.get("batch_streams") {
-                Some(x) => bool::from_value(x)?,
-                None => true,
-            },
-            fidelity: match v.get("fidelity") {
-                Some(x) => Fidelity::from_value(x)?,
-                None => Fidelity::Packet,
-            },
-            path: match v.get("path") {
-                Some(serde::Value::Null) | None => None,
-                Some(x) => Some(x.clone()),
-            },
-        })
-    }
 }
 
 impl RunSpec {
@@ -347,7 +279,6 @@ pub struct RunSpecBuilder {
     duration_s: Option<f64>,
     seed: Option<u64>,
     model: Option<ModelKind>,
-    batch_streams: Option<bool>,
     fidelity: Option<Fidelity>,
     path: Option<serde::Value>,
 }
@@ -407,13 +338,6 @@ impl RunSpecBuilder {
         self
     }
 
-    /// Batched-session ML replay (default `true`); `false` selects the
-    /// legacy per-stream unroll.
-    pub fn batch_streams(mut self, on: bool) -> Self {
-        self.batch_streams = Some(on);
-        self
-    }
-
     /// Replay engine fidelity (default [`Fidelity::Packet`]).
     pub fn fidelity(mut self, fidelity: Fidelity) -> Self {
         self.fidelity = Some(fidelity);
@@ -445,7 +369,6 @@ impl RunSpecBuilder {
             duration_s,
             seed: self.seed.unwrap_or(1),
             model: self.model.unwrap_or(ModelKind::IBoxNet),
-            batch_streams: self.batch_streams.unwrap_or(true),
             fidelity: self.fidelity.unwrap_or_default(),
             path: self.path,
         })
@@ -537,7 +460,6 @@ mod tests {
         assert_eq!(spec.duration_s, 30.0);
         assert_eq!(spec.seed, 1);
         assert_eq!(spec.model, ModelKind::IBoxNet);
-        assert!(spec.batch_streams, "batched replay is the default");
         assert!(spec.id.is_empty());
 
         assert!(RunSpec::builder().protocol("cubic").build().is_err(), "source required");
@@ -560,30 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn runspec_without_batch_streams_field_still_parses() {
-        // Batch files written before the field existed must keep working.
-        let mut json = sample_spec().to_value();
-        if let serde::Value::Object(fields) = &mut json {
-            fields.retain(|(k, _)| k != "batch_streams");
-        }
-        let spec = RunSpec::from_value(&json).unwrap();
-        assert!(spec.batch_streams, "absent field defaults to batched");
-        assert_eq!(spec, sample_spec());
-        // But every pre-existing field is still required.
-        let err =
-            RunSpec::from_value(&serde_json::parse_value(r#"{"id": "x"}"#).unwrap()).unwrap_err();
-        assert!(err.0.contains("missing field"), "{}", err.0);
-
-        let off = RunSpec::builder()
-            .trace_file("t.json")
-            .protocol("cubic")
-            .batch_streams(false)
-            .build()
-            .unwrap();
-        assert!(!off.batch_streams);
-    }
-
-    #[test]
     fn runspec_without_fidelity_field_still_parses() {
         // Batch files written before the knob existed must keep working,
         // and must mean the exact pre-knob behavior: packet fidelity.
@@ -594,6 +492,10 @@ mod tests {
         let spec = RunSpec::from_value(&json).unwrap();
         assert_eq!(spec.fidelity, Fidelity::Packet, "absent field defaults to packet");
         assert_eq!(spec, sample_spec());
+        // But every pre-existing field is still required.
+        let err =
+            RunSpec::from_value(&serde_json::parse_value(r#"{"id": "x"}"#).unwrap()).unwrap_err();
+        assert!(err.0.contains("missing field"), "{}", err.0);
     }
 
     #[test]

@@ -50,7 +50,6 @@ fn arb_spec() -> impl Strategy<Value = RunSpec> {
             duration_s,
             seed,
             model: model_from(a),
-            batch_streams: b % 2 == 0,
             fidelity: Fidelity::ALL[(a % Fidelity::ALL.len() as u64) as usize],
             path: if a % 3 == 0 {
                 Some(serde::Value::Array(vec![serde::Value::Object(vec![

@@ -692,9 +692,6 @@ fn handle_replay(app: &Arc<App>, req: &Request) -> Response {
         let protocol: String = required(&body, "protocol")?;
         let duration = checked_duration(field(&body, "duration_s")?.unwrap_or(30.0))?;
         let seed: u64 = field(&body, "seed")?.unwrap_or(1);
-        // Batched-session ML replay is the default; `false` selects the
-        // legacy per-stream unroll (same bytes out, reference arm).
-        let batch_streams: bool = field(&body, "batch_streams")?.unwrap_or(true);
         // Replay engine fidelity; absent means the exact pre-knob packet
         // engine, so existing clients see byte-identical responses.
         let fidelity: ibox::Fidelity = field(&body, "fidelity")?.unwrap_or_default();
@@ -707,9 +704,9 @@ fn handle_replay(app: &Arc<App>, req: &Request) -> Response {
             }
         }
         checked_protocol(&protocol)?;
-        Ok((model_id, protocol, duration, seed, batch_streams, fidelity, path))
+        Ok((model_id, protocol, duration, seed, fidelity, path))
     })();
-    let (model_id, protocol, duration, seed, batch_streams, fidelity, path) = match parsed {
+    let (model_id, protocol, duration, seed, fidelity, path) = match parsed {
         Ok(p) => p,
         Err(resp) => return resp,
     };
@@ -727,12 +724,8 @@ fn handle_replay(app: &Arc<App>, req: &Request) -> Response {
         Ok(a) => a,
         Err(e) => return Response::error(e.status(), &e.to_string()),
     };
-    let trace = artifact.model.simulate_with(
-        &protocol,
-        duration,
-        seed,
-        ReplayOpts { batch_streams, fidelity, path },
-    );
+    let opts = ReplayOpts { fidelity, path, ..ReplayOpts::default() };
+    let trace = artifact.model.simulate_with(&protocol, duration, seed, opts);
     ibox_obs::global().counter("serve.replay.packets").add(trace.len() as u64);
     // Exactly the bytes `ibox replay -o out.json` writes for this model:
     // the replay path is byte-identical online and offline.
@@ -927,10 +920,6 @@ mod tests {
             (post("/replay", "not json"), "not valid json"),
             (post("/replay", r#"{"protocol": "cubic"}"#), "missing field \"model\""),
             (
-                post("/replay", r#"{"model": "m", "protocol": "cubic", "batch_streams": 3}"#),
-                "batch_streams",
-            ),
-            (
                 post("/replay", r#"{"model": "m", "protocol": "cubic", "fidelity": "fluid"}"#),
                 "unknown fidelity",
             ),
@@ -967,11 +956,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `/replay` accepts the `batch_streams` knob; both settings return
-    /// byte-identical traces (here with an emulator model — the ML
-    /// byte-identity is proven at the core layer).
+    /// A `/replay` body still carrying the retired `batch_streams` key is
+    /// answered like any body with an unknown key: the bytes of the same
+    /// body without it.
     #[test]
-    fn replay_batch_streams_knob_is_accepted_and_byte_invariant() {
+    fn replay_ignores_the_retired_batch_streams_key() {
         let (app, dir) = test_app("replay_knob");
         let fit = post(
             "/fit",
@@ -990,11 +979,7 @@ mod tests {
             assert_eq!(resp.status, 200, "{}", body_text(&resp));
             resp.body
         };
-        let default = replay("");
-        let batched = replay(r#","batch_streams":true"#);
-        let per_stream = replay(r#","batch_streams":false"#);
-        assert_eq!(default, batched, "default is the batched path");
-        assert_eq!(batched, per_stream, "knob must not change replay bytes");
+        assert_eq!(replay(""), replay(r#","batch_streams":false"#));
 
         let _ = std::fs::remove_dir_all(&dir);
     }

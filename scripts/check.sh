@@ -2,9 +2,11 @@
 # Local gate: everything CI would run, offline.
 #   scripts/check.sh [--quick] [--perf]   (flags in either order)
 #
-# Always: the grep gates, release build, workspace tests, the vendored
-# serde shims' unit tests, the request ledger's self-tests (benchmark/),
-# clippy -D warnings and rustfmt --check.
+# Always: the grep gates (the CLI option tables, fits routed through the
+# FitCache, timing routed through ibox-obs, ingest on the online fold),
+# release build, workspace tests, the vendored serde shims' unit tests,
+# the request ledger's self-tests (benchmark/), clippy -D warnings,
+# rustfmt --check, and last the scripts/loc.sh size report (print only).
 # --quick additionally smoke-tests the release binary end to end: a
 # 5-spec batch file (every model kind, incl. a tiny iBoxML) through
 # `ibox batch --jobs 2 --model-cache`, then a fit → save → reload →
@@ -45,16 +47,6 @@ gate() {
 }
 gate 'const FLAGS' crates/cli \
     "ad-hoc FLAGS table reintroduced in the CLI — declare options in the OptSpec tables (crates/cli/src/commands.rs)"
-# The recurrent hot loops must stay on the out-param workspace kernels:
-# the allocating matvec/matvec_t wrappers allocate a fresh Vec per call.
-gate '\.matvec\(' crates/ml/src/lstm.rs \
-    "allocating .matvec( in the LSTM hot path — use matvec_into/matvec_acc with a workspace buffer"
-gate '\.matvec_t\(' crates/ml/src/lstm.rs \
-    "allocating .matvec_t( in the LSTM hot path — use matvec_t_into with a workspace buffer"
-gate '\.matvec\(' crates/ml/src/gru.rs \
-    "allocating .matvec( in the GRU hot path — use matvec_into/matvec_acc with a workspace buffer"
-gate '\.matvec_t\(' crates/ml/src/gru.rs \
-    "allocating .matvec_t( in the GRU hot path — use matvec_t_into with a workspace buffer"
 # The PathModel split: fits go through fit_model/FitCache (counted,
 # cached, serializable), never through the concrete fit entry points.
 gate '(IBoxNet|StatisticalLossModel)::fit' crates/cli \
@@ -63,11 +55,6 @@ gate '(IBoxNet|StatisticalLossModel)::fit' crates/core/src/abtest.rs \
     "direct model fit in the A/B harness — route through ibox::fit_model / FitCache"
 gate '(IBoxNet|StatisticalLossModel)::fit' crates/core/src/batch.rs \
     "direct model fit in the batch executor — route through ibox::fit_model / FitCache"
-# Replay inference is batched: core drives ML models through an
-# InferenceSession (step_batch), never per-packet step_inference — the
-# deprecated shim allocates a throwaway one-slot session per call.
-gate 'step_inference\(' crates/core/src \
-    "per-packet step_inference in a core hot path — drive an ibox_ml::InferenceSession via step_batch instead"
 # Timing in the serving/runner layers goes through the obs facade so it
 # always lands in metrics/traces — no invisible raw clock reads.
 gate 'Instant::now\(' crates/serve/src \
@@ -297,5 +284,8 @@ if (( perf )); then
     (cd "$perf_tmp" && run "$repo/target/release/ingest" --quick --baseline "$repo/BENCH_ingest.json")
     echo "ingest bench smoke passed"
 fi
+
+# The size trend — LOC, pub items, gate count. Prints, never fails.
+scripts/loc.sh || true
 
 echo "all checks passed"

@@ -180,7 +180,6 @@ fn arb_run_spec() -> impl Strategy<Value = RunSpec> {
                 }),
                 i => ModelKind::all()[i as usize].clone(),
             },
-            batch_streams: b % 2 == 0,
             fidelity: Fidelity::ALL[(a % Fidelity::ALL.len() as u64) as usize],
             // The path rides as an opaque value tree inside the spec.
             path: (a % 4 != 0).then(|| path.to_value()),
@@ -417,6 +416,47 @@ fn compact_golden_covers_every_derive_shape_and_number_edge() {
     let back: Vec<Shape> = serde_json::from_str(&shapes).unwrap();
     assert_eq!(back[3], Shape::Struct { a: -4, hidden: 0, b: vec![Shape::Unit] });
     assert_eq!(back[..3], edges().shapes[..3]);
+}
+
+#[test]
+fn serde_default_fills_absent_keys_on_read() {
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct FieldLevel {
+        required: u8,
+        #[serde(default)]
+        optional: Vec<u8>,
+    }
+    let read = |json: &str| serde_json::from_str::<FieldLevel>(json);
+    assert_eq!(read(r#"{"required":1}"#).unwrap(), FieldLevel { required: 1, optional: vec![] });
+    assert_eq!(
+        read(r#"{"required":1,"optional":[2],"unknown":true}"#).unwrap(),
+        FieldLevel { required: 1, optional: vec![2] }
+    );
+    // Only the marked field is optional, and a present key is still typed.
+    assert!(read(r#"{"optional":[2]}"#).unwrap_err().to_string().contains("missing field"));
+    assert!(read(r#"{"required":1,"optional":"x"}"#).is_err());
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    #[serde(default)]
+    struct ContainerLevel {
+        a: u8,
+        b: String,
+        #[serde(skip)]
+        hidden: u8,
+    }
+    impl Default for ContainerLevel {
+        fn default() -> Self {
+            Self { a: 7, b: "seven".into(), hidden: 77 }
+        }
+    }
+    // Absent keys take `Self::default()`'s field, not the field type's
+    // default; a skipped field keeps reading as its type's default.
+    let read = |json: &str| serde_json::from_str::<ContainerLevel>(json).unwrap();
+    assert_eq!(read("{}"), ContainerLevel { hidden: 0, ..Default::default() });
+    assert_eq!(read(r#"{"b":"x"}"#), ContainerLevel { a: 7, b: "x".into(), hidden: 0 });
+    assert!(serde_json::from_str::<ContainerLevel>("[]").is_err());
+    // Writing is unaffected.
+    assert_eq!(assert_streams_like_its_tree(&read(r#"{"a":1}"#)), r#"{"a":1,"b":"seven"}"#);
 }
 
 #[test]
