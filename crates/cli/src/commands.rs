@@ -7,16 +7,13 @@ use std::path::Path;
 
 use ibox::{
     fit_model, load_trace, BatchSpec, FitCache, FittedModel, IBoxMlSpec, ModelArtifact, ModelKind,
-    PathModel, RunRecord, RunSpec, ValidityRegion,
+    ReplayRequest, RunRecord, RunSpec, ValidityRegion,
 };
 use ibox_obs::{RunManifest, RunManifestBuilder};
-use ibox_sim::SimTime;
-use ibox_testbed::pantheon::run_protocol;
-use ibox_testbed::Profile;
 use ibox_trace::metrics::TraceMetrics;
 
 use crate::args::{parse, CmdSpec, OptSpec, PosSpec};
-use crate::io::{load_model, save_text, save_trace};
+use crate::io::{save_text, save_trace};
 
 const OUTPUT: OptSpec = OptSpec::value("--output", "path").with_short("-o");
 const DURATION: OptSpec = OptSpec::value("--duration", "S");
@@ -227,15 +224,14 @@ fn model_cache(p: &crate::args::Parsed) -> Result<FitCache, String> {
     }
 }
 
-/// `--duration` in seconds (default 30): finite and positive, since the
-/// engine asserts both.
-fn duration_arg(p: &crate::args::Parsed) -> Result<f64, String> {
-    let secs = p.num("--duration", 30.0f64)?;
-    if secs.is_finite() && secs > 0.0 {
-        Ok(secs)
-    } else {
-        Err(format!("--duration must be a positive number of seconds, got {secs}"))
-    }
+/// `--protocol`, `--duration` and `--seed` as a replay request — checked
+/// here, before any file is opened.
+fn replay_flags(p: &crate::args::Parsed) -> Result<ReplayRequest, String> {
+    let mut replay = ReplayRequest::new(p.required("--protocol")?);
+    replay.duration_s = p.num("--duration", replay.duration_s)?;
+    replay.seed = p.num("--seed", replay.seed)?;
+    replay.check()?;
+    Ok(replay)
 }
 
 /// Map the `fit --model` selector (plus the legacy iBoxNet fit-variant
@@ -294,7 +290,7 @@ fn cmd_fit(argv: &[String]) -> Result<(), String> {
     }
     println!("  config hash : {}", artifact.config_hash);
     if let Some(out) = p.opt("--output") {
-        artifact.save(Path::new(out)).map_err(|e| e.to_string())?;
+        artifact.save(Path::new(out))?;
         ibox_obs::info!("model artifact written to {out}");
         write_manifest(RunManifestBuilder::new("fit").config(&kind), out)?;
     }
@@ -303,31 +299,13 @@ fn cmd_fit(argv: &[String]) -> Result<(), String> {
 
 fn cmd_replay(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, &REPLAY)?;
-    let duration = SimTime::from_secs_f64(duration_arg(&p)?);
-    let artifact = load_model(p.positional(0, "model artifact")?)?;
-    let protocol = p.required("--protocol")?;
-    if ibox_cc::by_name(protocol).is_none() {
-        return Err(format!("unknown protocol {protocol:?}"));
-    }
-    let seed = p.num("--seed", 1u64)?;
-    let fidelity = p.opt("--fidelity").unwrap_or("packet").parse::<ibox::Fidelity>()?;
-    // --path <file.json> replays the model through a composed chain of
-    // bottleneck stages (a PathSpec: a bare stage array or
-    // `{"stages": [...]}`) instead of its fitted single-stage path.
-    let path = match p.opt("--path") {
-        Some(file) => {
-            let text =
-                std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-            let spec: ibox_sim::PathSpec =
-                serde_json::from_str(&text).map_err(|e| format!("bad path spec {file}: {e}"))?;
-            if spec.is_empty() {
-                return Err(format!("path spec {file} needs at least one stage"));
-            }
-            Some(spec)
-        }
-        None => None,
-    };
-    if let Some(spec) = &path {
+    let mut replay = replay_flags(&p)?;
+    replay.fidelity = p.opt("--fidelity").unwrap_or(replay.fidelity.as_str()).parse()?;
+    // A composed chain of stages to replay through, not the recorded path.
+    replay.path = p.opt("--path").map(ibox::load_path).transpose()?;
+    let artifact = ModelArtifact::load(Path::new(p.positional(0, "model artifact")?))?;
+    let trace = replay.run(&artifact)?;
+    if let Some(spec) = &replay.path {
         println!(
             "path          : {} stage(s), bottleneck {:.3} Mbps, prop {:.2} ms",
             spec.len(),
@@ -335,8 +313,6 @@ fn cmd_replay(argv: &[String]) -> Result<(), String> {
             spec.total_prop_delay().as_millis_f64()
         );
     }
-    let opts = ibox::ReplayOpts { fidelity, path, ..Default::default() };
-    let trace = artifact.model.simulate_with(protocol, duration, seed, opts);
     println!("model         : {} (fitted on {})", artifact.kind, artifact.fitted_on);
     print_metrics(&trace);
     println!("trace digest  : {}", trace.digest());
@@ -344,7 +320,7 @@ fn cmd_replay(argv: &[String]) -> Result<(), String> {
         save_trace(&trace, out)?;
         ibox_obs::info!("replayed trace written to {out}");
         write_manifest(
-            RunManifestBuilder::new("replay").seed(seed).config(&artifact.config_hash),
+            RunManifestBuilder::new("replay").seed(replay.seed).config(&artifact.config_hash),
             out,
         )?;
     }
@@ -355,12 +331,7 @@ fn cmd_simulate(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, &SIMULATE)?;
     let builder = RunManifestBuilder::new("simulate");
     let profile_path = p.positional(0, "profile file")?;
-    let protocol = p.required("--protocol")?;
-    if ibox_cc::by_name(protocol).is_none() {
-        return Err(format!("unknown protocol {protocol:?}"));
-    }
-    let duration_s = duration_arg(&p)?;
-    let seed = p.num("--seed", 1u64)?;
+    let replay = replay_flags(&p)?;
     let runs = p.num("--runs", 1usize)?;
     let jobs = p.num("--jobs", 1usize)?;
     if runs == 0 {
@@ -375,9 +346,9 @@ fn cmd_simulate(argv: &[String]) -> Result<(), String> {
             b = b.run(
                 RunSpec::builder()
                     .profile_file(profile_path)
-                    .protocol(protocol)
-                    .duration_s(duration_s)
-                    .seed(seed + i as u64)
+                    .protocol(&replay.protocol)
+                    .duration_s(replay.duration_s)
+                    .seed(replay.seed + i as u64)
                     .build()?,
             );
         }
@@ -390,19 +361,18 @@ fn cmd_simulate(argv: &[String]) -> Result<(), String> {
         if let Some(out) = p.opt("--output") {
             save_text(&result.to_json(), out)?;
             ibox_obs::info!("batch results written to {out}");
-            write_manifest(builder.seed(seed).config(&batch), out)?;
+            write_manifest(builder.seed(replay.seed).config(&batch), out)?;
         }
         return Ok(());
     }
 
-    let artifact = load_model(profile_path)?;
-    let duration = SimTime::from_secs_f64(duration_s);
-    let trace = artifact.model.simulate(protocol, duration, seed);
+    let artifact = ModelArtifact::load(Path::new(profile_path))?;
+    let trace = replay.run(&artifact)?;
     print_metrics(&trace);
     if let Some(out) = p.opt("--output") {
         save_trace(&trace, out)?;
         ibox_obs::info!("counterfactual trace written to {out}");
-        write_manifest(builder.seed(seed).config(&artifact.config_hash), out)?;
+        write_manifest(builder.seed(replay.seed).config(&artifact.config_hash), out)?;
     }
     Ok(())
 }
@@ -417,15 +387,13 @@ fn cmd_metrics(argv: &[String]) -> Result<(), String> {
 fn cmd_synth(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, &SYNTH)?;
     let builder = RunManifestBuilder::new("synth");
-    let profile = Profile::from_name(p.required("--profile")?)?;
-    let protocol = p.required("--protocol")?;
-    if ibox_cc::by_name(protocol).is_none() {
-        return Err(format!("unknown protocol {protocol:?}"));
-    }
-    let duration = SimTime::from_secs_f64(duration_arg(&p)?);
     let seed = p.num("--seed", 1u64)?;
-    let inst = profile.builder().seed(seed).duration(duration).sample();
-    let trace = run_protocol(&inst, protocol, duration, seed);
+    let (inst, trace) = ibox_testbed::synth(
+        p.required("--profile")?,
+        p.required("--protocol")?,
+        p.num("--duration", 30.0f64)?,
+        seed,
+    )?;
     print_metrics(&trace);
     if let Some(out) = p.opt("--output") {
         save_trace(&trace, out)?;
@@ -980,7 +948,7 @@ mod tests {
             ] {
                 let err = dispatch(&argv(&[cmd, &["--duration", bad]].concat())).unwrap_err();
                 assert!(
-                    err.contains("--duration must be a positive number of seconds"),
+                    err.contains("duration must be a positive number of seconds"),
                     "{} --duration {bad}: {err}",
                     cmd[0]
                 );
@@ -1034,7 +1002,7 @@ mod tests {
 
         // The written artifact is a versioned envelope around the fitted
         // model, and two separate loads replay byte-identically.
-        let artifact = load_model(&model_path).unwrap();
+        let artifact = ModelArtifact::load(Path::new(&model_path)).unwrap();
         assert_eq!(artifact.schema, ibox::MODEL_ARTIFACT_SCHEMA);
         assert_eq!(artifact.kind, "Statistical loss");
         for out in [&out1, &out2] {
@@ -1127,6 +1095,40 @@ mod tests {
             dispatch(&argv(&["replay", &model_path, "--protocol", "cubic", "--path", &chain_path]))
                 .unwrap_err();
         assert!(err.contains("at least one stage"), "{err}");
+        // Stages an engine would assert on: one sentence naming the stage
+        // and the field.
+        let ok = r#"{"rate_bps":5e6,"prop_delay_ms":10,"buffer_bytes":60000"#;
+        for (stage, field) in [
+            (r#"{"rate_bps":5e6,"prop_delay_ms":10,"buffer_bytes":0}"#.to_string(), "buffer_bytes"),
+            (r#"{"rate_bps":0,"prop_delay_ms":10,"buffer_bytes":60000}"#.to_string(), "rate"),
+            (format!(r#"{ok},"random_loss":2}}"#), "random_loss"),
+            (
+                format!(
+                    r#"{ok},"cross":[{{"Cbr":{{"rate_bps":1e6,"pkt_size":1200,"start":5,"stop":5}}}}]}}"#
+                ),
+                "cross[0]",
+            ),
+            (
+                r#"{"rate_bps":5e6,"prop_delay_ms":-4,"buffer_bytes":60000}"#.to_string(),
+                "prop_delay_ms",
+            ),
+            (
+                format!(r#"{ok},"reorder":{{"probability":0.1,"extra_min":9,"extra_max":3}}}}"#),
+                "reorder",
+            ),
+        ] {
+            std::fs::write(&chain_path, format!("[{ok}}}, {stage}]")).unwrap();
+            let err = dispatch(&argv(&[
+                "replay",
+                &model_path,
+                "--protocol",
+                "cubic",
+                "--path",
+                &chain_path,
+            ]))
+            .unwrap_err();
+            assert!(err.contains("stage 1") && err.contains(field), "{field}: {err}");
+        }
 
         for p in [&trace_path, &model_path, &chain_path, &out_flat, &out_chain, &out_chain2] {
             let _ = std::fs::remove_file(p);

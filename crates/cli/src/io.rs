@@ -20,14 +20,6 @@ pub fn save_text(text: &str, path: &str) -> Result<(), String> {
     fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
-/// Load a fitted model: either a versioned [`ibox::ModelArtifact`]
-/// envelope or a legacy bare iBoxNet profile. Failures come back as one
-/// sentence naming the offending file (and, on version skew, both schema
-/// versions) — never a panic.
-pub fn load_model(path: &str) -> Result<ibox::ModelArtifact, String> {
-    ibox::ModelArtifact::load_flexible(Path::new(path)).map_err(|e| e.to_string())
-}
-
 fn extension(path: &str) -> &str {
     Path::new(path).extension().and_then(|e| e.to_str()).unwrap_or("")
 }
@@ -80,29 +72,5 @@ mod tests {
     fn missing_file_reports_path() {
         let err = load_trace("/nonexistent/trace.json").unwrap_err();
         assert!(err.contains("/nonexistent/trace.json"));
-    }
-
-    #[test]
-    fn load_model_reports_path_on_malformed_json() {
-        let path = tmp("ibox_cli_test_bad_model.json");
-        fs::write(&path, "{ this is not a model").unwrap();
-        let err = load_model(&path).unwrap_err();
-        assert!(err.contains(&path), "error must name the file: {err}");
-        assert!(err.contains("malformed"), "{err}");
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn load_model_reports_both_schema_versions_on_skew() {
-        let path = tmp("ibox_cli_test_future_model.json");
-        fs::write(&path, r#"{"schema": 999, "kind": "iBoxNet"}"#).unwrap();
-        let err = load_model(&path).unwrap_err();
-        assert!(err.contains(&path), "{err}");
-        assert!(err.contains("999"), "must name the file's version: {err}");
-        assert!(
-            err.contains(&ibox::MODEL_ARTIFACT_SCHEMA.to_string()),
-            "must name the supported version: {err}"
-        );
-        let _ = fs::remove_file(&path);
     }
 }

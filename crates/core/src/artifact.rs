@@ -31,8 +31,8 @@ use crate::model::{FittedModel, PathModel};
 /// single-bottleneck spec); v2 records the replay path as an explicit
 /// [`PathSpec`] stage chain; v3 adds optional lineage fields (`parent`,
 /// `trace_digest`, `fit_seq`) for registry versioning — absent in v1/v2
-/// artifacts, which still load (see [`ModelArtifact::parse`]) with the
-/// lineage fields defaulting to `None`/`0`.
+/// artifacts. Every older form still loads: [`ModelArtifact::parse`]
+/// upgrades it in memory to this version.
 pub const MODEL_ARTIFACT_SCHEMA: u32 = 3;
 
 /// Filename suffix for registry-managed artifacts (`<id>.artifact.json`).
@@ -90,12 +90,11 @@ impl std::fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-/// Minimal probe of the envelope, parsed before the full payload so
-/// version skew is reported as such (a v2 artifact should say "schema
-/// version 2", not "unknown field").
-#[derive(Deserialize)]
-struct EnvelopeProbe {
-    schema: Option<u64>,
+/// Lets `String`-erroring callers (CLI, batch executor) `?` a load.
+impl From<ArtifactError> for String {
+    fn from(e: ArtifactError) -> Self {
+        e.to_string()
+    }
 }
 
 /// A fitted model with its envelope: what `ibox fit -o` writes and
@@ -169,70 +168,47 @@ impl ModelArtifact {
         serde_json::to_string(self).expect("artifact serialization cannot fail")
     }
 
-    /// Parse an artifact, attributing failures to `origin`.
+    /// Parse any on-disk form of a fitted model, attributing failures to
+    /// `origin`. The `schema` field picks where the document enters a
+    /// linear upgrade chain: none — a bare iBoxNet profile, the
+    /// pre-envelope `ibox fit` output, gets an envelope; 1 — gets the
+    /// model's own 1-stage `path`; 2 — its absent lineage reads as `None`;
+    /// 3 — current. A newer schema is a `SchemaMismatch`, anything else
+    /// unreadable a `Parse` error — never a panic.
     pub fn parse(json: &str, origin: &Path) -> Result<Self, ArtifactError> {
-        let probe: EnvelopeProbe = serde_json::from_str(json).map_err(|e| {
-            ArtifactError::Parse { path: origin.to_path_buf(), detail: e.to_string() }
-        })?;
-        match probe.schema {
-            None => Err(ArtifactError::Parse {
-                path: origin.to_path_buf(),
-                detail: "missing \"schema\" field — not a model artifact".into(),
-            }),
-            Some(v @ 1..=3) => {
-                let mut artifact: Self = serde_json::from_str(json).map_err(|e| {
-                    ArtifactError::Parse { path: origin.to_path_buf(), detail: e.to_string() }
+        let malformed =
+            |detail: String| ArtifactError::Parse { path: origin.to_path_buf(), detail };
+        let doc = serde_json::parse_value(json).map_err(|e| malformed(e.to_string()))?;
+        let found = doc.get("schema").map(u64::from_value).transpose();
+        let found = found.map_err(|e| malformed(e.to_string()))?;
+        let mut artifact = match found {
+            None => {
+                let net = IBoxNet::from_value(&doc).map_err(|_| {
+                    malformed("missing \"schema\" field — not a model artifact".into())
                 })?;
-                if v == 1 {
-                    // v1 predates path composition: upgrade in memory to
-                    // an explicit 1-stage chain, which replays
-                    // byte-identically to the v1 behavior.
-                    artifact.schema = MODEL_ARTIFACT_SCHEMA;
-                    artifact.path = Some(artifact.model.path_spec());
-                }
-                Ok(artifact)
+                Self::new(&ModelKind::IBoxNet, FittedModel::IBoxNet(net))
             }
-            Some(v) => Err(ArtifactError::SchemaMismatch {
-                path: origin.to_path_buf(),
-                found: v,
-                supported: MODEL_ARTIFACT_SCHEMA,
-            }),
+            Some(1..=3) => Self::from_value(&doc).map_err(|e| malformed(e.to_string()))?,
+            Some(v) => {
+                return Err(ArtifactError::SchemaMismatch {
+                    path: origin.to_path_buf(),
+                    found: v,
+                    supported: MODEL_ARTIFACT_SCHEMA,
+                })
+            }
+        };
+        if found == Some(1) {
+            artifact.path = Some(artifact.model.path_spec());
         }
+        artifact.schema = MODEL_ARTIFACT_SCHEMA;
+        Ok(artifact)
     }
 
-    /// Load an artifact from disk.
+    /// Load from disk: the one reader for every on-disk form.
     pub fn load(path: &Path) -> Result<Self, ArtifactError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| ArtifactError::Io { path: path.to_path_buf(), detail: e.to_string() })?;
         Self::parse(&text, path)
-    }
-
-    /// Load either a real artifact **or** a legacy bare iBoxNet profile
-    /// (the pre-envelope output of `ibox fit`, a serialized [`IBoxNet`]
-    /// with no `schema` field). Legacy profiles are wrapped on the fly so
-    /// `ibox simulate` and batch `ProfileFile` sources keep accepting
-    /// files fitted by older builds.
-    pub fn load_flexible(path: &Path) -> Result<Self, ArtifactError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ArtifactError::Io { path: path.to_path_buf(), detail: e.to_string() })?;
-        match Self::parse(&text, path) {
-            Ok(artifact) => Ok(artifact),
-            Err(err @ ArtifactError::SchemaMismatch { .. }) => Err(err),
-            Err(err) => match IBoxNet::from_json(&text) {
-                Ok(net) => Ok(Self {
-                    schema: MODEL_ARTIFACT_SCHEMA,
-                    kind: "iBoxNet".to_string(),
-                    config_hash: ibox_obs::config_hash(&ModelKind::IBoxNet),
-                    fitted_on: net.fitted_on.clone(),
-                    path: Some(net.path_spec()),
-                    model: FittedModel::IBoxNet(net),
-                    parent: None,
-                    trace_digest: None,
-                    fit_seq: None,
-                }),
-                Err(_) => Err(err),
-            },
-        }
     }
 
     /// Path of the registry file for model `id` under `dir`
@@ -324,6 +300,7 @@ mod tests {
         }
         let v2_json = serde_json::to_string(&v).unwrap();
         let loaded = ModelArtifact::parse(&v2_json, Path::new("v2.json")).unwrap();
+        assert_eq!(loaded.schema, MODEL_ARTIFACT_SCHEMA, "v2 upgrades in memory");
         assert_eq!(loaded.parent, None);
         assert_eq!(loaded.trace_digest, None);
         assert_eq!(loaded.fit_seq, None);
@@ -364,16 +341,17 @@ mod tests {
         );
     }
 
+    /// The head of the upgrade chain: a pre-envelope bare iBoxNet profile
+    /// loads through the one reader as the envelope a fresh fit would get.
     #[test]
-    fn load_flexible_accepts_legacy_bare_profiles() {
+    fn load_accepts_legacy_bare_profiles() {
         let artifact = sample_artifact();
         let FittedModel::IBoxNet(net) = &artifact.model else { panic!("iboxnet expected") };
         let dir = std::env::temp_dir();
         let legacy = dir.join("ibox_artifact_test_legacy.json");
         std::fs::write(&legacy, net.to_json()).unwrap();
-        let loaded = ModelArtifact::load_flexible(&legacy).unwrap();
-        assert_eq!(loaded.kind, "iBoxNet");
-        assert_eq!(loaded.fitted_on, net.fitted_on);
+        let loaded = ModelArtifact::load(&legacy).unwrap();
+        assert_eq!(loaded.to_json(), artifact.to_json());
         let _ = std::fs::remove_file(&legacy);
     }
 }

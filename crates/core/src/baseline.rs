@@ -50,9 +50,10 @@ impl StatisticalLossModel {
         p
     }
 
-    /// Run `protocol` over the baseline for `duration`.
+    /// Run `protocol` over the baseline for `duration`, on the packet
+    /// engine over the fitted path.
     pub fn simulate(&self, protocol: &str, duration: SimTime, seed: u64) -> FlowTrace {
-        self.simulate_fidelity(protocol, duration, seed, Fidelity::Packet)
+        self.simulate_fidelity_over(protocol, duration, seed, Fidelity::Packet, None)
     }
 
     /// The fitted path (with its calibrated random loss) as a 1-stage
@@ -61,24 +62,11 @@ impl StatisticalLossModel {
         PathSpec::single(self.path_config())
     }
 
-    /// [`StatisticalLossModel::simulate`] at an explicit [`Fidelity`]
-    /// (same contract as `IBoxNet::simulate_fidelity`: unsupported
-    /// protocols/paths degrade to the packet engine, counted in
-    /// `fidelity.fallback`).
-    pub fn simulate_fidelity(
-        &self,
-        protocol: &str,
-        duration: SimTime,
-        seed: u64,
-        fidelity: Fidelity,
-    ) -> FlowTrace {
-        self.simulate_fidelity_over(protocol, duration, seed, fidelity, None)
-    }
-
-    /// [`StatisticalLossModel::simulate_fidelity`] through an arbitrary
-    /// composed path (same contract as
-    /// `IBoxNet::simulate_fidelity_over`). `None` replays the fitted
-    /// single-bottleneck spec.
+    /// [`StatisticalLossModel::simulate`] at an explicit [`Fidelity`] and
+    /// through an arbitrary composed path (same contract as
+    /// `IBoxNet::simulate_fidelity_over`: `None` replays the fitted
+    /// single-bottleneck spec; unsupported protocols/paths degrade to the
+    /// packet engine, counted in `fidelity.fallback`).
     pub fn simulate_fidelity_over(
         &self,
         protocol: &str,

@@ -16,14 +16,12 @@
 use serde::{Deserialize, Serialize};
 
 use ibox_runner::{BatchSpec, RunSource, RunSpec};
-use ibox_sim::SimTime;
-use ibox_testbed::{run_protocol, Profile};
 use ibox_trace::metrics::TraceMetrics;
 use ibox_trace::{from_csv, FlowMeta, FlowTrace};
 
 use crate::artifact::ModelArtifact;
 use crate::cache::FitCache;
-use crate::model::ReplayOpts;
+use crate::replay::ReplayRequest;
 
 /// Outcome of one [`RunSpec`]: identity plus the replay's summary metrics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -89,65 +87,23 @@ pub fn execute_run_cached(
     spec: &RunSpec,
     cache: &FitCache,
 ) -> Result<(RunRecord, FlowTrace), String> {
-    if !spec.duration_s.is_finite() || spec.duration_s <= 0.0 {
-        return Err(format!("duration must be positive, got {}", spec.duration_s));
-    }
-    if ibox_cc::by_name(&spec.protocol).is_none() {
-        return Err(format!("unknown protocol {:?}", spec.protocol));
-    }
-    let duration = SimTime::from_secs_f64(spec.duration_s);
-    // Parse the (optional) composed replay path once, up front: the spec
-    // carries it as raw JSON so `ibox-runner` stays domain-light.
-    let path = match &spec.path {
-        Some(raw) => {
-            let p = ibox_sim::PathSpec::from_value(raw)
-                .map_err(|e| format!("bad path spec: {}", e.0))?;
-            if p.is_empty() {
-                return Err("path spec needs at least one stage".into());
-            }
-            Some(p)
-        }
-        None => None,
+    // Replay options are checked before any synthesis or fit is paid for.
+    let replay = ReplayRequest::from_spec(spec)?;
+    replay.check()?;
+    let fitted = |train: &FlowTrace| {
+        let model = cache.fit_path_model(&spec.model, train);
+        (spec.model.name(), ModelArtifact::new(&spec.model, model))
     };
-    let opts = ReplayOpts { fidelity: spec.fidelity, path, ..ReplayOpts::default() };
-    let (model_name, sim) = match &spec.source {
+    let (model_name, artifact) = match &spec.source {
         RunSource::Synth { profile, protocol, seed } => {
-            if ibox_cc::by_name(protocol).is_none() {
-                return Err(format!("unknown training protocol {protocol:?}"));
-            }
-            let inst =
-                Profile::from_name(profile)?.builder().seed(*seed).duration(duration).sample();
-            let train = run_protocol(&inst, protocol, duration, *seed);
-            let fitted = cache.fit_path_model(&spec.model, &train);
-            (spec.model.name(), fitted.simulate_with(&spec.protocol, duration, spec.seed, opts))
+            fitted(&ibox_testbed::synth(profile, protocol, spec.duration_s, *seed)?.1)
         }
-        RunSource::TraceFile { path } => {
-            let train = load_trace(path)?;
-            let fitted = cache.fit_path_model(&spec.model, &train);
-            (spec.model.name(), fitted.simulate_with(&spec.protocol, duration, spec.seed, opts))
-        }
+        RunSource::TraceFile { path } => fitted(&load_trace(path)?),
         RunSource::ProfileFile { path } => {
-            // Accepts both versioned model artifacts (any kind) and
-            // legacy bare iBoxNet profiles. A multi-stage chain recorded
-            // in the artifact applies unless the spec overrides it; a
-            // recorded 1-stage chain is the model's own fitted path, so
-            // skipping it keeps the replay byte-identical to pre-chain
-            // builds.
-            let artifact = ModelArtifact::load_flexible(std::path::Path::new(path))
-                .map_err(|e| e.to_string())?;
-            let opts = ReplayOpts {
-                path: opts
-                    .path
-                    .clone()
-                    .or_else(|| artifact.path.clone().filter(|spec| !spec.is_single())),
-                ..opts
-            };
-            (
-                "profile replay",
-                artifact.model.simulate_with(&spec.protocol, duration, spec.seed, opts),
-            )
+            ("profile replay", ModelArtifact::load(std::path::Path::new(path))?)
         }
     };
+    let sim = replay.run(&artifact)?;
     let record = RunRecord {
         id: spec.id.clone(),
         model: model_name.to_string(),
@@ -198,6 +154,8 @@ pub fn run_batch_with_cache(
 mod tests {
     use super::*;
     use ibox_runner::ModelKind;
+    use ibox_sim::SimTime;
+    use ibox_testbed::{run_protocol, Profile};
 
     fn small_batch() -> BatchSpec {
         let mut b = BatchSpec::builder().jobs(1);
@@ -467,7 +425,7 @@ mod tests {
     /// A malformed or empty `path` is rejected with the run index, not a
     /// panic deep inside the engine.
     #[test]
-    fn bad_path_specs_are_rejected_by_name() {
+    fn bad_path_specs_are_rejected_with_the_run_index() {
         let run_with = |raw: &str| {
             let spec = RunSpec::builder()
                 .synth("ethernet", "cubic", 1)

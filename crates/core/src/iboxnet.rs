@@ -125,32 +125,21 @@ impl IBoxNet {
     }
 
     /// Run `protocol` over the fitted model for `duration`, returning its
-    /// normalized input-output trace — the counterfactual prediction.
+    /// normalized input-output trace — the counterfactual prediction, on
+    /// the packet engine over the fitted path.
     pub fn simulate(&self, protocol: &str, duration: SimTime, seed: u64) -> FlowTrace {
-        self.simulate_fidelity(protocol, duration, seed, Fidelity::Packet)
+        self.simulate_fidelity_over(protocol, duration, seed, Fidelity::Packet, None)
     }
 
-    /// [`IBoxNet::simulate`] at an explicit [`Fidelity`]: `Packet` is the
+    /// [`IBoxNet::simulate`] at an explicit [`Fidelity`] — `Packet` is the
     /// reference engine, `Flow` the fluid fast path (10–100x faster,
     /// bounded distributional error), `Hybrid` the fluid path with
-    /// packet-level fallback around congestion episodes. Protocols or
-    /// paths the fluid engine cannot model degrade to `Packet`.
-    pub fn simulate_fidelity(
-        &self,
-        protocol: &str,
-        duration: SimTime,
-        seed: u64,
-        fidelity: Fidelity,
-    ) -> FlowTrace {
-        self.simulate_fidelity_over(protocol, duration, seed, fidelity, None)
-    }
-
-    /// [`IBoxNet::simulate_fidelity`] through an arbitrary composed path:
-    /// `path` (when given) replaces the fitted single-bottleneck spec, and
-    /// the model's estimated cross traffic still competes at stage 0. Non-
-    /// packet fidelities the fluid engine cannot express fall back to the
-    /// packet engine, incrementing `fidelity.fallback` and logging the
-    /// reason.
+    /// packet-level fallback around congestion episodes — and through an
+    /// arbitrary composed path: `path` (when given) replaces the fitted
+    /// single-bottleneck spec, and the model's estimated cross traffic
+    /// still competes at stage 0. Non-packet fidelities the fluid engine
+    /// cannot express fall back to the packet engine, incrementing
+    /// `fidelity.fallback` and logging the reason.
     pub fn simulate_fidelity_over(
         &self,
         protocol: &str,

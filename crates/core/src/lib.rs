@@ -68,6 +68,9 @@
 //!   weights).
 //! * [`artifact`] — versioned JSON envelopes ([`ModelArtifact`]) around
 //!   fitted models; a saved-then-loaded model replays byte-identically.
+//! * [`replay`] — the one front door: [`ReplayRequest`] owns the defaults,
+//!   bounds and recorded-path rule of the five replay options, and every
+//!   surface (CLI, HTTP, batch) replays through it.
 //! * [`cache`] — the content-addressed [`FitCache`] (trace digest ×
 //!   kind × config × seed) with single-flight lookups and
 //!   `fitcache.hit`/`miss` obs counters, used by the ensemble harness,
@@ -89,6 +92,7 @@ pub mod iboxnet;
 pub mod meld;
 pub mod model;
 pub mod realism;
+pub mod replay;
 pub mod validity;
 
 pub use abtest::{ensemble_test, instance_test, EnsembleReport, InstanceReport, ModelKind};
@@ -104,6 +108,7 @@ pub use iboxml::{IBoxMl, IBoxMlConfig, IBoxMlConfigBuilder};
 pub use iboxnet::IBoxNet;
 pub use model::{fit_model, FittedIBoxMl, FittedModel, PathModel, ReplayOpts};
 pub use realism::{realism_of_model, realism_test, RealismReport};
+pub use replay::{load_path, ReplayRequest};
 pub use validity::{ValidityRegion, ValidityReport};
 
 // The typed batch API, re-exported so downstream users need only `ibox`.

@@ -94,8 +94,8 @@ pub struct FittedIBoxMl {
     pub driver: IBoxNet,
 }
 
-/// Replay options threaded from `RunSpec`/`POST /replay`/`ibox replay`
-/// down to the model.
+/// What a replay hands the model. Every user-facing surface builds it in
+/// one place, [`crate::replay::ReplayRequest::run`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOpts {
     /// Drive ML inference through the batched
@@ -240,8 +240,7 @@ pub enum FittedModel {
 }
 
 impl FittedModel {
-    /// [`PathModel::simulate`] with explicit [`ReplayOpts`] (only the ML
-    /// family reacts to them; the other families ignore the options).
+    /// [`PathModel::simulate`] with explicit [`ReplayOpts`].
     pub fn simulate_with(
         &self,
         protocol: &str,

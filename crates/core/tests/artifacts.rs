@@ -8,7 +8,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use ibox::{fit_model, ModelArtifact, ModelKind, PathModel, MODEL_ARTIFACT_SCHEMA};
+use ibox::{fit_model, ArtifactError, ModelArtifact, ModelKind, PathModel, MODEL_ARTIFACT_SCHEMA};
 use ibox_runner::IBoxMlSpec;
 use ibox_sim::SimTime;
 
@@ -86,9 +86,9 @@ proptest! {
     }
 
     /// Satellite: every schema-1 single-bottleneck artifact (no `path`
-    /// field) loads via `load_flexible` as a 1-stage chain and replays
-    /// byte-identically to its schema-2 form, under arbitrary protocols,
-    /// seeds, and durations.
+    /// field) loads via `ModelArtifact::load` as a 1-stage chain and
+    /// replays byte-identically to its current form, under arbitrary
+    /// protocols, seeds, and durations.
     #[test]
     fn schema_1_artifacts_load_as_one_stage_chains_and_replay_identically(
         seed in any::<u64>(),
@@ -115,7 +115,7 @@ proptest! {
                 kind.name().replace(['/', ' '], "_")
             ));
             std::fs::write(&file, serde_json::to_string(&v).unwrap()).unwrap();
-            let loaded = ModelArtifact::load_flexible(&file).unwrap();
+            let loaded = ModelArtifact::load(&file).unwrap();
             let _ = std::fs::remove_file(&file);
 
             prop_assert_eq!(
@@ -134,6 +134,35 @@ proptest! {
             );
         }
     }
+
+    /// The one reader survives hostile bytes: arbitrary bytes, and a real
+    /// artifact truncated or with bytes overwritten, come back as a typed
+    /// [`ArtifactError`] naming the file (or, when the damage happens to
+    /// leave a loadable document, as an artifact) — never a panic.
+    #[test]
+    fn arbitrary_bytes_are_a_typed_error_never_a_panic(
+        noise in proptest::collection::vec(0u8..255, 0..200),
+        cut in 0usize..10_000,
+        kind_idx in 0usize..4,
+    ) {
+        let file = std::env::temp_dir().join(format!("ibox_hostile_{}.json", std::process::id()));
+        let real = artifacts()[kind_idx].1.to_json().into_bytes();
+        let cut = cut % real.len();
+        let mut overwritten = real.clone();
+        for (i, b) in noise.iter().enumerate() {
+            overwritten[(cut + 7 * i) % real.len()] = *b;
+        }
+        for bytes in [noise.clone(), real[..cut].to_vec(), overwritten] {
+            std::fs::write(&file, &bytes).unwrap();
+            match ModelArtifact::load(&file) {
+                Ok(artifact) => prop_assert_eq!(artifact.schema, MODEL_ARTIFACT_SCHEMA),
+                Err(ArtifactError::Io { path, .. })
+                | Err(ArtifactError::Parse { path, .. })
+                | Err(ArtifactError::SchemaMismatch { path, .. }) => prop_assert_eq!(&path, &file),
+            }
+        }
+        let _ = std::fs::remove_file(&file);
+    }
 }
 
 #[test]
@@ -148,18 +177,15 @@ fn version_mismatch_is_rejected_at_the_file_level() {
     );
     std::fs::write(&path, &skewed).unwrap();
 
-    for result in [ModelArtifact::load(&path), ModelArtifact::load_flexible(&path)] {
-        let err = result.unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains(path.display().to_string().as_str()),
-            "must name the offending file: {msg}"
-        );
-        assert!(msg.contains("schema version 99"), "must name the file's version: {msg}");
-        assert!(
-            msg.contains(&format!("version {MODEL_ARTIFACT_SCHEMA}")),
-            "must name the supported version: {msg}"
-        );
-    }
+    let msg = ModelArtifact::load(&path).unwrap_err().to_string();
+    assert!(
+        msg.contains(path.display().to_string().as_str()),
+        "must name the offending file: {msg}"
+    );
+    assert!(msg.contains("schema version 99"), "must name the file's version: {msg}");
+    assert!(
+        msg.contains(&format!("version {MODEL_ARTIFACT_SCHEMA}")),
+        "must name the supported version: {msg}"
+    );
     let _ = std::fs::remove_file(&path);
 }

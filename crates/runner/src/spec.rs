@@ -246,9 +246,8 @@ pub struct RunSpec {
     /// Optional composed path to replay through — raw JSON in the shape
     /// of `ibox_sim::PathSpec` (an array of stages, or `{"stages":
     /// [...]}`). Kept as an opaque [`serde::Value`] so this crate stays
-    /// domain-light; the executor in `ibox::batch` parses and validates
-    /// it. `None` (the default) replays through the model's own fitted
-    /// single-bottleneck path.
+    /// domain-light; `ibox::ReplayRequest` parses and validates it. `None`
+    /// (the default) replays through the artifact's recorded path.
     #[serde(default)]
     pub path: Option<serde::Value>,
 }
@@ -351,22 +350,16 @@ impl RunSpecBuilder {
         self
     }
 
-    /// Validate and build.
+    /// Build; needs a source and a protocol. Replay options are validated
+    /// where the run executes (`ibox::ReplayRequest`), as for a batch file.
     pub fn build(self) -> Result<RunSpec, String> {
         let source = self.source.ok_or("RunSpec needs a source (synth/trace_file/profile_file)")?;
         let protocol = self.protocol.ok_or("RunSpec needs a protocol")?;
-        if protocol.is_empty() {
-            return Err("RunSpec protocol must be non-empty".into());
-        }
-        let duration_s = self.duration_s.unwrap_or(30.0);
-        if !duration_s.is_finite() || duration_s <= 0.0 {
-            return Err(format!("RunSpec duration must be positive, got {duration_s}"));
-        }
         Ok(RunSpec {
             id: self.id,
             source,
             protocol,
-            duration_s,
+            duration_s: self.duration_s.unwrap_or(30.0),
             seed: self.seed.unwrap_or(1),
             model: self.model.unwrap_or(ModelKind::IBoxNet),
             fidelity: self.fidelity.unwrap_or_default(),
@@ -464,12 +457,6 @@ mod tests {
 
         assert!(RunSpec::builder().protocol("cubic").build().is_err(), "source required");
         assert!(RunSpec::builder().trace_file("t.json").build().is_err(), "protocol required");
-        assert!(RunSpec::builder()
-            .trace_file("t.json")
-            .protocol("cubic")
-            .duration_s(-1.0)
-            .build()
-            .is_err());
     }
 
     #[test]

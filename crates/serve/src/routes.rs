@@ -18,16 +18,15 @@ use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
 use serde::{Deserialize, Value};
 
 use ibox_obs::Stopwatch;
 
-use ibox::{BatchSpec, FitCache, FitCacheKey, ModelArtifact, ModelKind, ReplayOpts};
+use ibox::{BatchSpec, FitCache, FitCacheKey, ModelArtifact, ModelKind, ReplayRequest};
 use ibox_ingest::{FinalizeOutput, IngestConfig, SessionStore};
-use ibox_sim::SimTime;
 use ibox_trace::{FlowMeta, FlowTrace, PacketRecord};
 
 use crate::http::{Request, Response};
@@ -138,16 +137,17 @@ impl App {
 
     /// Join every background fit thread (part of graceful drain).
     pub fn drain_fits(&self) {
-        let threads: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.fit_threads.lock().expect("fit thread list lock"));
+        let threads: Vec<JoinHandle<()>> = std::mem::take(&mut *relock(&self.fit_threads));
         for t in threads {
             let _ = t.join();
         }
     }
+}
 
-    fn jobs_lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, FitJob>> {
-        self.fit_jobs.lock().unwrap_or_else(|p| p.into_inner())
-    }
+/// Lock fit bookkeeping, tolerating poison: the job table and thread list
+/// are valid after every statement, so one panic must not brick `/fit`.
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// Stable label for per-endpoint metrics (bounded cardinality: hostile
@@ -271,8 +271,8 @@ fn dispatch(app: &Arc<App>, req: &Request) -> Response {
             )
         }
         ("POST", "/fit") => handle_fit(app, req),
-        ("POST", "/replay") => handle_replay(app, req),
-        ("POST", "/batch") => handle_batch(app, req),
+        ("POST", "/replay") => handle_replay(app, req).unwrap_or_else(|resp| resp),
+        ("POST", "/batch") => handle_batch(app, req).unwrap_or_else(|resp| resp),
         ("POST", "/shutdown") => handle_shutdown(app),
         (_, path)
             if KNOWN_PATHS.contains(&path)
@@ -361,7 +361,7 @@ fn handle_models(app: &Arc<App>) -> Response {
 }
 
 fn handle_model_by_id(app: &Arc<App>, id: &str) -> Response {
-    if let Some(job) = app.jobs_lock().get(id) {
+    if let Some(job) = relock(&app.fit_jobs).get(id) {
         return match job {
             FitJob::Pending => object_response(202, &[("model", id), ("status", "pending")]),
             FitJob::Failed(e) => Response::error_with(
@@ -392,12 +392,7 @@ fn body_object(req: &Request) -> Result<Value, Response> {
 
 /// Extract an optional typed field, mapping type errors to 400s.
 fn field<T: Deserialize>(v: &Value, name: &str) -> Result<Option<T>, Response> {
-    match v.get(name) {
-        None | Some(Value::Null) => Ok(None),
-        Some(x) => T::from_value(x)
-            .map(Some)
-            .map_err(|e| Response::error(400, &format!("field {name:?}: {e}"))),
-    }
+    ibox::replay::field(v, name).map_err(|e| Response::error(400, &e))
 }
 
 /// Extract a required typed field.
@@ -405,21 +400,26 @@ fn required<T: Deserialize>(v: &Value, name: &str) -> Result<T, Response> {
     field(v, name)?.ok_or_else(|| Response::error(400, &format!("missing field {name:?}")))
 }
 
-fn checked_duration(duration_s: f64) -> Result<SimTime, Response> {
-    if !duration_s.is_finite() || duration_s <= 0.0 || duration_s > 3600.0 {
-        return Err(Response::error(
-            400,
-            &format!("duration_s must be in (0, 3600], got {duration_s}"),
+/// The longest replay or synthesis the daemon runs for a request, seconds:
+/// `/replay`, `/fit`'s `synth`, every `/batch` run. (Offline commands keep
+/// only the engine's bound: finite, positive.)
+const MAX_SERVED_DURATION_S: f64 = 3600.0;
+
+fn served_duration(duration_s: f64) -> Result<(), String> {
+    if duration_s > MAX_SERVED_DURATION_S {
+        return Err(format!(
+            "duration_s must be at most {MAX_SERVED_DURATION_S} when served, got {duration_s}"
         ));
     }
-    Ok(SimTime::from_secs_f64(duration_s))
+    Ok(())
 }
 
-fn checked_protocol(name: &str) -> Result<(), Response> {
-    if ibox_cc::by_name(name).is_none() {
-        return Err(Response::error(400, &format!("unknown protocol {name:?}")));
-    }
-    Ok(())
+/// A replay the daemon will run: its own checks plus the served ceiling.
+fn served(replay: Result<ReplayRequest, String>) -> Result<ReplayRequest, String> {
+    let replay = replay?;
+    served_duration(replay.duration_s)?;
+    replay.check()?;
+    Ok(replay)
 }
 
 /// Resolve the training trace of a `/fit` request: either an inline
@@ -436,15 +436,11 @@ fn training_trace(body: &Value) -> Result<FlowTrace, Response> {
     let profile: String = required(synth, "profile")?;
     let protocol: String = field(synth, "protocol")?.unwrap_or_else(|| "cubic".to_string());
     let seed: u64 = field(synth, "seed")?.unwrap_or(1);
-    let duration = checked_duration(field(synth, "duration_s")?.unwrap_or(10.0))?;
-    checked_protocol(&protocol)?;
-    let inst = ibox_testbed::Profile::from_name(&profile)
-        .map_err(|e| Response::error(400, &e))?
-        .builder()
-        .seed(seed)
-        .duration(duration)
-        .sample();
-    Ok(ibox_testbed::run_protocol(&inst, &protocol, duration, seed))
+    let duration_s: f64 = field(synth, "duration_s")?.unwrap_or(10.0);
+    served_duration(duration_s)
+        .and_then(|()| ibox_testbed::synth(&profile, &protocol, duration_s, seed))
+        .map(|(_, trace)| trace)
+        .map_err(|e| Response::error(400, &e))
 }
 
 /// Fit through the single-flight cache and publish the artifact under
@@ -618,7 +614,7 @@ fn handle_fit(app: &Arc<App>, req: &Request) -> Response {
 
     // Async path: claim the job slot under the table lock, then spawn.
     {
-        let mut jobs = app.jobs_lock();
+        let mut jobs = relock(&app.fit_jobs);
         match jobs.get(&id) {
             Some(FitJob::Pending) => {
                 return object_response(202, &[("model", &id), ("status", "pending")]);
@@ -655,7 +651,7 @@ fn handle_fit(app: &Arc<App>, req: &Request) -> Response {
             fit_and_register(&app2, &kind, &train, &id2)
         }))
         .unwrap_or_else(|_| Err("fit panicked".to_string()));
-        let mut jobs = app2.jobs_lock();
+        let mut jobs = relock(&app2.fit_jobs);
         match outcome {
             Ok(()) => {
                 jobs.remove(&id2);
@@ -671,7 +667,7 @@ fn handle_fit(app: &Arc<App>, req: &Request) -> Response {
     {
         // Keep the handle for graceful drain; reap finished threads so
         // the list stays bounded by max_async_fits in steady state.
-        let mut threads = app.fit_threads.lock().expect("fit thread list lock");
+        let mut threads = relock(&app.fit_threads);
         let (done, running): (Vec<_>, Vec<_>) = threads.drain(..).partition(|t| t.is_finished());
         for t in done {
             let _ = t.join();
@@ -682,34 +678,12 @@ fn handle_fit(app: &Arc<App>, req: &Request) -> Response {
     object_response(202, &[("model", &id), ("status", "pending")])
 }
 
-fn handle_replay(app: &Arc<App>, req: &Request) -> Response {
-    let body = match body_object(req) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let parsed = (|| {
-        let model_id: String = required(&body, "model")?;
-        let protocol: String = required(&body, "protocol")?;
-        let duration = checked_duration(field(&body, "duration_s")?.unwrap_or(30.0))?;
-        let seed: u64 = field(&body, "seed")?.unwrap_or(1);
-        // Replay engine fidelity; absent means the exact pre-knob packet
-        // engine, so existing clients see byte-identical responses.
-        let fidelity: ibox::Fidelity = field(&body, "fidelity")?.unwrap_or_default();
-        // Optional composed path: replay the model through this chain of
-        // bottleneck stages instead of its fitted single-stage spec.
-        let path: Option<ibox_sim::PathSpec> = field(&body, "path")?;
-        if let Some(p) = &path {
-            if p.is_empty() {
-                return Err(Response::error(400, "field \"path\": needs at least one stage"));
-            }
-        }
-        checked_protocol(&protocol)?;
-        Ok((model_id, protocol, duration, seed, fidelity, path))
-    })();
-    let (model_id, protocol, duration, seed, fidelity, path) = match parsed {
-        Ok(p) => p,
-        Err(resp) => return resp,
-    };
+/// `POST /replay`: the body's replay options become one
+/// [`ReplayRequest`]; an `Err` is the error response to send.
+fn handle_replay(app: &Arc<App>, req: &Request) -> Result<Response, Response> {
+    let body = body_object(req)?;
+    let model_id: String = required(&body, "model")?;
+    let replay = served(ReplayRequest::from_value(&body)).map_err(|e| Response::error(400, &e))?;
     // Version resolution: an explicit `<id>-vN` pins that version; a
     // base id with lineage resolves deterministically to its newest
     // version. The pin holds for the whole replay, so registry eviction
@@ -720,12 +694,12 @@ fn handle_replay(app: &Arc<App>, req: &Request) -> Response {
         app.registry.latest_version(&model_id).unwrap_or_else(|| model_id.clone())
     };
     let _pin = app.registry.pin(&resolved);
-    let artifact = match app.registry.get(&resolved) {
-        Ok(a) => a,
-        Err(e) => return Response::error(e.status(), &e.to_string()),
-    };
-    let opts = ReplayOpts { fidelity, path, ..ReplayOpts::default() };
-    let trace = artifact.model.simulate_with(&protocol, duration, seed, opts);
+    let artifact =
+        app.registry.get(&resolved).map_err(|e| Response::error(e.status(), &e.to_string()))?;
+    // The request passed `check()`: an error here is the recorded path's.
+    let trace = replay
+        .run(&artifact)
+        .map_err(|e| Response::error(500, &format!("model {resolved}: {e}")))?;
     ibox_obs::global().counter("serve.replay.packets").add(trace.len() as u64);
     // Exactly the bytes `ibox replay -o out.json` writes for this model:
     // the replay path is byte-identical online and offline.
@@ -733,32 +707,31 @@ fn handle_replay(app: &Arc<App>, req: &Request) -> Response {
         let _span = ibox_obs::trace_span!("json.encode");
         serde_json::to_string(&trace)
     };
-    match encoded {
-        Ok(json) => {
-            ibox_obs::global().counter("serve.replay.encode_bytes").add(json.len() as u64);
-            Response::json(200, json)
-        }
-        Err(e) => Response::error(500, &format!("cannot serialize trace: {e}")),
-    }
+    let json =
+        encoded.map_err(|e| Response::error(500, &format!("cannot serialize trace: {e}")))?;
+    ibox_obs::global().counter("serve.replay.encode_bytes").add(json.len() as u64);
+    Ok(Response::json(200, json))
 }
 
-fn handle_batch(app: &Arc<App>, req: &Request) -> Response {
-    let text = match std::str::from_utf8(&req.body) {
-        Ok(t) => t,
-        Err(_) => return Response::error(400, "body is not valid utf-8"),
-    };
-    let batch: BatchSpec = match serde_json::from_str(text) {
-        Ok(b) => b,
-        Err(e) => return Response::error(400, &format!("bad batch spec: {e}")),
-    };
+/// `POST /batch`; an `Err` is the error response to send.
+fn handle_batch(app: &Arc<App>, req: &Request) -> Result<Response, Response> {
+    let text = std::str::from_utf8(&req.body)
+        .map_err(|_| Response::error(400, "body is not valid utf-8"))?;
+    let batch: BatchSpec = serde_json::from_str(text)
+        .map_err(|e| Response::error(400, &format!("bad batch spec: {e}")))?;
+    // Invalid replay options are the client's error, refused by run index
+    // before any run starts; what fails later is the server's.
+    for (i, run) in batch.runs.iter().enumerate() {
+        served(ReplayRequest::from_spec(run))
+            .map_err(|e| Response::error(400, &format!("run {i}: {e}")))?;
+    }
     // The spec's own `jobs` applies, capped by the server's budget; the
     // result bytes are identical at any value by the batch contract.
     let jobs =
         if batch.jobs == 0 { app.batch_jobs_cap } else { batch.jobs.min(app.batch_jobs_cap) };
-    match ibox::run_batch_with_cache(&batch, jobs, &app.cache) {
-        Ok(result) => Response::json(200, result.to_json()),
-        Err(e) => Response::error(500, &format!("batch failed: {e}")),
-    }
+    ibox::run_batch_with_cache(&batch, jobs, &app.cache)
+        .map(|result| Response::json(200, result.to_json()))
+        .map_err(|e| Response::error(500, &format!("batch failed: {e}")))
 }
 
 fn handle_shutdown(app: &Arc<App>) -> Response {
@@ -772,6 +745,7 @@ fn handle_shutdown(app: &Arc<App>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ibox::RunSpec;
 
     fn test_app(tag: &str) -> (Arc<App>, PathBuf) {
         let dir = std::env::temp_dir().join(format!("ibox_routes_{tag}_{}", std::process::id()));
@@ -941,7 +915,7 @@ mod tests {
         assert_eq!(envelope(&resp).0, "not_found");
 
         // 500: a failed async fit reports the typed envelope with detail.
-        app.jobs_lock().insert("m1".to_string(), FitJob::Failed("boom".to_string()));
+        relock(&app.fit_jobs).insert("m1".to_string(), FitJob::Failed("boom".to_string()));
         resp = handle(&app, &get("/models/m1"));
         assert_eq!(resp.status, 500);
         let (code, message, detail) = envelope(&resp);
@@ -962,15 +936,7 @@ mod tests {
     #[test]
     fn replay_ignores_the_retired_batch_streams_key() {
         let (app, dir) = test_app("replay_knob");
-        let fit = post(
-            "/fit",
-            r#"{"wait":true,"model":"IBoxNet",
-                "synth":{"profile":"ethernet","protocol":"cubic","seed":11,"duration_s":2}}"#,
-        );
-        let resp = handle(&app, &fit);
-        assert_eq!(resp.status, 200, "{}", body_text(&resp));
-        let fit_body = serde_json::parse_value(&body_text(&resp)).unwrap();
-        let Some(Value::Str(id)) = fit_body.get("model").cloned() else { panic!("model id") };
+        let id = fit_ethernet(&app);
 
         let replay = |extra: &str| {
             let body =
@@ -991,15 +957,7 @@ mod tests {
     #[test]
     fn replay_fidelity_knob_is_accepted_and_defaults_to_packet() {
         let (app, dir) = test_app("replay_fidelity");
-        let fit = post(
-            "/fit",
-            r#"{"wait":true,"model":"IBoxNet",
-                "synth":{"profile":"ethernet","protocol":"cubic","seed":11,"duration_s":2}}"#,
-        );
-        let resp = handle(&app, &fit);
-        assert_eq!(resp.status, 200, "{}", body_text(&resp));
-        let fit_body = serde_json::parse_value(&body_text(&resp)).unwrap();
-        let Some(Value::Str(id)) = fit_body.get("model").cloned() else { panic!("model id") };
+        let id = fit_ethernet(&app);
 
         let replay = |extra: &str| {
             let body =
@@ -1029,15 +987,7 @@ mod tests {
     #[test]
     fn replay_accepts_a_composed_path_and_counts_fallbacks() {
         let (app, dir) = test_app("replay_path");
-        let fit = post(
-            "/fit",
-            r#"{"wait":true,"model":"IBoxNet",
-                "synth":{"profile":"ethernet","protocol":"cubic","seed":11,"duration_s":2}}"#,
-        );
-        let resp = handle(&app, &fit);
-        assert_eq!(resp.status, 200, "{}", body_text(&resp));
-        let fit_body = serde_json::parse_value(&body_text(&resp)).unwrap();
-        let Some(Value::Str(id)) = fit_body.get("model").cloned() else { panic!("model id") };
+        let id = fit_ethernet(&app);
 
         let chain = r#","path":[
             {"rate_bps":20e6,"prop_delay_ms":5,"buffer_bytes":80000},
@@ -1075,6 +1025,200 @@ mod tests {
         let resp = handle(&app, &post("/replay", &body));
         assert_eq!(resp.status, 400, "{}", body_text(&resp));
         assert!(body_text(&resp).contains("at least one stage"));
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Fit a 2 s ethernet/cubic synth trace synchronously; the model id.
+    fn fit_ethernet(app: &Arc<App>) -> String {
+        let fit = post(
+            "/fit",
+            r#"{"wait":true,"model":"IBoxNet",
+                "synth":{"profile":"ethernet","protocol":"cubic","seed":11,"duration_s":2}}"#,
+        );
+        let resp = handle(app, &fit);
+        assert_eq!(resp.status, 200, "{}", body_text(&resp));
+        let fit_body = serde_json::parse_value(&body_text(&resp)).unwrap();
+        let Some(Value::Str(id)) = fit_body.get("model").cloned() else { panic!("model id") };
+        id
+    }
+
+    /// The serve-side twin of `crates/core/tests/doors.rs`: for every model
+    /// kind × {no path, request path, recorded 2-stage path} × {packet,
+    /// flow}, the `/replay` reply is byte for byte what
+    /// `ReplayRequest::run` and a batch `ProfileFile` run of the same
+    /// registry file answer.
+    #[test]
+    fn replay_over_http_answers_the_bytes_of_the_other_doors() {
+        const REQUEST_CHAIN: &str = r#"[
+            {"rate_bps":20e6,"prop_delay_ms":5,"buffer_bytes":80000},
+            {"rate_bps":8e6,"prop_delay_ms":12,"buffer_bytes":60000}]"#;
+        const RECORDED_CHAIN: &str = r#"[
+            {"rate_bps":15e6,"prop_delay_ms":8,"buffer_bytes":90000},
+            {"rate_bps":6e6,"prop_delay_ms":20,"buffer_bytes":50000}]"#;
+        let (app, dir) = test_app("doors");
+        let (_, train) = ibox_testbed::synth("ethernet", "cubic", 3.0, 11).unwrap();
+        let mut kinds = ModelKind::all().to_vec();
+        kinds.push(ModelKind::IBoxMl(ibox::IBoxMlSpec {
+            hidden_sizes: vec![6],
+            epochs: 1,
+            tbptt: 32,
+            ..Default::default()
+        }));
+        for (k, kind) in kinds.iter().enumerate() {
+            let plain = ModelArtifact::new(kind, ibox::fit_model(kind, &train));
+            let mut recorded = plain.clone();
+            recorded.path = Some(serde_json::from_str(RECORDED_CHAIN).unwrap());
+            app.registry.put(&format!("plain{k}"), &plain).unwrap();
+            app.registry.put(&format!("recorded{k}"), &recorded).unwrap();
+            let rows = [
+                (format!("plain{k}"), &plain, false),
+                (format!("plain{k}"), &plain, true),
+                (format!("recorded{k}"), &recorded, false),
+            ];
+            let mut answers = Vec::new();
+            for fidelity in ["packet", "flow"] {
+                for (id, artifact, with_path) in &rows {
+                    let path = if *with_path { REQUEST_CHAIN } else { "null" };
+                    let body = format!(
+                        r#"{{"model":"{id}","protocol":"vegas","duration_s":2,"seed":5,
+                            "fidelity":"{fidelity}","path":{path}}}"#
+                    );
+                    let label = format!("{} / {body}", kind.name());
+                    let reply = handle(&app, &post("/replay", &body));
+                    assert_eq!(reply.status, 200, "{label}: {}", body_text(&reply));
+
+                    let request =
+                        ReplayRequest::from_value(&serde_json::parse_value(&body).unwrap())
+                            .unwrap();
+                    let direct = serde_json::to_string(&request.run(artifact).unwrap()).unwrap();
+                    assert_eq!(body_text(&reply), direct, "{label}: /replay vs run");
+
+                    let file = ModelArtifact::registry_path(app.registry.dir(), id);
+                    let mut spec = RunSpec::builder()
+                        .profile_file(file.to_string_lossy())
+                        .protocol("vegas")
+                        .duration_s(2.0)
+                        .seed(5)
+                        .fidelity(fidelity.parse().unwrap());
+                    if *with_path {
+                        spec = spec.path(serde_json::parse_value(REQUEST_CHAIN).unwrap());
+                    }
+                    let (_, trace) =
+                        ibox::execute_run_cached(&spec.build().unwrap(), &app.cache).unwrap();
+                    assert_eq!(direct, serde_json::to_string(&trace).unwrap(), "{label}: batch");
+                    answers.push(direct);
+                }
+            }
+            assert_ne!(answers[0], answers[2], "{}: a recorded chain must apply", kind.name());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Stages an engine would assert on are the client's error on every
+    /// served surface: a `400` naming the stage and the field, never
+    /// `handler panicked` or a panicked pool job.
+    #[test]
+    fn hostile_path_stages_are_400s_naming_stage_and_field() {
+        let (app, dir) = test_app("hostile_path");
+        let id = fit_ethernet(&app);
+        for (stage, field) in [
+            (r#"{"rate_bps":5e6,"prop_delay_ms":10,"buffer_bytes":0}"#, "buffer_bytes"),
+            (r#"{"rate_bps":0,"prop_delay_ms":10,"buffer_bytes":60000}"#, "rate"),
+            (
+                r#"{"rate_bps":5e6,"prop_delay_ms":10,"buffer_bytes":60000,"random_loss":2}"#,
+                "random_loss",
+            ),
+            (
+                r#"{"rate_bps":5e6,"prop_delay_ms":10,"buffer_bytes":60000,"cross":
+                    [{"Cbr":{"rate_bps":1e6,"pkt_size":1200,"start":5,"stop":5}}]}"#,
+                "cross[0]",
+            ),
+            (r#"{"rate_bps":5e6,"prop_delay_ms":-4,"buffer_bytes":60000}"#, "prop_delay_ms"),
+            (
+                r#"{"rate_bps":5e6,"prop_delay_ms":10,"buffer_bytes":60000,"reorder":
+                    {"probability":0.1,"extra_min":9,"extra_max":3}}"#,
+                "reorder",
+            ),
+            (
+                r#"{"rate_bps":5e6,"prop_delay_ms":10,"buffer_bytes":60000,"scheduler":
+                    {"Codel":{"target":0,"interval":0}}}"#,
+                "scheduler",
+            ),
+        ] {
+            let replay =
+                format!(r#"{{"model":"{id}","protocol":"cubic","duration_s":2,"path":[{stage}]}}"#);
+            let batch = format!(
+                r#"{{"jobs":1,"runs":[{{"id":"","source":{{"Synth":{{"profile":"ethernet",
+                    "protocol":"cubic","seed":1}}}},"protocol":"cubic","duration_s":2,"seed":1,
+                    "model":"IBoxNet","path":[{stage}]}}]}}"#
+            );
+            for (route, body) in [("/replay", replay), ("/batch", batch)] {
+                let resp = handle(&app, &post(route, &body));
+                let text = body_text(&resp);
+                assert_eq!(resp.status, 400, "{route} {field}: {text}");
+                assert!(text.contains("stage 0") && text.contains(field), "{route}: {text}");
+                assert!(!text.contains("panicked"), "{route}: {text}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The served-duration ceiling covers every served duration: a two-hour
+    /// `/batch` run is refused by index, like a two-hour `/replay` or a
+    /// two-hour `/fit` synth.
+    #[test]
+    fn every_served_duration_obeys_the_ceiling() {
+        let (app, dir) = test_app("duration_ceiling");
+        let batch = |duration_s: f64| {
+            let ok = RunSpec::builder().synth("ethernet", "cubic", 1).protocol("cubic");
+            let runs = [ok.clone().duration_s(2.0), ok.duration_s(duration_s)];
+            let mut b = BatchSpec::builder().jobs(1);
+            for run in runs {
+                b = b.run(run.build().unwrap());
+            }
+            handle(&app, &post("/batch", &b.build().unwrap().to_json()))
+        };
+        assert_eq!(batch(2.0).status, 200);
+        let resp = batch(7200.0);
+        assert_eq!(resp.status, 400, "{}", body_text(&resp));
+        let (_, message, _) = envelope(&resp);
+        assert!(message.contains("run 1") && message.contains("3600"), "{message}");
+
+        for (route, body) in [
+            ("/replay", r#"{"model":"m","protocol":"cubic","duration_s":7200}"#),
+            ("/fit", r#"{"synth":{"profile":"ethernet","duration_s":7200}}"#),
+        ] {
+            let resp = handle(&app, &post(route, body));
+            assert_eq!(resp.status, 400, "{route}: {}", body_text(&resp));
+            assert!(envelope(&resp).1.contains("3600"), "{route}: {}", body_text(&resp));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A thread that panics while holding the fit-thread list poisons its
+    /// mutex; `/fit` and the shutdown drain must keep working through it.
+    #[test]
+    fn a_poisoned_fit_thread_list_does_not_brick_fit() {
+        let (app, dir) = test_app("poisoned_fit_threads");
+        let poisoner = Arc::clone(&app);
+        let _ = std::thread::spawn(move || {
+            let _held = poisoner.fit_threads.lock().unwrap();
+            panic!("poison the fit thread list");
+        })
+        .join();
+        assert!(app.fit_threads.is_poisoned());
+
+        let fit = post(
+            "/fit",
+            r#"{"synth":{"profile":"ethernet","protocol":"cubic","seed":23,"duration_s":2}}"#,
+        );
+        let resp = handle(&app, &fit);
+        assert_eq!(resp.status, 202, "{}", body_text(&resp));
+        app.drain_fits();
+        let again = handle(&app, &fit);
+        assert_eq!(again.status, 200, "{}", body_text(&again));
+        assert!(body_text(&again).contains("ready"));
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -12,6 +12,8 @@
 //! dropping state and drop head packets at intervals shrinking with
 //! `interval / sqrt(count)` until the sojourn falls below target.
 
+use crate::config::must;
+use crate::queue::SchedulerKind;
 use crate::time::SimTime;
 
 /// CoDel controller state (the queue itself lives in
@@ -41,8 +43,7 @@ impl Codel {
     /// A controller with the classic parameters (5 ms target, 100 ms
     /// interval) unless overridden.
     pub fn new(target: SimTime, interval: SimTime) -> Self {
-        assert!(target.as_nanos() > 0, "target must be positive");
-        assert!(interval > target, "interval must exceed target");
+        must(SchedulerKind::Codel { target, interval }.check());
         Self {
             target,
             interval,

@@ -16,6 +16,23 @@ use crate::time::SimTime;
 /// matching a typical MTU-limited TCP segment.
 pub const DEFAULT_PACKET_SIZE: u32 = 1400;
 
+/// One line of a `check()`: `what` is reported unless `cond` holds.
+pub(crate) fn ensure(cond: bool, what: &str) -> Result<(), String> {
+    if cond {
+        Ok(())
+    } else {
+        Err(what.to_string())
+    }
+}
+
+/// Panic with a `check()`'s sentence: how constructors and `validate()`
+/// assert a configuration the program itself built.
+pub(crate) fn must(checked: Result<(), String>) {
+    if let Err(e) = checked {
+        panic!("{e}");
+    }
+}
+
 /// Reordering stage: a fraction of packets take a "second path" with extra
 /// delay, arriving behind later-sent packets (the behaviour iBoxNet's
 /// single-FIFO model cannot produce, §3.2 / Fig. 8).
@@ -30,10 +47,10 @@ pub struct ReorderCfg {
 }
 
 impl ReorderCfg {
-    /// Validate invariants; call before running.
-    pub fn validate(&self) {
-        assert!((0.0..=1.0).contains(&self.probability), "reorder probability out of range");
-        assert!(self.extra_max >= self.extra_min, "reorder delay range inverted");
+    /// The stage's invariants, as a sentence instead of a panic.
+    pub fn check(&self) -> Result<(), String> {
+        ensure((0.0..=1.0).contains(&self.probability), "reorder probability out of range")?;
+        ensure(self.extra_max >= self.extra_min, "reorder delay range inverted")
     }
 }
 
@@ -79,13 +96,15 @@ impl PathConfig {
         }
     }
 
-    /// Validate invariants; panics on configuration bugs.
-    pub fn validate(&self) {
-        assert!(self.buffer_bytes > 0, "buffer must be positive");
-        assert!((0.0..=1.0).contains(&self.random_loss), "loss probability out of range");
-        if let Some(r) = &self.reorder {
-            r.validate();
-        }
+    /// The bottleneck's invariants, each error naming its field.
+    pub fn check(&self) -> Result<(), String> {
+        let field = |name: &str, r: Result<(), String>| r.map_err(|e| format!("{name}: {e}"));
+        field("rate", self.rate.check())?;
+        field("buffer_bytes", ensure(self.buffer_bytes > 0, "buffer must be positive"))?;
+        field("scheduler", self.scheduler.check())?;
+        let loss_ok = (0.0..=1.0).contains(&self.random_loss);
+        field("random_loss", ensure(loss_ok, "loss probability out of range"))?;
+        field("reorder", self.reorder.as_ref().map_or(Ok(()), ReorderCfg::check))
     }
 }
 
@@ -104,14 +123,6 @@ impl PathStage {
     /// A stage with no cross traffic.
     pub fn new(config: PathConfig) -> Self {
         Self { config, cross: Vec::new() }
-    }
-
-    /// Validate invariants; panics on configuration bugs.
-    pub fn validate(&self) {
-        self.config.validate();
-        for c in &self.cross {
-            c.validate();
-        }
     }
 }
 
@@ -158,12 +169,26 @@ impl PathSpec {
         &self.stages[0].config
     }
 
-    /// Validate invariants; panics on configuration bugs.
-    pub fn validate(&self) {
-        assert!(!self.stages.is_empty(), "path spec needs at least one stage");
-        for s in &self.stages {
-            s.validate();
+    /// What a path must satisfy before an engine runs it — the one list:
+    /// at least one stage, and per stage the bottleneck's and each cross
+    /// source's invariants. Errors name the stage and the field (`stage 1:
+    /// buffer_bytes: buffer must be positive`).
+    pub fn check(&self) -> Result<(), String> {
+        ensure(!self.stages.is_empty(), "path spec needs at least one stage")?;
+        for (k, s) in self.stages.iter().enumerate() {
+            let at = |e| format!("stage {k}: {e}");
+            s.config.check().map_err(at)?;
+            for (i, c) in s.cross.iter().enumerate() {
+                c.check().map_err(|e| at(format!("cross[{i}]: {e}")))?;
+            }
         }
+        Ok(())
+    }
+
+    /// [`PathSpec::check`], panicking on configuration bugs — what the
+    /// engines call.
+    pub fn validate(&self) {
+        must(self.check());
     }
 
     /// Sum of per-stage one-way propagation delays.
@@ -265,6 +290,11 @@ impl Deserialize for PathStage {
                     return Ok(None);
                 }
                 let ms = val.as_f64().ok_or_else(|| Error::expected("number", val))?;
+                if !ms.is_finite() || ms < 0.0 {
+                    return Err(Error(format!(
+                        "{ms_key} must be finite and non-negative, got {ms}"
+                    )));
+                }
                 return Ok(Some(SimTime::from_secs_f64(ms / 1e3)));
             }
             Ok(None)
@@ -335,7 +365,11 @@ impl Deserialize for PathSpec {
             }
             other => return Err(Error::expected("path spec object or stage array", other)),
         };
-        Ok(Self { stages: Vec::<PathStage>::from_value(stages_val)? })
+        let items = stages_val.as_array().ok_or_else(|| Error::expected("array", stages_val))?;
+        let stage = |(k, v)| {
+            PathStage::from_value(v).map_err(|e: Error| Error(format!("stage {k}: {}", e.0)))
+        };
+        Ok(Self { stages: items.iter().enumerate().map(stage).collect::<Result<_, _>>()? })
     }
 }
 
@@ -386,7 +420,7 @@ mod tests {
     #[test]
     fn simple_path_defaults() {
         let p = PathConfig::simple(10e6, SimTime::from_millis(20), 150_000);
-        p.validate();
+        assert_eq!(p.check(), Ok(()));
         assert_eq!(p.ack_delay, p.prop_delay);
         assert_eq!(p.random_loss, 0.0);
         assert!(p.reorder.is_none());
@@ -398,18 +432,19 @@ mod tests {
     fn invalid_loss_rejected() {
         let mut p = PathConfig::simple(1e6, SimTime::from_millis(10), 10_000);
         p.random_loss = 1.5;
-        p.validate();
+        PathSpec::single(p).validate();
     }
 
     #[test]
     #[should_panic(expected = "reorder delay range")]
     fn inverted_reorder_range_rejected() {
-        ReorderCfg {
+        let mut p = PathConfig::simple(1e6, SimTime::from_millis(10), 10_000);
+        p.reorder = Some(ReorderCfg {
             probability: 0.1,
             extra_min: SimTime::from_millis(10),
             extra_max: SimTime::from_millis(5),
-        }
-        .validate();
+        });
+        PathSpec::single(p).validate();
     }
 
     #[test]
@@ -462,6 +497,49 @@ mod tests {
     #[should_panic(expected = "at least one stage")]
     fn empty_path_spec_rejected() {
         PathSpec { stages: Vec::new() }.validate();
+    }
+
+    /// `check()` reports what `validate()` would panic on — naming the
+    /// stage and the field — and the reader rejects times no `SimTime`
+    /// can hold.
+    #[test]
+    fn hostile_stages_are_sentences_naming_stage_and_field() {
+        let ok = r#"{"rate_bps": 5e6, "prop_delay_ms": 10, "buffer_bytes": 60000}"#;
+        for (stage, stage_idx, field) in [
+            (r#"{"rate_bps": 5e6, "prop_delay_ms": 10, "buffer_bytes": 0}"#, 1, "buffer_bytes"),
+            (r#"{"rate_bps": 0, "prop_delay_ms": 10, "buffer_bytes": 60000}"#, 1, "rate"),
+            (
+                r#"{"rate_bps": 5e6, "prop_delay_ms": 10, "buffer_bytes": 60000, "random_loss": 2}"#,
+                1,
+                "random_loss",
+            ),
+            (
+                r#"{"rate_bps": 5e6, "prop_delay_ms": 10, "buffer_bytes": 60000, "cross":
+                    [{"Cbr": {"rate_bps": 1e6, "pkt_size": 1200, "start": 5, "stop": 5}}]}"#,
+                1,
+                "cross[0]",
+            ),
+            (
+                r#"{"rate_bps": 5e6, "prop_delay_ms": 10, "buffer_bytes": 60000, "reorder":
+                    {"probability": 0.1, "extra_min": 9, "extra_max": 3}}"#,
+                1,
+                "reorder",
+            ),
+            (
+                r#"{"rate_bps": 5e6, "prop_delay_ms": 10, "buffer_bytes": 60000, "scheduler":
+                    {"Codel": {"target": 0, "interval": 0}}}"#,
+                1,
+                "scheduler",
+            ),
+        ] {
+            let spec: PathSpec = serde_json::from_str(&format!("[{ok}, {stage}]")).unwrap();
+            let err = spec.check().unwrap_err();
+            assert!(err.contains(&format!("stage {stage_idx}: {field}: ")), "{err}");
+            assert!(std::panic::catch_unwind(|| spec.validate()).is_err(), "validate must panic");
+        }
+        let negative = r#"{"rate_bps": 5e6, "prop_delay_ms": -4, "buffer_bytes": 60000}"#;
+        let err = serde_json::from_str::<PathSpec>(&format!("[{ok}, {negative}]")).unwrap_err();
+        assert!(err.to_string().contains("stage 1: prop_delay_ms must be finite"), "{err}");
     }
 
     #[test]

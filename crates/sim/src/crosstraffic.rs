@@ -11,6 +11,7 @@
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
+use crate::config::{ensure, must};
 use crate::rng;
 use crate::time::{tx_time, SimTime};
 
@@ -104,35 +105,41 @@ impl CrossTrafficCfg {
         n.clamp(0.0, CAP) as usize
     }
 
-    /// Validate invariants; panics on configuration bugs.
-    pub fn validate(&self) {
+    /// The source's invariants, as a sentence instead of a panic.
+    pub fn check(&self) -> Result<(), String> {
+        let rate_ok = |r: &f64| r.is_finite() && *r > 0.0;
         match self {
             CrossTrafficCfg::Cbr { rate_bps, pkt_size, start, stop } => {
-                assert!(*rate_bps > 0.0, "CBR rate must be positive");
-                assert!(*pkt_size > 0, "packet size must be positive");
-                assert!(stop > start, "CBR must stop after start");
+                ensure(rate_ok(rate_bps), "CBR rate must be positive")?;
+                ensure(*pkt_size > 0, "packet size must be positive")?;
+                ensure(stop > start, "CBR must stop after start")
             }
             CrossTrafficCfg::OnOff { rate_bps, pkt_size, on, off, start, stop } => {
-                assert!(*rate_bps > 0.0, "on-off rate must be positive");
-                assert!(*pkt_size > 0, "packet size must be positive");
-                assert!(on.as_nanos() > 0, "on phase must be positive");
-                assert!(off.as_nanos() > 0, "off phase must be positive");
-                assert!(stop > start, "on-off must stop after start");
+                ensure(rate_ok(rate_bps), "on-off rate must be positive")?;
+                ensure(*pkt_size > 0, "packet size must be positive")?;
+                ensure(on.as_nanos() > 0, "on phase must be positive")?;
+                ensure(off.as_nanos() > 0, "off phase must be positive")?;
+                ensure(stop > start, "on-off must stop after start")
             }
             CrossTrafficCfg::Poisson { mean_rate_bps, pkt_size, start, stop } => {
-                assert!(*mean_rate_bps > 0.0, "Poisson rate must be positive");
-                assert!(*pkt_size > 0, "packet size must be positive");
-                assert!(stop > start, "Poisson must stop after start");
+                ensure(rate_ok(mean_rate_bps), "Poisson rate must be positive")?;
+                ensure(*pkt_size > 0, "packet size must be positive")?;
+                ensure(stop > start, "Poisson must stop after start")
             }
             CrossTrafficCfg::Replay { bins, pkt_size } => {
-                assert!(*pkt_size > 0, "packet size must be positive");
-                assert!(
+                ensure(*pkt_size > 0, "packet size must be positive")?;
+                ensure(
                     bins.windows(2).all(|w| w[0].0 < w[1].0),
-                    "replay bins must be strictly increasing in time"
-                );
-                assert!(bins.iter().all(|(_, b)| *b >= 0.0), "negative byte budget");
+                    "replay bins must be strictly increasing in time",
+                )?;
+                ensure(bins.iter().all(|(_, b)| b.is_finite() && *b >= 0.0), "negative byte budget")
             }
         }
+    }
+
+    /// [`CrossTrafficCfg::check`], panicking on configuration bugs.
+    pub fn validate(&self) {
+        must(self.check());
     }
 }
 

@@ -12,6 +12,8 @@
 //! rate; `p += α·(qdelay − target) + β·(qdelay − qdelay_old)` every
 //! `update_interval`, clamped to `[0, 1]`.
 
+use crate::config::must;
+use crate::queue::SchedulerKind;
 use crate::time::SimTime;
 
 /// Proportional gain on the delay error (RFC 8033 default, 1/s).
@@ -45,8 +47,7 @@ impl Pie {
     /// A controller with the given delay target and update period
     /// (classic values: 15 ms target, 16 ms update interval).
     pub fn new(target: SimTime, update_interval: SimTime) -> Self {
-        assert!(target.as_nanos() > 0, "target must be positive");
-        assert!(update_interval.as_nanos() > 0, "update interval must be positive");
+        must(SchedulerKind::Pie { target, update_interval }.check());
         Self {
             target,
             update_interval,

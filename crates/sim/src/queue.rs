@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 use crate::codel::{Codel, CodelVerdict};
+use crate::config::{ensure, must};
 use crate::packet::{Packet, StreamId};
 use crate::pie::Pie;
 use crate::rng;
@@ -53,6 +54,26 @@ pub enum SchedulerKind {
         /// Drop-probability update period (classic value: 16 ms).
         update_interval: SimTime,
     },
+}
+
+impl SchedulerKind {
+    /// The discipline's invariants, as a sentence instead of a panic.
+    pub fn check(&self) -> Result<(), String> {
+        match self {
+            SchedulerKind::Fifo => Ok(()),
+            SchedulerKind::ProportionalFair { fading } => {
+                ensure((0.0..1.0).contains(fading), "fading must be in [0, 1)")
+            }
+            SchedulerKind::Codel { target, interval } => {
+                ensure(target.as_nanos() > 0, "target must be positive")?;
+                ensure(interval > target, "interval must exceed target")
+            }
+            SchedulerKind::Pie { target, update_interval } => {
+                ensure(target.as_nanos() > 0, "target must be positive")?;
+                ensure(update_interval.as_nanos() > 0, "update interval must be positive")
+            }
+        }
+    }
 }
 
 /// Outcome of an enqueue attempt.
@@ -109,9 +130,7 @@ impl BottleneckQueue {
     /// A queue with the given discipline and byte buffer.
     pub fn new(kind: SchedulerKind, buffer_bytes: u64, seed: u64) -> Self {
         assert!(buffer_bytes > 0, "buffer must hold at least one packet");
-        if let SchedulerKind::ProportionalFair { fading } = kind {
-            assert!((0.0..1.0).contains(&fading), "fading must be in [0, 1)");
-        }
+        must(kind.check());
         let codel = match kind {
             SchedulerKind::Codel { target, interval } => Some(Codel::new(target, interval)),
             _ => None,

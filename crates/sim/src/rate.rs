@@ -14,6 +14,7 @@
 
 use rand::rngs::StdRng;
 
+use crate::config::{ensure, must};
 use crate::rng;
 use crate::time::SimTime;
 
@@ -56,6 +57,35 @@ impl RateModelCfg {
     /// A plain constant-rate link.
     pub fn constant(rate_bps: f64) -> Self {
         RateModelCfg::Constant { rate_bps }
+    }
+
+    /// The model's invariants, as a sentence instead of a panic: every rate
+    /// finite and positive, trace steps strictly increasing, a positive
+    /// dwell time and bucket.
+    pub fn check(&self) -> Result<(), String> {
+        let rate_ok = |r: &f64| r.is_finite() && *r > 0.0;
+        match self {
+            RateModelCfg::Constant { rate_bps } => {
+                ensure(rate_ok(rate_bps), "constant rate must be positive")
+            }
+            RateModelCfg::Trace { steps } => {
+                ensure(!steps.is_empty(), "trace rate model needs steps")?;
+                ensure(
+                    steps.windows(2).all(|w| w[0].0 < w[1].0),
+                    "trace steps must be strictly increasing in time",
+                )?;
+                ensure(steps.iter().all(|(_, r)| rate_ok(r)), "rates must be positive")
+            }
+            RateModelCfg::Markov { states, mean_dwell } => {
+                ensure(!states.is_empty(), "markov rate model needs states")?;
+                ensure(states.iter().all(rate_ok), "rates must be positive")?;
+                ensure(mean_dwell.as_nanos() > 0, "dwell time must be positive")
+            }
+            RateModelCfg::TokenBucket { fill_bps, bucket_bytes } => {
+                ensure(rate_ok(fill_bps), "fill rate must be positive")?;
+                ensure(*bucket_bytes > 0, "bucket must be nonempty")
+            }
+        }
     }
 
     /// Long-run average rate of the model (used for sanity checks and for
@@ -106,26 +136,14 @@ pub enum RateModel {
 }
 
 impl RateModel {
-    /// Instantiate a model from its config with a component seed.
+    /// Instantiate a model from its config with a component seed. Panics
+    /// on a config that fails [`RateModelCfg::check`].
     pub fn new(cfg: &RateModelCfg, seed: u64) -> Self {
+        must(cfg.check());
         match cfg {
-            RateModelCfg::Constant { rate_bps } => {
-                assert!(*rate_bps > 0.0, "constant rate must be positive");
-                RateModel::Constant { rate_bps: *rate_bps }
-            }
-            RateModelCfg::Trace { steps } => {
-                assert!(!steps.is_empty(), "trace rate model needs steps");
-                assert!(
-                    steps.windows(2).all(|w| w[0].0 < w[1].0),
-                    "trace steps must be strictly increasing in time"
-                );
-                assert!(steps.iter().all(|(_, r)| *r > 0.0), "rates must be positive");
-                RateModel::Trace { steps: steps.clone(), idx: 0 }
-            }
+            RateModelCfg::Constant { rate_bps } => RateModel::Constant { rate_bps: *rate_bps },
+            RateModelCfg::Trace { steps } => RateModel::Trace { steps: steps.clone(), idx: 0 },
             RateModelCfg::Markov { states, mean_dwell } => {
-                assert!(!states.is_empty(), "markov rate model needs states");
-                assert!(states.iter().all(|r| *r > 0.0), "rates must be positive");
-                assert!(mean_dwell.as_nanos() > 0, "dwell time must be positive");
                 let mut rng = rng::seeded(seed);
                 let current = 0;
                 let next_jump =
@@ -138,16 +156,12 @@ impl RateModel {
                     rng,
                 }
             }
-            RateModelCfg::TokenBucket { fill_bps, bucket_bytes } => {
-                assert!(*fill_bps > 0.0, "fill rate must be positive");
-                assert!(*bucket_bytes > 0, "bucket must be nonempty");
-                RateModel::TokenBucket {
-                    fill_bps: *fill_bps,
-                    bucket_bytes: *bucket_bytes,
-                    tokens: *bucket_bytes as f64,
-                    last: SimTime::ZERO,
-                }
-            }
+            RateModelCfg::TokenBucket { fill_bps, bucket_bytes } => RateModel::TokenBucket {
+                fill_bps: *fill_bps,
+                bucket_bytes: *bucket_bytes,
+                tokens: *bucket_bytes as f64,
+                last: SimTime::ZERO,
+            },
         }
     }
 

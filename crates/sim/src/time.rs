@@ -50,6 +50,18 @@ impl SimTime {
         }
     }
 
+    /// A run duration from user-supplied seconds: finite and at least one
+    /// nanosecond, which is what the engines assert. The one wording every
+    /// surface reports for a bad `--duration` / `duration_s`.
+    pub fn positive_secs(secs: f64) -> Result<Self, String> {
+        let t = Self::from_secs_f64(secs);
+        if secs.is_finite() && t > SimTime::ZERO {
+            Ok(t)
+        } else {
+            Err(format!("duration must be a positive number of seconds, got {secs}"))
+        }
+    }
+
     /// From whole seconds.
     #[inline]
     pub const fn from_secs(s: u64) -> Self {

@@ -38,5 +38,5 @@ pub mod profile;
 pub mod rtc;
 
 pub use instance::{run_instance, InstanceScenario, INSTANCE_PATTERNS};
-pub use pantheon::{generate_dataset, generate_paired_datasets, run_protocol};
+pub use pantheon::{generate_dataset, generate_paired_datasets, run_protocol, synth};
 pub use profile::{PathInstance, Profile, ProfileBuilder};

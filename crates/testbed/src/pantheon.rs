@@ -37,6 +37,27 @@ pub fn run_protocol(
     out.traces.into_iter().next().expect("one recorded flow").normalized()
 }
 
+/// [`run_protocol`] for input from outside the program — a `/fit` `synth`
+/// object, a batch `Synth` source, `ibox synth` flags: the profile and
+/// protocol are looked up by name and the duration checked, so a bad value
+/// is a sentence, not a harness panic. Returns the sampled instance too
+/// (`ibox synth` hashes its path into the run manifest).
+pub fn synth(
+    profile: &str,
+    protocol: &str,
+    duration_s: f64,
+    seed: u64,
+) -> Result<(PathInstance, FlowTrace), String> {
+    let profile = Profile::from_name(profile)?;
+    if by_name(protocol).is_none() {
+        return Err(format!("unknown protocol {protocol:?}"));
+    }
+    let duration = SimTime::positive_secs(duration_s)?;
+    let inst = profile.builder().seed(seed).duration(duration).sample();
+    let trace = run_protocol(&inst, protocol, duration, seed);
+    Ok((inst, trace))
+}
+
 /// Generate a dataset of `n` runs of `protocol` over `profile`, one fresh
 /// path instance per run (instance seed = `base_seed + i`).
 ///
@@ -106,6 +127,19 @@ mod tests {
         let m = TraceMetrics::of(&t);
         assert!(m.avg_rate_mbps > 0.5, "rate = {}", m.avg_rate_mbps);
         assert!(m.p95_delay_ms > 10.0);
+    }
+
+    #[test]
+    fn synth_is_run_protocol_behind_checked_names_and_duration() {
+        let (inst, t) = synth("india-cellular", "cubic", 10.0, 1).unwrap();
+        assert_eq!(inst.spec(), Profile::IndiaCellular.sample(1, SHORT).spec());
+        assert_eq!(t, run_protocol(&inst, "cubic", SHORT, 1));
+        assert!(synth("dsl", "cubic", 10.0, 1).unwrap_err().contains("unknown profile"));
+        assert!(synth("ethernet", "warp", 10.0, 1).unwrap_err().contains("unknown protocol"));
+        for bad in [-5.0, 0.0, 1e-12, f64::NAN, f64::INFINITY] {
+            let err = synth("ethernet", "cubic", bad, 1).unwrap_err();
+            assert!(err.contains("duration must be a positive number of seconds"), "{err}");
+        }
     }
 
     #[test]

@@ -507,7 +507,7 @@ mod tests {
         assert!(matches!(inst.path.rate, RateModelCfg::Markov { .. }));
         assert_eq!(inst.path.scheduler, SchedulerKind::Fifo);
         assert!(!inst.cross.is_empty());
-        inst.path.validate();
+        inst.spec().validate();
     }
 
     #[test]
@@ -522,14 +522,14 @@ mod tests {
         assert!(inst.path.reorder.is_none());
         assert_eq!(inst.path.random_loss, 0.0);
         assert!(inst.path.rate.mean_rate_bps() >= 40e6);
-        inst.path.validate();
+        inst.spec().validate();
     }
 
     #[test]
     fn token_bucket_profile_is_token_bucket() {
         let inst = Profile::TokenBucketWifi.sample(5, DUR);
         assert!(matches!(inst.path.rate, RateModelCfg::TokenBucket { .. }));
-        inst.path.validate();
+        inst.spec().validate();
     }
 
     #[test]

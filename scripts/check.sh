@@ -3,7 +3,8 @@
 #   scripts/check.sh [--quick] [--perf]   (flags in either order)
 #
 # Always: the grep gates (the CLI option tables, fits routed through the
-# FitCache, timing routed through ibox-obs, ingest on the online fold),
+# FitCache, replay options routed through ReplayRequest, timing routed
+# through ibox-obs, ingest on the online fold),
 # release build, workspace tests, the vendored serde shims' unit tests,
 # the request ledger's self-tests (benchmark/), clippy -D warnings,
 # rustfmt --check, and last the scripts/loc.sh size report (print only).
@@ -16,8 +17,9 @@
 # metrics exposition, plus a `--fidelity flow` replay smoke (explicit
 # `--fidelity packet` must stay byte-identical to the default).
 # --quick also smoke-tests composed paths: a 2-stage `--path` replay at
-# packet and flow fidelity, plus a legacy schema-1 artifact replayed
-# byte-identically to its schema-2 default.
+# packet and flow fidelity, a hostile `--path` file refused with a
+# sentence, plus a legacy schema-1 artifact replayed byte-identically to
+# the current schema.
 # --quick also smoke-tests streaming ingest: a 3-chunk `ibox ingest
 # append` + `finalize` against the live daemon, asserting the fitted
 # lineage version replays byte-identically to a one-shot fit and that
@@ -55,6 +57,12 @@ gate '(IBoxNet|StatisticalLossModel)::fit' crates/core/src/abtest.rs \
     "direct model fit in the A/B harness — route through ibox::fit_model / FitCache"
 gate '(IBoxNet|StatisticalLossModel)::fit' crates/core/src/batch.rs \
     "direct model fit in the batch executor — route through ibox::fit_model / FitCache"
+# One front door: protocols are looked up where a replay or a synthesis is
+# validated (ibox::ReplayRequest, ibox_testbed::synth), never per surface.
+gate 'by_name\(' crates/cli \
+    "protocol lookup in the CLI — build an ibox::ReplayRequest (or call ibox_testbed::synth) so every surface validates alike"
+gate 'by_name\(' crates/serve/src/routes.rs \
+    "protocol lookup in the routes — build an ibox::ReplayRequest (or call ibox_testbed::synth) so every surface validates alike"
 # Timing in the serving/runner layers goes through the obs facade so it
 # always lands in metrics/traces — no invisible raw clock reads.
 gate 'Instant::now\(' crates/serve/src \
@@ -168,13 +176,24 @@ EOF
         || { echo "FAIL: flow-fidelity composed replay wrote no trace records" >&2; exit 1; }
     cmp -s "$tmp/replay-chain-pkt.json" "$tmp/replay-chain-flow.json" \
         && { echo "FAIL: flow fidelity over the chain returned the packet engine's bytes" >&2; exit 1; }
+    # A stage an engine would assert on is refused with a sentence naming
+    # it, not a panic.
+    echo '[{"rate_bps": 12e6, "prop_delay_ms": 10, "buffer_bytes": 0}]' > "$tmp/hostile.json"
+    if ./target/release/ibox replay "$tmp/model.json" --protocol cubic --duration 4 \
+        --path "$tmp/hostile.json" > "$tmp/hostile.log" 2>&1; then
+        echo "FAIL: a hostile --path replay exited zero" >&2; exit 1
+    fi
+    grep -q 'stage 0: buffer_bytes' "$tmp/hostile.log" && ! grep -q 'panicked' "$tmp/hostile.log" \
+        || { echo "FAIL: hostile --path was not refused with a sentence" >&2; cat "$tmp/hostile.log" >&2; exit 1; }
     # Legacy contract: a schema-1 single-bottleneck artifact replays
-    # byte-identically to the schema-2 default.
-    sed 's/"schema":2/"schema":1/' "$tmp/model.json" > "$tmp/model-v1.json"
+    # byte-identically to the current schema.
+    sed 's/"schema":3/"schema":1/' "$tmp/model.json" > "$tmp/model-v1.json"
+    grep -q '"schema":1' "$tmp/model-v1.json" \
+        || { echo "FAIL: could not rewrite the artifact to schema 1" >&2; exit 1; }
     run ./target/release/ibox replay "$tmp/model-v1.json" --protocol vegas --duration 4 --seed 9 \
         -o "$tmp/replay-v1.json"
     cmp "$tmp/replay1.json" "$tmp/replay-v1.json" \
-        || { echo "FAIL: a schema-1 artifact did not replay byte-identically to schema 2" >&2; exit 1; }
+        || { echo "FAIL: a schema-1 artifact did not replay byte-identically to the current schema" >&2; exit 1; }
     echo "path smoke passed"
 
     echo "==> serve smoke: fit + replay over HTTP, byte-identical to offline replay"

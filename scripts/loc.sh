@@ -1,25 +1,46 @@
 #!/usr/bin/env bash
 # Size report: tracked, non-vendor, non-benchmark/ Rust LOC (total and per
-# crate), `pub` item lines under each crate's src/, and the grep-gate count
-# in check.sh.
+# crate), `pub` item lines and runtime panic sites under each crate's src/,
+# and the grep-gate count in check.sh. A panic site is a line before the
+# file's `#[cfg(test)]`, not a comment, containing `.unwrap()`, `.expect(`,
+# `panic!` or `unreachable!` — a budget that should only shrink.
 # Print only — the numbers are a trend to watch, not a gate.
 #   scripts/loc.sh
+#   scripts/loc.sh --runtime <file>...   lines before `#[cfg(test)]`, summed
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+if [[ ${1:-} == --runtime ]]; then
+    shift
+    for f in "$@"; do
+        awk '/#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f"
+    done | awk '{t += $1} END{print t+0}'
+    exit
+fi
+
 files() { git ls-files '*.rs' | grep -Ev '^(vendor|benchmark)/' || true; }
 pub_re='^[[:space:]]*pub (fn|struct|enum|trait|mod|const|type) '
+panic_re='\.unwrap\(\)|\.expect\(|panic!|unreachable!'
+
+# The runtime part of each file: up to its `#[cfg(test)]`, comments dropped.
+runtime() {
+    for f in "$@"; do
+        awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$f"
+    done
+}
 
 # Group by crate directory; root src/, tests/ and examples/ stand alone.
 group() { sed -E 's#^(crates/[^/]+|[^/]+)/.*#\1#'; }
 
-printf '%-20s %8s %6s\n' crate loc pub
+printf '%-20s %8s %6s %7s\n' crate loc pub panics
 for g in $(files | group | sort -u); do
     loc=$(files | grep -E "^$g/" | xargs cat | wc -l)
     srcdir="$g/src"
     [[ $g == src ]] && srcdir=src
     pubs=$(files | grep "^$srcdir/" | xargs -r grep -hE "$pub_re" | wc -l || true)
-    printf '%-20s %8d %6d\n' "$g" "$loc" "$pubs"
+    # shellcheck disable=SC2046
+    panics=$(runtime $(files | grep "^$srcdir/") | grep -cE "$panic_re" || true)
+    printf '%-20s %8d %6d %7d\n' "$g" "$loc" "$pubs" "$panics"
 done
 printf '%-20s %8d\n' total "$(files | xargs cat | wc -l)"
 printf '%-20s %8d\n' 'check.sh gates' "$(grep -c '^gate ' scripts/check.sh)"
