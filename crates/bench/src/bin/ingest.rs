@@ -6,7 +6,7 @@
 //! trace):
 //!
 //! 1. **Append throughput** — records/s through a real
-//!    [`ibox_ingest::SessionStore`] (chunk files + manifest writes
+//!    [`ibox_ingest::SessionStore`] (the session-log writes
 //!    included), i.e. what `POST /traces/{id}/append` costs below HTTP.
 //! 2. **Online refit** — fold each chunk into the incremental
 //!    estimators and read the watermark `(b, d, B, C)` after every

@@ -659,7 +659,7 @@ fn version_line() -> String {
 }
 
 /// Record batch wall time and the measured speedup over serial execution
-/// (sum of per-run `batch.run` spans ÷ wall time) as manifest gauges.
+/// (sum of per-run `batch-run` spans ÷ wall time) as manifest gauges.
 /// Timing lives in the manifest, never in the results JSON — results stay
 /// byte-identical at any `--jobs`.
 fn record_batch_timing(wall_s: f64, jobs: usize, runs: usize) {
@@ -668,7 +668,7 @@ fn record_batch_timing(wall_s: f64, jobs: usize, runs: usize) {
     registry.gauge("batch.wall_time_s").set(wall_s);
     registry.gauge("batch.jobs").set(effective as f64);
     let serial_s =
-        registry.snapshot().spans.get("batch.run").map(|s| s.total_ns as f64 / 1e9).unwrap_or(0.0);
+        registry.snapshot().spans.get("batch-run").map(|s| s.total_ns as f64 / 1e9).unwrap_or(0.0);
     if wall_s > 0.0 && serial_s > 0.0 {
         let speedup = serial_s / wall_s;
         registry.gauge("batch.speedup_x").set(speedup);

@@ -14,6 +14,7 @@
 //! with a sentence, not a backtrace.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -217,11 +218,26 @@ impl ModelArtifact {
         dir.join(format!("{id}{ARTIFACT_FILE_SUFFIX}"))
     }
 
-    /// Save to disk as JSON.
+    /// Save to disk as JSON, atomically ([`write_atomic`]).
     pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        std::fs::write(path, self.to_json())
+        write_atomic(path, self.to_json().as_bytes())
             .map_err(|e| ArtifactError::Io { path: path.to_path_buf(), detail: e.to_string() })
     }
+}
+
+/// Write `bytes` to `path` so that a reader — or a crash — sees the old
+/// file or the whole new one, never a prefix: the bytes go to
+/// `.<name>.tmp-<pid>-<n>` beside `path` and are renamed over it. Not
+/// synced: a power loss may lose the new file, not tear it. Leftover temp
+/// files are what `ModelRegistry::compact` sweeps.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().ok_or(std::io::ErrorKind::InvalidInput)?.to_string_lossy();
+    let unique = NEXT.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_file_name(format!(".{name}.tmp-{}-{unique}", std::process::id()));
+    std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path)).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 #[cfg(test)]

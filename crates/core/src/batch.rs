@@ -134,8 +134,7 @@ pub fn run_batch_with_cache(
     let outcomes = ibox_runner::run_scoped_checked(batch.runs.len(), jobs, |i| {
         // The per-run span totals add up to the batch's serial wall time,
         // which is what the CLI divides by to report the actual speedup.
-        let _span = ibox_obs::span!("batch.run");
-        let _trace = ibox_obs::trace_span!("batch-run");
+        let _span = ibox_obs::span!("batch-run");
         execute_run_cached(&batch.runs[i], cache).map(|(record, _trace)| record)
     })
     .map_err(|e| e.to_string())?;

@@ -17,7 +17,10 @@
 //!
 //! An optional on-disk directory persists entries across processes
 //! (`--model-cache <dir>`): each entry is one JSON file named by the
-//! key's digest. Disk hits count as `fitcache.disk_hit`.
+//! key's digest, written atomically. Disk hits count as
+//! `fitcache.disk_hit`; an entry that does not parse (a file torn by a
+//! crash of an older build, or damaged since) counts `fitcache.corrupt`,
+//! is refitted like a miss and overwritten.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -182,11 +185,23 @@ impl FitCache {
             Arc::clone(&slot.cell)
         };
         let mut filled_here = false;
+        let mut from_disk = None;
         let json = cell.get_or_init(|| {
             filled_here = true;
             if let Some(text) = self.read_disk(id) {
-                ibox_obs::global().counter("fitcache.disk_hit").inc();
-                return text;
+                // Only an entry that parses may fill the cell: a bad one
+                // would fail every later request for this key.
+                match serde_json::from_str::<T>(&text) {
+                    Ok(value) => {
+                        ibox_obs::global().counter("fitcache.disk_hit").inc();
+                        from_disk = Some(value);
+                        return text;
+                    }
+                    Err(e) => {
+                        ibox_obs::global().counter("fitcache.corrupt").inc();
+                        ibox_obs::warn!("fit cache: entry {id} does not parse ({e}); refitting");
+                    }
+                }
             }
             ibox_obs::global().counter("fitcache.miss").inc();
             let value = make();
@@ -197,8 +212,12 @@ impl FitCache {
         if !filled_here {
             ibox_obs::global().counter("fitcache.hit").inc();
         }
-        let parsed =
-            serde_json::from_str(json).map_err(|e| format!("corrupt cache entry {id}: {e}"));
+        let parsed = match from_disk {
+            Some(value) => Ok(value),
+            None => {
+                serde_json::from_str(json).map_err(|e| format!("corrupt cache entry {id}: {e}"))
+            }
+        };
         drop(cell); // release our handle so this entry is evictable below
         self.enforce_cap();
         parsed
@@ -243,7 +262,7 @@ impl FitCache {
         kind: &ModelKind,
         train: &FlowTrace,
     ) -> (FitCacheKey, FittedModel) {
-        let _trace = ibox_obs::trace_span!("fit-cache");
+        let _span = ibox_obs::span!("fit-cache");
         let key = FitCacheKey::for_fit(kind, train);
         let model = self
             .get_or_insert_with(&key.id(), || fit_model(kind, train))
@@ -266,7 +285,7 @@ impl FitCache {
 
     fn write_disk(&self, id: &str, text: &str) {
         let Some(path) = self.entry_path(id) else { return };
-        if let Err(e) = std::fs::write(&path, text) {
+        if let Err(e) = crate::artifact::write_atomic(&path, text.as_bytes()) {
             ibox_obs::warn!("fit cache: cannot persist {}: {e}", path.display());
         }
     }
@@ -360,6 +379,39 @@ mod tests {
             a.simulate("cubic", SimTime::from_secs(3), 2),
             b.simulate("cubic", SimTime::from_secs(3), 2),
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A torn or damaged entry is a miss that repairs the file — not an
+    /// error every later request for the key repeats.
+    #[test]
+    fn a_corrupt_disk_entry_is_refitted_and_overwritten() {
+        let t = train(8);
+        let dir = std::env::temp_dir().join(format!("ibox_fitcache_torn_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = FitCacheKey::for_fit(&ModelKind::IBoxNet, &t);
+        let entry = dir.join(format!("{}.json", key.id()));
+        let good = {
+            let cache = FitCache::with_dir(&dir).unwrap();
+            cache.fit_path_model(&ModelKind::IBoxNet, &t);
+            std::fs::read(&entry).unwrap()
+        };
+        for damaged in [&good[..good.len() / 2], b"not json at all".as_slice(), b"".as_slice()] {
+            std::fs::write(&entry, damaged).unwrap();
+            let cache = FitCache::with_dir(&dir).unwrap();
+            let scope = ibox_obs::scoped();
+            let a = cache.fit_path_model(&ModelKind::IBoxNet, &t);
+            let b = cache.fit_path_model(&ModelKind::IBoxNet, &t);
+            let counters = scope.finish().snapshot().counters;
+            assert_eq!(counters["fitcache.corrupt"], 1);
+            assert_eq!(counters["fitcache.miss"], 1);
+            assert_eq!(counters["model.fit"], 1);
+            assert_eq!(counters["fitcache.hit"], 1, "the second call is a hit");
+            assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+            assert_eq!(std::fs::read(&entry).unwrap(), good, "the entry is repaired");
+        }
+        // And nothing but the entry is left in the directory.
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

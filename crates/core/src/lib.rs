@@ -97,7 +97,9 @@ pub mod validity;
 
 pub use abtest::{ensemble_test, instance_test, EnsembleReport, InstanceReport, ModelKind};
 pub use adaptive::AdaptiveCross;
-pub use artifact::{ArtifactError, ModelArtifact, ARTIFACT_FILE_SUFFIX, MODEL_ARTIFACT_SCHEMA};
+pub use artifact::{
+    write_atomic, ArtifactError, ModelArtifact, ARTIFACT_FILE_SUFFIX, MODEL_ARTIFACT_SCHEMA,
+};
 pub use baseline::StatisticalLossModel;
 pub use batch::{
     execute_run_cached, load_trace, run_batch_jobs, run_batch_with_cache, BatchResult, RunRecord,

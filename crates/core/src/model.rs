@@ -248,7 +248,7 @@ impl FittedModel {
         seed: u64,
         opts: ReplayOpts,
     ) -> FlowTrace {
-        let _trace = ibox_obs::trace_span!("model-replay");
+        let _span = ibox_obs::span!("model-replay");
         match self {
             FittedModel::IBoxNet(m) => m.simulate_fidelity_over(
                 protocol,
@@ -321,13 +321,12 @@ fn ml_config(spec: &IBoxMlSpec) -> IBoxMlConfig {
 /// Fit `kind` on `train` — the fit half of the [`PathModel`] split and
 /// the only place a model kind meets a training trace.
 ///
-/// Each call records a `model.fit` span and increments the `model.fit`
+/// Each call records a `model-fit` span and increments the `model.fit`
 /// counter in the effective obs registry; the fit cache
 /// ([`crate::cache::FitCache`]) wraps this function and guarantees at
 /// most one call per distinct (trace, kind, config, seed).
 pub fn fit_model(kind: &ModelKind, train: &FlowTrace) -> FittedModel {
-    let _span = ibox_obs::span!("model.fit");
-    let _trace = ibox_obs::trace_span!("model-fit");
+    let _span = ibox_obs::span!("model-fit");
     ibox_obs::global().counter("model.fit").inc();
     match kind {
         ModelKind::IBoxNet => FittedModel::IBoxNet(IBoxNet::fit(train)),

@@ -43,15 +43,20 @@ struct RateSweep {
 }
 
 impl RateSweep {
-    /// Fold one arrival event `(recv_ns, size)`; events must arrive in
+    /// Fold one arrival event `(recv_ns, size)`; events arrive in
     /// nondecreasing `recv_ns` order. Mirrors the two-pointer loop body
-    /// of `ibox_trace::series::peak_recv_rate_bps`.
+    /// of `ibox_trace::series::peak_recv_rate_bps`. (A record received
+    /// before it was sent can break that order; the saturating difference
+    /// then keeps the window as it is instead of underflowing.)
     fn arrival(&mut self, recv_ns: u64, size: u64, window_ns: u64) {
         self.sum += size;
         self.window.push_back((recv_ns, size));
-        while recv_ns - self.window.front().expect("just pushed").0 >= window_ns {
-            let (_, s) = self.window.pop_front().expect("nonempty");
-            self.sum -= s;
+        while let Some(&(oldest_ns, oldest_size)) = self.window.front() {
+            if recv_ns.saturating_sub(oldest_ns) < window_ns {
+                break;
+            }
+            self.window.pop_front();
+            self.sum -= oldest_size;
         }
         self.best_bytes = self.best_bytes.max(self.sum);
     }
@@ -120,11 +125,11 @@ impl OnlineStaticParams {
         // strictly earlier than it: any future record r has
         // r.recv ≥ r.send ≥ watermark, so those arrivals are final.
         self.watermark_send_ns = self.watermark_send_ns.max(rec.send_ns);
-        while let Some(&Reverse((recv, _))) = self.pending.peek() {
+        while let Some(&Reverse((recv, size))) = self.pending.peek() {
             if recv >= self.watermark_send_ns {
                 break;
             }
-            let Reverse((recv, size)) = self.pending.pop().expect("peeked");
+            self.pending.pop();
             self.sweep.arrival(recv, size, self.window_ns);
         }
         if let (Some(recv_ns), Some(delay)) = (rec.recv_ns, rec.delay_ns()) {
@@ -189,6 +194,11 @@ impl OnlineStaticParams {
         })
     }
 }
+
+/// Cap on the bin vector of a growing (provisional) estimator: send times
+/// come from the client, and one far-future record must not size an
+/// allocation. Over a day of 0.1 s bins; later traffic lands in the last.
+const MAX_GROWING_BINS: usize = 1 << 20;
 
 /// Streaming cross-traffic estimator: the online mirror of
 /// `CrossTrafficEstimate::estimate`, O(record) per fold with state
@@ -255,11 +265,9 @@ impl OnlineCrossTraffic {
 
     /// Fold one record, in the same (send) order the batch walk uses.
     pub fn fold(&mut self, rec: &PacketRecord) {
-        if self.t0.is_none() {
-            // The batch path anchors bins at the first record overall
-            // (delivered or not).
-            self.t0 = Some(rec.send_ns as f64 / 1e9);
-        }
+        // The batch path anchors bins at the first record overall
+        // (delivered or not).
+        let t0 = *self.t0.get_or_insert(rec.send_ns as f64 / 1e9);
         let Some(delay) = rec.delay_secs() else { return };
         self.delivered += 1;
         let t = rec.send_ns as f64 / 1e9;
@@ -267,7 +275,6 @@ impl OnlineCrossTraffic {
         let probe = (t, q, f64::from(rec.size));
         if let Some((t1, q1, s1)) = self.prev.replace(probe) {
             let (t2, q2, _s2) = probe;
-            let t0 = self.t0.expect("set above");
             let dt = t2 - t1;
             if dt > 0.0 {
                 let min_q = f64::from(ibox_sim::DEFAULT_PACKET_SIZE);
@@ -279,6 +286,7 @@ impl OnlineCrossTraffic {
                         let idx = match self.n_bins {
                             Some(n) => raw.min(n - 1),
                             None => {
+                                let raw = raw.min(MAX_GROWING_BINS - 1);
                                 if raw >= self.bins.len() {
                                     self.bins.resize(raw + 1, 0.0);
                                 }
@@ -414,6 +422,31 @@ mod tests {
         assert_eq!(w.records, 2);
         assert_eq!(w.delivered, 1);
         assert!(w.prop_delay_ms > 29.0 && w.prop_delay_ms < 31.0);
+    }
+
+    /// Send times are the client's: a record from the far future must land
+    /// in the last bin, not size the bin vector (and hostile arrival order
+    /// must not underflow the rate sweep).
+    #[test]
+    fn a_far_future_record_cannot_size_the_bin_vector() {
+        let params = StaticParams {
+            bandwidth_bps: 8e6,
+            prop_delay: SimTime::from_nanos(0),
+            buffer_bytes: 3_000,
+        };
+        let mut cross = OnlineCrossTraffic::new(&params, 0.1);
+        let mut statics = OnlineStaticParams::new();
+        let far = 10_000_000_000_000_000_000u64;
+        for (seq, send) in [(0, 0), (1, far), (2, far + far / 2)] {
+            let rec = PacketRecord::delivered(seq, send, 1200, send.saturating_add(1_000_000_000));
+            cross.fold(&rec);
+            statics.fold(&rec);
+        }
+        // Received before it was sent, after a later arrival was released.
+        statics.fold(&PacketRecord { seq: 3, send_ns: u64::MAX, size: 1200, recv_ns: Some(5) });
+        statics.fold(&PacketRecord::lost(4, u64::MAX, 1200));
+        assert!(cross.bins.len() <= MAX_GROWING_BINS);
+        assert!(cross.total_bytes() > 0.0 && statics.params().is_some());
     }
 
     /// Mid-stream watermark queries must not perturb the final result.

@@ -5,9 +5,11 @@
 //! into — live and unbounded. This crate is that plumbing:
 //!
 //! * [`session`] — chunked ingest sessions: packet-record chunks arrive
-//!   (possibly out of order) with monotone record offsets, persist as
-//!   append-only chunk files under the artifact directory, survive a
-//!   daemon restart, and respect per-session and global byte budgets.
+//!   (possibly out of order) with monotone record offsets and persist as
+//!   frames of one append-only log per session under the artifact
+//!   directory. A session's state is a fold over its log — the same fold
+//!   live and after a restart — so it survives a crash at any write, and
+//!   per-session and global byte budgets bound the logs.
 //! * [`estimator`] — [`OnlineStaticParams`] and [`OnlineCrossTraffic`]
 //!   mirror the batch estimators (`StaticParams::estimate`,
 //!   `CrossTrafficEstimate::estimate`) but fold one chunk at a time in

@@ -1,40 +1,61 @@
-//! Chunked ingest sessions: append-only packet-record chunks on disk.
+//! Chunked ingest sessions: one append-only log per session.
 //!
-//! A session is a directory under `<model_dir>/ingest/<id>/`:
+//! A session is the file `<model_dir>/ingest/<id>.log` — newline-terminated
+//! JSON frames in the order they were accepted, never rewritten:
 //!
 //! ```text
-//! manifest.json           — envelope: meta, model kind, accepted counts
-//! chunk-<offset12>.json   — accepted chunks, named by record offset
-//! pending-<offset12>.json — buffered out-of-order chunks
+//! {"schema":2,"id":…,"meta":…,"kind":…}  header, written with the first chunk
+//! {"offset":N,"records":[…]}             chunk, in-order and ahead-of-prefix alike
+//! {"mark":"fit"}                         a mid-stream refit was handed out (`snapshot`)
+//! {"mark":"seal"}                        the final fit was handed out (`finalize`)
 //! ```
 //!
-//! Chunk files are written **before** the manifest is updated, so a
-//! crash between the two leaves an orphan chunk that recovery re-adopts
-//! (it is contiguous by construction). Sessions are recovered lazily on
-//! first touch after a restart by re-folding the chunk files through the
-//! online estimators — O(session) once, O(chunk) per append after.
+//! **State is a fold over the frames.** [`Session::check`] says whether a
+//! frame may follow what the log holds and [`Session::apply`] folds it in.
+//! An append is check → one `write_all` → apply; recovery is check → apply
+//! over the frames read back, so a restarted session is by construction the
+//! session that was running; the trace a fit needs is the same fold,
+//! collecting the records it accepts.
 //!
-//! Protocol invariants:
+//! **The `\n` commits a frame.** Recovery folds up to the last complete
+//! line and cuts the file there: a tail without its newline, or a log
+//! without a complete header, is what a crash inside a write leaves. A
+//! complete line that does not parse or does not follow from the frames
+//! before it is corruption: that id answers [`IngestError::Parse`], every
+//! other session is unaffected. A failed write is cut back, memory untouched.
 //!
-//! * **Monotone record offsets.** A chunk carries the record offset of
-//!   its first record. `offset == next` is accepted and folded;
-//!   a fully-seen chunk is acknowledged as a duplicate (idempotent
-//!   retries); a partial overlap is a conflict; a future offset is
-//!   persisted and buffered until the gap fills.
+//! **Sync rule.** Appends are not synced: a crash loses at most chunks the
+//! client re-sends, and `next_offset` tells it which. The log (and its
+//! directory) is synced exactly where the store hands a trace to the fitter,
+//! before `snapshot` and `finalize` return, so no registered model version
+//! describes records the log could lose.
+//!
+//! [`Session::check`] enforces the protocol before a byte is written:
+//!
+//! * **Monotone record offsets.** A chunk carries the offset of its first
+//!   record. `offset == next` is accepted and folded; a fully-seen chunk is
+//!   a duplicate (idempotent retries); a partial overlap with accepted or
+//!   buffered records is a conflict; a future offset is logged and buffered
+//!   until the gap fills.
 //! * **Send-ordered records.** Records are sorted within a chunk, and a
-//!   chunk must start strictly after the last accepted record in
-//!   `(send_ns, seq)` order — this makes the fold order equal to
-//!   [`FlowTrace`]'s sort order, which the bit-identical estimator
-//!   guarantee depends on.
-//! * **Byte budgets.** Per-session and store-global byte budgets bound
-//!   disk usage; exceeding either is a typed error the serving layer
-//!   maps to HTTP 413.
+//!   chunk must lie strictly between its neighbours (the accepted prefix or
+//!   a buffered chunk below, a buffered chunk above) in `(send_ns, seq)`
+//!   order. Draining the buffer therefore cannot fail, and the fold order is
+//!   [`FlowTrace`]'s sort order, which the bit-identical fit depends on.
+//! * **Byte budgets.** Per-session and store-global budgets bound the log
+//!   bytes on disk; exceeding either is the typed error behind HTTP 413.
+//!
+//! Session directories in the layout before the log are not read: `open`
+//! warns about each and its id is refused by name ([`OLD_LAYOUT`]).
 
 use std::collections::{BTreeMap, HashMap};
+use std::fs::{File, OpenOptions};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use ibox::estimator::DEFAULT_BIN_SECS;
 use ibox_runner::ModelKind;
@@ -42,15 +63,19 @@ use ibox_trace::{FlowMeta, FlowTrace, PacketRecord};
 
 use crate::estimator::{OnlineCrossTraffic, OnlineStaticParams, Watermark};
 
-/// Manifest schema version for session directories.
-const SESSION_SCHEMA: u32 = 1;
+/// Schema version in a log's header (1 was the directory layout).
+const LOG_SCHEMA: u32 = 2;
+
+/// Why an id that names a schema-1 session directory is refused.
+const OLD_LAYOUT: &str = "names a schema-1 session directory (one file per chunk), a layout \
+                          that is not read; move it away or stream to a new id";
 
 /// Budgets and refit cadence for a [`SessionStore`].
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Maximum serialized bytes (accepted + buffered chunks) per session.
+    /// Maximum bytes of one session's log.
     pub session_budget_bytes: u64,
-    /// Maximum serialized bytes across all sessions in the store.
+    /// Maximum log bytes across all sessions in the store.
     pub global_budget_bytes: u64,
     /// Re-fit (and register a new model version) every N accepted
     /// chunks; `0` fits only on finalize.
@@ -145,11 +170,12 @@ pub enum IngestError {
         /// Stringified OS error.
         detail: String,
     },
-    /// A persisted session file failed to parse.
+    /// A session log holds a complete frame that does not parse or does
+    /// not follow from the frames before it.
     Parse {
         /// The session.
         id: String,
-        /// Stringified serde error.
+        /// Where and why.
         detail: String,
     },
 }
@@ -265,7 +291,7 @@ pub struct SessionStatus {
     pub next_offset: u64,
     /// Accepted chunks.
     pub chunks: u64,
-    /// Serialized bytes held (accepted + buffered).
+    /// Bytes of the session's log.
     pub bytes: u64,
     /// Whether the session is finalized.
     pub sealed: bool,
@@ -290,100 +316,256 @@ pub struct FinalizeOutput {
     pub sealed: bool,
 }
 
-/// The persisted envelope of a session.
+impl IngestError {
+    fn io(id: &str, e: impl std::fmt::Display) -> Self {
+        IngestError::Io { id: id.to_string(), detail: e.to_string() }
+    }
+}
+
+/// The first line of a log: what the session is, fixed at creation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct Manifest {
+struct Header {
     schema: u32,
     id: String,
     meta: FlowMeta,
     kind: ModelKind,
-    next_offset: u64,
-    chunks: u64,
-    bytes: u64,
-    sealed: bool,
-    fit_seq: u64,
 }
 
-/// On-disk chunk format (both accepted and pending files), as read back.
-#[derive(Debug, Clone, Deserialize)]
-struct ChunkFile {
-    offset: u64,
-    records: Vec<PacketRecord>,
+/// One line of a session log after the header.
+enum Frame {
+    Chunk {
+        offset: u64,
+        records: Vec<PacketRecord>,
+    },
+    /// A mid-stream refit was handed out.
+    Fit,
+    /// The final fit was handed out; nothing follows.
+    Seal,
 }
 
-/// [`ChunkFile`] as written: the same keys in the same order, over borrowed
-/// records — the append path prints a chunk without copying it.
-#[derive(Serialize)]
-struct ChunkFileRef<'a> {
-    offset: u64,
-    records: &'a [PacketRecord],
-}
+impl Frame {
+    /// The frame as its log line, ending in the `\n` that commits it.
+    fn encode(&self) -> Result<String, serde_json::Error> {
+        Ok(match self {
+            Frame::Chunk { offset, records } => {
+                format!("{{\"offset\":{offset},\"records\":{}}}\n", serde_json::to_string(records)?)
+            }
+            Frame::Fit => "{\"mark\":\"fit\"}\n".to_string(),
+            Frame::Seal => "{\"mark\":\"seal\"}\n".to_string(),
+        })
+    }
 
-impl ChunkFileRef<'_> {
-    fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("chunk serialization cannot fail")
+    fn decode(line: &str) -> Result<Frame, String> {
+        let bad = |e: serde::Error| e.to_string();
+        let v = serde_json::parse_value(line).map_err(|e| e.to_string())?;
+        match (v.get("offset"), v.get("records"), v.get("mark")) {
+            (Some(offset), Some(records), _) => Ok(Frame::Chunk {
+                offset: u64::from_value(offset).map_err(bad)?,
+                records: Vec::from_value(records).map_err(bad)?,
+            }),
+            (_, _, Some(Value::Str(mark))) if mark == "fit" => Ok(Frame::Fit),
+            (_, _, Some(Value::Str(mark))) if mark == "seal" => Ok(Frame::Seal),
+            _ => Err("neither a chunk nor a mark".to_string()),
+        }
     }
 }
 
-/// One live session: manifest plus fold state.
+fn send_key(rec: &PacketRecord) -> (u64, u64) {
+    (rec.send_ns, rec.seq)
+}
+
+/// One session: its header plus the fold of every frame after it.
 struct Session {
-    man: Manifest,
-    /// `(send_ns, seq)` of the last folded record — the next chunk must
-    /// start strictly after it.
+    header: Header,
+    /// Bytes of the log on disk; 0 until the first chunk creates it.
+    len: u64,
+    next_offset: u64,
+    chunks: u64,
+    sealed: bool,
+    fit_seq: u64,
+    /// `(send_ns, seq)` of the last accepted record.
     last_key: Option<(u64, u64)>,
-    /// Buffered out-of-order chunks by offset → (bytes, records).
-    pending: BTreeMap<u64, (u64, Vec<PacketRecord>)>,
+    /// Chunks ahead of the accepted prefix, by offset. `check` keeps them
+    /// disjoint and send-ordered among themselves and against the prefix.
+    pending: BTreeMap<u64, Vec<PacketRecord>>,
     statics: OnlineStaticParams,
     cross: Option<OnlineCrossTraffic>,
 }
 
 impl Session {
-    fn total_bytes(&self) -> u64 {
-        self.man.bytes + self.pending.values().map(|(b, _)| b).sum::<u64>()
+    fn new(header: Header) -> Self {
+        Session {
+            header,
+            len: 0,
+            next_offset: 0,
+            chunks: 0,
+            sealed: false,
+            fit_seq: 0,
+            last_key: None,
+            pending: BTreeMap::new(),
+            statics: OnlineStaticParams::new(),
+            cross: None,
+        }
+    }
+
+    /// What `frame` would do here, or why it cannot follow the frames
+    /// already folded. Runs before every write and on every frame read
+    /// back, so [`apply`](Self::apply) never meets a frame it cannot fold.
+    fn check(&self, frame: &Frame) -> Result<AppendOutcome, IngestError> {
+        let id = || self.header.id.clone();
+        if self.sealed {
+            return Err(IngestError::Sealed { id: id() });
+        }
+        let next = self.next_offset;
+        let (offset, records) = match frame {
+            Frame::Chunk { offset, records } => (*offset, records),
+            Frame::Seal if !self.pending.is_empty() => {
+                let buffered = self.pending.len();
+                return Err(IngestError::Gap { id: id(), expected: next, buffered });
+            }
+            Frame::Fit | Frame::Seal if self.statics.delivered() == 0 => {
+                return Err(IngestError::NoDeliveredPackets { id: id() });
+            }
+            Frame::Fit | Frame::Seal => return Ok(AppendOutcome::Accepted),
+        };
+        let overlap = || IngestError::Overlap { id: id(), offset, expected: next };
+        let (Some(first), Some(last)) = (records.first(), records.last()) else {
+            return Err(IngestError::EmptyChunk { id: id() });
+        };
+        let end = offset.checked_add(records.len() as u64).ok_or_else(overlap)?;
+        if end <= next || self.pending.contains_key(&offset) {
+            return Ok(AppendOutcome::Duplicate);
+        }
+        if offset < next {
+            return Err(overlap());
+        }
+        // The chunk must fit between its neighbours, in offsets and in send
+        // order: a buffered chunk (else the accepted prefix) below, a
+        // buffered chunk above.
+        let below = self.pending.range(..offset).next_back();
+        let above = self.pending.range(offset..).next();
+        if below.is_some_and(|(at, recs)| at + recs.len() as u64 > offset)
+            || above.is_some_and(|(at, _)| end > *at)
+        {
+            return Err(overlap());
+        }
+        let floor = below.and_then(|(_, recs)| recs.last()).map(send_key).or(self.last_key);
+        let ceiling = above.and_then(|(_, recs)| recs.first()).map(send_key);
+        if !records.windows(2).all(|w| send_key(&w[0]) <= send_key(&w[1]))
+            || floor.is_some_and(|key| send_key(first) <= key)
+            || ceiling.is_some_and(|key| send_key(last) >= key)
+        {
+            return Err(IngestError::OutOfOrderRecords { id: id() });
+        }
+        Ok(if offset == next { AppendOutcome::Accepted } else { AppendOutcome::Buffered })
+    }
+
+    /// Fold one checked frame. `accepted` holds the accepted records before
+    /// the frame and receives the ones it accepts; it is read only to
+    /// anchor the cross-traffic estimate — at the first delivery and at
+    /// every `fit` — so a caller that knows neither can happen may pass an
+    /// empty one.
+    fn apply(&mut self, frame: Frame, accepted: &mut Vec<PacketRecord>) {
+        match frame {
+            Frame::Chunk { offset, records } if offset == self.next_offset => {
+                self.accept(records, accepted);
+                while let Some(records) = self.pending.remove(&self.next_offset) {
+                    self.accept(records, accepted);
+                }
+            }
+            Frame::Chunk { offset, records } => {
+                self.pending.insert(offset, records);
+            }
+            Frame::Fit => {
+                self.fit_seq += 1;
+                self.anchor(accepted);
+            }
+            Frame::Seal => {
+                self.fit_seq += 1;
+                self.sealed = true;
+            }
+        }
+    }
+
+    fn accept(&mut self, mut records: Vec<PacketRecord>, accepted: &mut Vec<PacketRecord>) {
+        self.statics.fold_chunk(&records);
+        if let Some(cross) = self.cross.as_mut() {
+            cross.fold_chunk(&records);
+        }
+        self.last_key = records.last().map(send_key);
+        self.next_offset += records.len() as u64;
+        self.chunks += 1;
+        accepted.append(&mut records);
+        if self.cross.is_none() {
+            self.anchor(accepted);
+        }
+    }
+
+    /// (Re)start the provisional cross-traffic fold on the current static
+    /// parameters, over everything accepted so far. A no-op before the
+    /// first delivery.
+    fn anchor(&mut self, accepted: &[PacketRecord]) {
+        if let Some(params) = self.statics.params() {
+            let mut cross = OnlineCrossTraffic::new(&params, DEFAULT_BIN_SECS);
+            cross.fold_chunk(accepted);
+            self.cross = Some(cross);
+        }
     }
 
     fn status(&self) -> SessionStatus {
         SessionStatus {
-            id: self.man.id.clone(),
-            next_offset: self.man.next_offset,
-            chunks: self.man.chunks,
-            bytes: self.total_bytes(),
-            sealed: self.man.sealed,
-            fit_seq: self.man.fit_seq,
+            id: self.header.id.clone(),
+            next_offset: self.next_offset,
+            chunks: self.chunks,
+            bytes: self.len,
+            sealed: self.sealed,
+            fit_seq: self.fit_seq,
             buffered: self.pending.len(),
             watermark: Watermark::of(&self.statics, self.cross.as_ref()),
         }
     }
 }
 
-struct StoreInner {
-    sessions: HashMap<String, Session>,
-    /// Serialized bytes across all sessions (accepted + buffered),
-    /// including sessions on disk that have not been touched yet.
-    global_bytes: u64,
+/// A session's place in the store: `None` until its log has been folded,
+/// which happens under this lock, not the store's.
+type Slot = Arc<Mutex<Option<Session>>>;
+
+/// Lock the session map, tolerating poison: insert, remove and clear each
+/// leave it valid, so one panic must not brick every session.
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// The store of all ingest sessions under one artifact directory.
 pub struct SessionStore {
     root: PathBuf,
     config: IngestConfig,
-    inner: Mutex<StoreInner>,
+    sessions: Mutex<HashMap<String, Slot>>,
+    /// Log bytes across all sessions, folded or not: what the global
+    /// budget meters.
+    bytes: AtomicU64,
 }
 
 impl SessionStore {
     /// Open (or create) the store rooted at `<model_dir>/ingest`.
-    /// Existing sessions are discovered for the global byte count but
-    /// recovered lazily on first touch.
+    /// Existing logs count toward the global budget and are folded lazily
+    /// on first touch.
     pub fn open(model_dir: &Path, config: IngestConfig) -> Result<Self, IngestError> {
         let root = model_dir.join("ingest");
-        std::fs::create_dir_all(&root)
-            .map_err(|e| IngestError::Io { id: String::new(), detail: e.to_string() })?;
-        let global_bytes = scan_bytes(&root)?;
-        Ok(Self {
-            root,
-            config,
-            inner: Mutex::new(StoreInner { sessions: HashMap::new(), global_bytes }),
-        })
+        std::fs::create_dir_all(&root).map_err(|e| IngestError::io("", e))?;
+        let mut bytes = 0u64;
+        for entry in std::fs::read_dir(&root).map_err(|e| IngestError::io("", e))?.flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                ibox_obs::warn!(
+                    "ingest: {} is a session directory in the pre-log layout; it is not read",
+                    path.display()
+                );
+            } else if path.extension().is_some_and(|ext| ext == "log") {
+                bytes += entry.metadata().map_or(0, |m| m.len());
+            }
+        }
+        Ok(Self { root, config, sessions: Mutex::default(), bytes: AtomicU64::new(bytes) })
     }
 
     /// The directory sessions live under.
@@ -396,8 +578,8 @@ impl SessionStore {
         &self.config
     }
 
-    fn dir(&self, id: &str) -> PathBuf {
-        self.root.join(id)
+    fn log_path(&self, id: &str) -> PathBuf {
+        self.root.join(format!("{id}.log"))
     }
 
     /// Append a chunk of `records` starting at record `offset`. Creates
@@ -416,188 +598,70 @@ impl SessionStore {
         mut records: Vec<PacketRecord>,
     ) -> Result<AppendResult, IngestError> {
         let _span = ibox_obs::span!("ingest.append");
-        validate_id(id)?;
-        if records.is_empty() {
-            return Err(IngestError::EmptyChunk { id: id.to_string() });
-        }
         // Establish the fold order within the chunk up front.
-        records.sort_by_key(|r| (r.send_ns, r.seq));
-        let mut inner = self.inner.lock().expect("ingest store lock");
-        let inner = &mut *inner;
-        if !inner.sessions.contains_key(id) {
-            match self.load_session(id) {
-                Ok(session) => {
-                    inner.sessions.insert(id.to_string(), session);
-                }
-                Err(IngestError::UnknownSession { .. }) => {
-                    let session = self.create_session(
-                        id,
-                        kind.unwrap_or(ModelKind::IBoxNet),
-                        meta.unwrap_or_else(|| FlowMeta::new(id, "ingest", "live")),
-                    )?;
-                    inner.sessions.insert(id.to_string(), session);
-                }
-                Err(e) => return Err(e),
+        records.sort_by_key(send_key);
+        let header = Header {
+            schema: LOG_SCHEMA,
+            id: id.to_string(),
+            meta: meta.unwrap_or_else(|| FlowMeta::new(id, "ingest", "live")),
+            kind: kind.unwrap_or(ModelKind::IBoxNet),
+        };
+        self.with_session(id, Some(header), |session| {
+            let frame = Frame::Chunk { offset, records };
+            let outcome = session.check(&frame)?;
+            let chunks_before = session.chunks;
+            let counters = ibox_obs::global();
+            if outcome != AppendOutcome::Duplicate {
+                // The fold reads the accepted prefix only to anchor at the
+                // first delivery: empty before any chunk, not read after.
+                let mut accepted = if session.cross.is_none() && session.chunks > 0 {
+                    self.accepted_records(session)?
+                } else {
+                    Vec::new()
+                };
+                let bytes = self.commit(session, frame, &mut accepted)?;
+                counters.counter("ingest.append.bytes").add(bytes);
             }
-        }
-        let session = inner.sessions.get_mut(id).expect("inserted above");
-        if session.man.sealed {
-            return Err(IngestError::Sealed { id: id.to_string() });
-        }
-
-        let len = records.len() as u64;
-        if offset.checked_add(len).is_none() {
-            return Err(IngestError::Overlap {
-                id: id.to_string(),
-                offset,
-                expected: session.man.next_offset,
-            });
-        }
-        let next = session.man.next_offset;
-        if offset + len <= next || session.pending.contains_key(&offset) {
-            ibox_obs::global().counter("ingest.append.duplicate").inc();
-            return Ok(self.result(session, AppendOutcome::Duplicate, false));
-        }
-        if offset < next {
-            return Err(IngestError::Overlap { id: id.to_string(), offset, expected: next });
-        }
-
-        let text = ChunkFileRef { offset, records: &records }.to_json();
-        let bytes = text.len() as u64;
-        let session_total = session.total_bytes() + bytes;
-        if session_total > self.config.session_budget_bytes {
-            return Err(IngestError::SessionBudget {
-                id: id.to_string(),
-                limit: self.config.session_budget_bytes,
-                needed: session_total,
-            });
-        }
-        let global_total = inner.global_bytes + bytes;
-        if global_total > self.config.global_budget_bytes {
-            return Err(IngestError::GlobalBudget {
-                limit: self.config.global_budget_bytes,
-                needed: global_total,
-            });
-        }
-
-        if offset > next {
-            // Ahead of the accepted prefix: persist and buffer.
-            write_file(&self.dir(id).join(pending_name(offset)), &text, id)?;
-            session.pending.insert(offset, (bytes, records));
-            inner.global_bytes += bytes;
-            ibox_obs::global().counter("ingest.append.buffered").inc();
-            return Ok(self.result(session, AppendOutcome::Buffered, false));
-        }
-
-        // In-order: the chunk must extend the accepted send order.
-        let chunks_before = session.man.chunks;
-        self.accept_chunk(session, offset, records, &text, bytes)?;
-        inner.global_bytes += bytes;
-        // Drain buffered successors that are now contiguous.
-        while let Some((&pend_off, _)) = session.pending.first_key_value() {
-            if pend_off != session.man.next_offset {
-                break;
-            }
-            let (pend_bytes, pend_records) =
-                session.pending.remove(&pend_off).expect("checked key");
-            let pend_text = ChunkFileRef { offset: pend_off, records: &pend_records }.to_json();
-            let pending_path = self.dir(id).join(pending_name(pend_off));
-            match self.accept_chunk(session, pend_off, pend_records, &pend_text, pend_bytes) {
-                Ok(()) => {
-                    let _ = std::fs::remove_file(&pending_path);
-                }
-                Err(e) => {
-                    // The buffered chunk is unusable (send order broken):
-                    // drop it and surface the conflict.
-                    let _ = std::fs::remove_file(&pending_path);
-                    inner.global_bytes = inner.global_bytes.saturating_sub(pend_bytes);
-                    return Err(e);
-                }
-            }
-        }
-        ibox_obs::global().counter("ingest.append.accepted").inc();
-        ibox_obs::global().counter("ingest.append.bytes").add(bytes);
-        let refit_due = self.config.refit_every_chunks > 0
-            && session.man.chunks / self.config.refit_every_chunks
-                > chunks_before / self.config.refit_every_chunks;
-        Ok(self.result(session, AppendOutcome::Accepted, refit_due))
-    }
-
-    /// Accept one in-order chunk: persist, fold, update the manifest.
-    fn accept_chunk(
-        &self,
-        session: &mut Session,
-        offset: u64,
-        records: Vec<PacketRecord>,
-        text: &str,
-        bytes: u64,
-    ) -> Result<(), IngestError> {
-        let id = session.man.id.clone();
-        if let (Some(last), Some(first)) = (session.last_key, records.first()) {
-            if (first.send_ns, first.seq) <= last {
-                return Err(IngestError::OutOfOrderRecords { id });
-            }
-        }
-        let dir = self.dir(&id);
-        write_file(&dir.join(chunk_name(offset)), text, &id)?;
-        for rec in &records {
-            session.statics.fold(rec);
-            if let Some(cross) = session.cross.as_mut() {
-                cross.fold(rec);
-            }
-        }
-        session.last_key = records.last().map(|r| (r.send_ns, r.seq));
-        session.man.next_offset = offset + records.len() as u64;
-        session.man.chunks += 1;
-        session.man.bytes += bytes;
-        // First delivery: anchor a provisional cross-traffic fold over
-        // everything accepted so far (one-time O(session), then O(chunk)).
-        if session.cross.is_none() {
-            if let Some(params) = session.statics.params() {
-                let mut cross = OnlineCrossTraffic::new(&params, DEFAULT_BIN_SECS);
-                self.for_each_chunk(&id, |chunk| {
-                    cross.fold_chunk(&chunk.records);
-                    Ok(())
-                })?;
-                session.cross = Some(cross);
-            }
-        }
-        self.write_manifest(&session.man)
+            counters.counter(&format!("ingest.append.{}", outcome.as_str())).inc();
+            let every = self.config.refit_every_chunks;
+            Ok(AppendResult {
+                outcome,
+                next_offset: session.next_offset,
+                chunks: session.chunks,
+                buffered: session.pending.len(),
+                refit_due: every > 0 && session.chunks / every > chunks_before / every,
+                watermark: Watermark::of(&session.statics, session.cross.as_ref()),
+            })
+        })
     }
 
     /// Current status of a session.
     pub fn status(&self, id: &str) -> Result<SessionStatus, IngestError> {
-        validate_id(id)?;
-        let mut inner = self.inner.lock().expect("ingest store lock");
-        if !inner.sessions.contains_key(id) {
-            let session = self.load_session(id)?;
-            inner.sessions.insert(id.to_string(), session);
-        }
-        Ok(inner.sessions[id].status())
+        self.with_session(id, None, |session| Ok(session.status()))
     }
 
-    /// All sessions (on disk and in memory), sorted by id.
+    /// All readable sessions, sorted by id (every session has a log, live
+    /// or not). One whose log is corrupt is left out with a warning — its
+    /// own id answers the typed error — so one bad file cannot hide the rest.
     pub fn list(&self) -> Result<Vec<SessionStatus>, IngestError> {
-        let mut ids: Vec<String> = Vec::new();
-        let entries = std::fs::read_dir(&self.root)
-            .map_err(|e| IngestError::Io { id: String::new(), detail: e.to_string() })?;
-        for entry in entries.flatten() {
-            if entry.path().join("manifest.json").is_file() {
-                ids.push(entry.file_name().to_string_lossy().into_owned());
-            }
-        }
-        {
-            let inner = self.inner.lock().expect("ingest store lock");
-            for id in inner.sessions.keys() {
-                if !ids.contains(id) {
-                    ids.push(id.clone());
-                }
+        let mut ids = Vec::new();
+        for entry in std::fs::read_dir(&self.root).map_err(|e| IngestError::io("", e))?.flatten() {
+            let name = entry.file_name();
+            if let Some(id) = name.to_str().and_then(|name| name.strip_suffix(".log")) {
+                ids.push(id.to_string());
             }
         }
         ids.sort();
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
-            out.push(self.status(&id)?);
+            match self.status(&id) {
+                Ok(status) => out.push(status),
+                Err(IngestError::UnknownSession { .. }) => {}
+                Err(e) => {
+                    ibox_obs::warn!("ingest: session {id:?} left out of the listing: {e}");
+                    ibox_obs::global().counter("ingest.sessions.unreadable").inc();
+                }
+            }
         }
         Ok(out)
     }
@@ -607,297 +671,226 @@ impl SessionStore {
     /// nothing was delivered (there is nothing to learn from silence).
     pub fn finalize(&self, id: &str) -> Result<FinalizeOutput, IngestError> {
         let _span = ibox_obs::span!("ingest.finalize");
-        validate_id(id)?;
-        let mut inner = self.inner.lock().expect("ingest store lock");
-        if !inner.sessions.contains_key(id) {
-            let session = self.load_session(id)?;
-            inner.sessions.insert(id.to_string(), session);
-        }
-        let session = inner.sessions.get_mut(id).expect("inserted above");
-        if session.man.sealed {
-            return Err(IngestError::Sealed { id: id.to_string() });
-        }
-        if !session.pending.is_empty() {
-            return Err(IngestError::Gap {
-                id: id.to_string(),
-                expected: session.man.next_offset,
-                buffered: session.pending.len(),
-            });
-        }
-        if session.statics.delivered() == 0 {
-            return Err(IngestError::NoDeliveredPackets { id: id.to_string() });
-        }
-        let trace = self.concatenated(session)?;
-        session.man.sealed = true;
-        session.man.fit_seq += 1;
-        self.write_manifest(&session.man)?;
-        ibox_obs::global().counter("ingest.finalize").inc();
-        Ok(FinalizeOutput {
-            trace,
-            kind: session.man.kind.clone(),
-            fit_seq: session.man.fit_seq,
-            sealed: true,
-        })
+        self.hand_out(id, Frame::Seal)
     }
 
     /// Mid-stream refit: hand back the accepted prefix as a trace and
     /// bump the fit counter, without sealing. Also re-anchors the
     /// provisional cross-traffic fold on the fresh parameters.
     pub fn snapshot(&self, id: &str) -> Result<FinalizeOutput, IngestError> {
-        validate_id(id)?;
-        let mut inner = self.inner.lock().expect("ingest store lock");
-        if !inner.sessions.contains_key(id) {
-            let session = self.load_session(id)?;
-            inner.sessions.insert(id.to_string(), session);
-        }
-        let session = inner.sessions.get_mut(id).expect("inserted above");
-        if session.man.sealed {
-            return Err(IngestError::Sealed { id: id.to_string() });
-        }
-        if session.statics.delivered() == 0 {
-            return Err(IngestError::NoDeliveredPackets { id: id.to_string() });
-        }
-        let trace = self.concatenated(session)?;
-        session.man.fit_seq += 1;
-        self.write_manifest(&session.man)?;
-        if let Some(params) = session.statics.params() {
-            let mut cross = OnlineCrossTraffic::new(&params, DEFAULT_BIN_SECS);
-            for rec in trace.records() {
-                cross.fold(rec);
-            }
-            session.cross = Some(cross);
-        }
-        ibox_obs::global().counter("ingest.refit").inc();
-        Ok(FinalizeOutput {
-            trace,
-            kind: session.man.kind.clone(),
-            fit_seq: session.man.fit_seq,
-            sealed: false,
-        })
+        self.hand_out(id, Frame::Fit)
     }
 
-    /// Drop every in-memory session (the on-disk state stays). Testing
-    /// hook simulating a daemon restart without rebuilding the store.
+    /// Drop every in-memory session (the logs stay). Testing hook
+    /// simulating a daemon restart without rebuilding the store.
     pub fn forget_all(&self) {
-        self.inner.lock().expect("ingest store lock").sessions.clear();
+        relock(&self.sessions).clear();
     }
 
     // ----- internals -------------------------------------------------
 
-    fn result(&self, session: &Session, outcome: AppendOutcome, refit_due: bool) -> AppendResult {
-        AppendResult {
-            outcome,
-            next_offset: session.man.next_offset,
-            chunks: session.man.chunks,
-            buffered: session.pending.len(),
-            refit_due,
-            watermark: Watermark::of(&session.statics, session.cross.as_ref()),
-        }
-    }
-
-    fn create_session(
+    /// Run `op` on session `id` under the session's own lock, folding its
+    /// log first if this is the first touch. With a `create` header an
+    /// unknown id runs `op` on a fresh session, which is kept only if `op`
+    /// wrote its first chunk.
+    fn with_session<T>(
         &self,
         id: &str,
-        kind: ModelKind,
-        meta: FlowMeta,
-    ) -> Result<Session, IngestError> {
-        let dir = self.dir(id);
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| IngestError::Io { id: id.to_string(), detail: e.to_string() })?;
-        let man = Manifest {
-            schema: SESSION_SCHEMA,
-            id: id.to_string(),
-            meta,
-            kind,
-            next_offset: 0,
-            chunks: 0,
-            bytes: 0,
-            sealed: false,
-            fit_seq: 0,
+        create: Option<Header>,
+        op: impl FnOnce(&mut Session) -> Result<T, IngestError>,
+    ) -> Result<T, IngestError> {
+        validate_id(id)?;
+        let slot = Arc::clone(relock(&self.sessions).entry(id.to_string()).or_default());
+        let mut guard = slot.lock().unwrap_or_else(|poisoned| {
+            // A panic mid-fold may have left the state half applied. The
+            // log is the truth: drop the state and fold it again.
+            slot.clear_poison();
+            let mut guard = poisoned.into_inner();
+            *guard = None;
+            guard
+        });
+        let out = (|| {
+            if guard.is_none() {
+                let _span = ibox_obs::span!("ingest.recover");
+                *guard = self.replay(id)?.map(|(session, _)| session);
+                if guard.is_some() {
+                    ibox_obs::global().counter("ingest.sessions.recovered").inc();
+                }
+            }
+            match (guard.as_mut(), create) {
+                (Some(session), _) => op(session),
+                (None, Some(header)) => {
+                    let mut session = Session::new(header);
+                    let out = op(&mut session)?;
+                    if session.len > 0 {
+                        *guard = Some(session);
+                        ibox_obs::global().counter("ingest.sessions.created").inc();
+                    }
+                    Ok(out)
+                }
+                (None, None) => Err(IngestError::UnknownSession { id: id.to_string() }),
+            }
+        })();
+        if guard.is_none() {
+            drop(guard);
+            // Nothing to keep. Slots are cloned under the map lock only, so
+            // a count of two (the map's and ours) means nobody waits on it.
+            let mut sessions = relock(&self.sessions);
+            if Arc::strong_count(&slot) == 2 {
+                sessions.remove(id);
+            }
+        }
+        out
+    }
+
+    /// Fold the log of `id` from its first byte: the session it describes
+    /// and its accepted records in offset order, or `None` when no header
+    /// was ever committed. Bytes after the last complete frame are what a
+    /// crash mid-write left and are cut off.
+    fn replay(&self, id: &str) -> Result<Option<(Session, Vec<PacketRecord>)>, IngestError> {
+        let path = self.log_path(id);
+        let file = match File::open(&path) {
+            Ok(file) => file,
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(IngestError::io(id, e));
+            }
+            Err(_) if self.root.join(id).is_dir() => {
+                return Err(IngestError::InvalidId { id: id.to_string(), reason: OLD_LAYOUT });
+            }
+            Err(_) => return Ok(None),
         };
-        self.write_manifest(&man)?;
-        ibox_obs::global().counter("ingest.sessions.created").inc();
-        Ok(Session {
-            man,
-            last_key: None,
-            pending: BTreeMap::new(),
-            statics: OnlineStaticParams::new(),
-            cross: None,
+        // Bounded by the length now: a log only ever grows under this lock.
+        let len = file.metadata().map_err(|e| IngestError::io(id, e))?.len();
+        let mut reader = BufReader::new(file.take(len));
+        let mut line = Vec::new();
+        let mut session: Option<Session> = None;
+        let mut accepted = Vec::new();
+        let mut good = 0u64;
+        loop {
+            line.clear();
+            let n = reader.read_until(b'\n', &mut line).map_err(|e| IngestError::io(id, e))?;
+            if line.last() != Some(&b'\n') {
+                break;
+            }
+            let folded = std::str::from_utf8(&line).map_err(|e| e.to_string()).and_then(|text| {
+                let Some(session) = session.as_mut() else {
+                    let header: Header = serde_json::from_str(text).map_err(|e| e.to_string())?;
+                    if header.schema != LOG_SCHEMA || header.id != id {
+                        let (schema, named) = (header.schema, header.id);
+                        return Err(format!("header of schema {schema} session {named:?}"));
+                    }
+                    session = Some(Session::new(header));
+                    return Ok(());
+                };
+                let frame = Frame::decode(text)?;
+                match session.check(&frame).map_err(|e| e.to_string())? {
+                    AppendOutcome::Duplicate => return Err("repeats records already held".into()),
+                    _ => session.apply(frame, &mut accepted),
+                }
+                Ok(())
+            });
+            folded.map_err(|why| IngestError::Parse {
+                id: id.to_string(),
+                detail: format!("frame at byte {good}: {why}"),
+            })?;
+            good += n as u64;
+        }
+        let torn = line.len() as u64;
+        if torn > 0 {
+            let cut = OpenOptions::new().write(true).open(&path).and_then(|f| f.set_len(good));
+            cut.map_err(|e| IngestError::io(id, e))?;
+            self.bytes.fetch_sub(torn, Ordering::Relaxed);
+        }
+        if let Some(session) = session.as_mut() {
+            session.len = good;
+        } else {
+            // Not even a header: the session was never created.
+            let _ = std::fs::remove_file(&path);
+        }
+        Ok(session.map(|session| (session, accepted)))
+    }
+
+    /// The accepted records of a live session, read back from its log.
+    fn accepted_records(&self, session: &Session) -> Result<Vec<PacketRecord>, IngestError> {
+        Ok(self.replay(&session.header.id)?.map(|(_, records)| records).unwrap_or_default())
+    }
+
+    /// Commit `mark`, count it, and hand the accepted prefix to the fitter.
+    fn hand_out(&self, id: &str, mark: Frame) -> Result<FinalizeOutput, IngestError> {
+        let counter = if matches!(mark, Frame::Seal) { "ingest.finalize" } else { "ingest.refit" };
+        self.with_session(id, None, |session| {
+            session.check(&mark)?;
+            let mut records = self.accepted_records(session)?;
+            self.commit(session, mark, &mut records)?;
+            ibox_obs::global().counter(counter).inc();
+            Ok(FinalizeOutput {
+                trace: FlowTrace::from_records(session.header.meta.clone(), records),
+                kind: session.header.kind.clone(),
+                fit_seq: session.fit_seq,
+                sealed: session.sealed,
+            })
         })
     }
 
-    /// Recover a session from disk by re-folding its chunk files.
-    fn load_session(&self, id: &str) -> Result<Session, IngestError> {
-        let dir = self.dir(id);
-        let man_path = dir.join("manifest.json");
-        let text = match std::fs::read_to_string(&man_path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(IngestError::UnknownSession { id: id.to_string() })
-            }
-            Err(e) => return Err(IngestError::Io { id: id.to_string(), detail: e.to_string() }),
-        };
-        let mut man: Manifest = serde_json::from_str(&text)
-            .map_err(|e| IngestError::Parse { id: id.to_string(), detail: e.to_string() })?;
-        let mut session = Session {
-            man: Manifest { next_offset: 0, chunks: 0, bytes: 0, ..man.clone() },
-            last_key: None,
-            pending: BTreeMap::new(),
-            statics: OnlineStaticParams::new(),
-            cross: None,
-        };
-        // Re-fold accepted chunks in offset order; counts are recomputed
-        // from the files themselves, which re-adopts a chunk written just
-        // before a crash (the manifest write is the commit point, but an
-        // orphan chunk is contiguous by construction).
-        let mut expected = 0u64;
-        self.for_each_chunk(id, |chunk| {
-            if chunk.offset != expected {
-                return Err(IngestError::Parse {
-                    id: id.to_string(),
-                    detail: format!(
-                        "chunk offset {} does not follow accepted prefix {expected}",
-                        chunk.offset
-                    ),
-                });
-            }
-            session.statics.fold_chunk(&chunk.records);
-            session.last_key = chunk.records.last().map(|r| (r.send_ns, r.seq));
-            expected += chunk.records.len() as u64;
-            session.man.chunks += 1;
-            session.man.bytes += chunk.bytes;
-            Ok(())
-        })?;
-        session.man.next_offset = expected;
-        // Provisional cross fold over the recovered prefix.
-        if let Some(params) = session.statics.params() {
-            let mut cross = OnlineCrossTraffic::new(&params, DEFAULT_BIN_SECS);
-            self.for_each_chunk(id, |chunk| {
-                cross.fold_chunk(&chunk.records);
-                Ok(())
-            })?;
-            session.cross = Some(cross);
-        }
-        // Buffered chunks.
-        for entry in list_files(&dir, "pending-", id)? {
-            let text = std::fs::read_to_string(&entry)
-                .map_err(|e| IngestError::Io { id: id.to_string(), detail: e.to_string() })?;
-            let chunk: ChunkFile = serde_json::from_str(&text)
-                .map_err(|e| IngestError::Parse { id: id.to_string(), detail: e.to_string() })?;
-            if chunk.offset >= session.man.next_offset {
-                session.pending.insert(chunk.offset, (text.len() as u64, chunk.records));
-            } else {
-                // Already covered by the accepted prefix: stale file.
-                let _ = std::fs::remove_file(&entry);
-            }
-        }
-        if man.next_offset != session.man.next_offset || man.chunks != session.man.chunks {
-            // Manifest lagged a crash; persist the recovered truth.
-            man = session.man.clone();
-            self.write_manifest(&man)?;
-        }
-        ibox_obs::global().counter("ingest.sessions.recovered").inc();
-        Ok(session)
-    }
-
-    /// Visit accepted chunks in offset order.
-    fn for_each_chunk(
+    /// Write one checked frame to the session's log — behind the header if
+    /// it is the first — then fold it; returns the bytes written. Chunks
+    /// are metered against the budgets and not synced; marks are synced and
+    /// not metered (a full session must still be able to finalize). A
+    /// failed write is cut back and leaves the session as it was.
+    fn commit(
         &self,
-        id: &str,
-        mut visit: impl FnMut(&LoadedChunk) -> Result<(), IngestError>,
-    ) -> Result<(), IngestError> {
-        for path in list_files(&self.dir(id), "chunk-", id)? {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| IngestError::Io { id: id.to_string(), detail: e.to_string() })?;
-            let chunk: ChunkFile = serde_json::from_str(&text)
-                .map_err(|e| IngestError::Parse { id: id.to_string(), detail: e.to_string() })?;
-            visit(&LoadedChunk {
-                offset: chunk.offset,
-                bytes: text.len() as u64,
-                records: chunk.records,
-            })?;
+        session: &mut Session,
+        frame: Frame,
+        accepted: &mut Vec<PacketRecord>,
+    ) -> Result<u64, IngestError> {
+        let id = session.header.id.clone();
+        let mut text = String::new();
+        if session.len == 0 {
+            text = serde_json::to_string(&session.header).map_err(|e| IngestError::io(&id, e))?;
+            text.push('\n');
         }
-        Ok(())
-    }
-
-    /// The concatenated trace over all accepted chunks.
-    fn concatenated(&self, session: &Session) -> Result<FlowTrace, IngestError> {
-        let mut records = Vec::new();
-        self.for_each_chunk(&session.man.id, |chunk| {
-            records.extend_from_slice(&chunk.records);
-            Ok(())
-        })?;
-        Ok(FlowTrace::from_records(session.man.meta.clone(), records))
-    }
-
-    fn write_manifest(&self, man: &Manifest) -> Result<(), IngestError> {
-        let dir = self.dir(&man.id);
-        let text = serde_json::to_string(man).expect("manifest serialization cannot fail");
-        let tmp = dir.join(format!(".manifest.tmp-{}", std::process::id()));
-        std::fs::write(&tmp, &text)
-            .map_err(|e| IngestError::Io { id: man.id.clone(), detail: e.to_string() })?;
-        std::fs::rename(&tmp, dir.join("manifest.json"))
-            .map_err(|e| IngestError::Io { id: man.id.clone(), detail: e.to_string() })
-    }
-}
-
-/// An accepted chunk as read back from disk.
-struct LoadedChunk {
-    offset: u64,
-    bytes: u64,
-    records: Vec<PacketRecord>,
-}
-
-fn chunk_name(offset: u64) -> String {
-    format!("chunk-{offset:012}.json")
-}
-
-fn pending_name(offset: u64) -> String {
-    format!("pending-{offset:012}.json")
-}
-
-fn write_file(path: &Path, text: &str, id: &str) -> Result<(), IngestError> {
-    std::fs::write(path, text)
-        .map_err(|e| IngestError::Io { id: id.to_string(), detail: e.to_string() })
-}
-
-/// Files under `dir` whose name starts with `prefix`, sorted by name
-/// (offsets are zero-padded, so name order == offset order).
-fn list_files(dir: &Path, prefix: &str, id: &str) -> Result<Vec<PathBuf>, IngestError> {
-    let mut out = Vec::new();
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| IngestError::Io { id: id.to_string(), detail: e.to_string() })?;
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if name.starts_with(prefix) && name.ends_with(".json") {
-            out.push(entry.path());
+        text.push_str(&frame.encode().map_err(|e| IngestError::io(&id, e))?);
+        let bytes = text.len() as u64;
+        let is_chunk = matches!(frame, Frame::Chunk { .. });
+        let limit = self.config.session_budget_bytes;
+        if is_chunk && session.len + bytes > limit {
+            return Err(IngestError::SessionBudget { id, limit, needed: session.len + bytes });
         }
+        let limit = self.config.global_budget_bytes;
+        let needed = self.bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        let written = if is_chunk && needed > limit {
+            Err(IngestError::GlobalBudget { limit, needed })
+        } else {
+            self.write(&id, session.len, &text, !is_chunk)
+        };
+        if let Err(e) = written {
+            self.bytes.fetch_sub(bytes, Ordering::Relaxed);
+            return Err(e);
+        }
+        session.len += bytes;
+        session.apply(frame, accepted);
+        Ok(bytes)
     }
-    out.sort();
-    Ok(out)
-}
 
-/// Total serialized bytes of all chunk and pending files under `root`.
-fn scan_bytes(root: &Path) -> Result<u64, IngestError> {
-    let mut total = 0u64;
-    let entries = std::fs::read_dir(root)
-        .map_err(|e| IngestError::Io { id: String::new(), detail: e.to_string() })?;
-    for entry in entries.flatten() {
-        let dir = entry.path();
-        if !dir.is_dir() {
-            continue;
+    /// One `write_all` at the end of `id`'s log, which is `len` bytes long.
+    /// The file is opened per write: a handle per live session would let a
+    /// fleet of idle sessions exhaust the daemon's descriptors.
+    fn write(&self, id: &str, len: u64, text: &str, sync: bool) -> Result<(), IngestError> {
+        let mut file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(self.log_path(id))
+            .map_err(|e| IngestError::io(id, e))?;
+        let mut done = file.write_all(text.as_bytes());
+        if sync && done.is_ok() {
+            let _span = ibox_obs::span!("ingest.log.sync");
+            done = file.sync_data().and_then(|()| File::open(&self.root)?.sync_all());
         }
-        let Ok(files) = std::fs::read_dir(&dir) else { continue };
-        for file in files.flatten() {
-            let name = file.file_name().to_string_lossy().into_owned();
-            if name.starts_with("chunk-") || name.starts_with("pending-") {
-                if let Ok(meta) = file.metadata() {
-                    total += meta.len();
-                }
-            }
-        }
+        done.map_err(|e| {
+            let _ = file.set_len(len);
+            IngestError::io(id, e)
+        })
     }
-    Ok(total)
 }
 
 /// Session ids double as registry model ids, so the rules are the
@@ -944,10 +937,16 @@ mod tests {
         range.map(rec).collect()
     }
 
-    /// What the chunk file at `offset` must hold: the owned `ChunkFile`
-    /// layout, whichever type wrote it.
+    /// The chunk frame the log must hold for `records` at `offset`.
     fn chunk_bytes(offset: u64, records: &[PacketRecord]) -> String {
         format!(r#"{{"offset":{offset},"records":{}}}"#, serde_json::to_string(records).unwrap())
+    }
+
+    /// The frames of `id`'s log, header first.
+    fn log_lines(store: &SessionStore, id: &str) -> Vec<String> {
+        let text = std::fs::read_to_string(store.log_path(id)).unwrap();
+        assert!(text.ends_with('\n'), "every frame is committed by its newline");
+        text.lines().map(str::to_string).collect()
     }
 
     fn store(tag: &str, config: IngestConfig) -> (SessionStore, PathBuf) {
@@ -984,11 +983,7 @@ mod tests {
         assert_eq!(r.outcome, AppendOutcome::Buffered);
         assert_eq!(r.next_offset, 0);
         assert_eq!(r.buffered, 1);
-        let session_dir = store.dir("s1");
-        assert_eq!(
-            std::fs::read_to_string(session_dir.join(pending_name(40))).unwrap(),
-            chunk_bytes(40, &recs(40..60))
-        );
+        assert_eq!(log_lines(&store, "s1")[1], chunk_bytes(40, &recs(40..60)));
         // Finalize refuses while the gap is open.
         let err = store.finalize("s1").unwrap_err();
         assert!(matches!(err, IngestError::Gap { expected: 0, buffered: 1, .. }));
@@ -998,13 +993,18 @@ mod tests {
         assert_eq!(r.next_offset, 60);
         assert_eq!(r.buffered, 0);
         assert_eq!(r.chunks, 2);
-        // Both write sites (direct, and the drained pending chunk) leave the
-        // owned `ChunkFile` bytes on disk, and they read back as such.
-        for (offset, records) in [(0, recs(0..40)), (40, recs(40..60))] {
-            let text = std::fs::read_to_string(session_dir.join(chunk_name(offset))).unwrap();
-            assert_eq!(text, chunk_bytes(offset, &records));
-            let back: ChunkFile = serde_json::from_str(&text).unwrap();
-            assert_eq!((back.offset, back.records), (offset, records));
+        // The log holds the frames in arrival order — the drained chunk is
+        // not rewritten — and they read back as such.
+        let lines = log_lines(&store, "s1");
+        assert_eq!(lines.len(), 3);
+        for (line, (offset, records)) in
+            lines[1..].iter().zip([(40, recs(40..60)), (0, recs(0..40))])
+        {
+            assert_eq!(*line, chunk_bytes(offset, &records));
+            let Ok(Frame::Chunk { offset: o, records: r }) = Frame::decode(line) else {
+                panic!("not a chunk frame: {line}")
+            };
+            assert_eq!((o, r), (offset, records));
         }
         assert_eq!(store.finalize("s1").unwrap().trace.len(), 60);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1117,6 +1117,228 @@ mod tests {
         assert_eq!(r.buffered, 0);
         let out = store.finalize("s1").unwrap();
         assert_eq!(out.trace.len(), 80);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sum of the log sizes on disk: what the store's byte meter must read.
+    fn disk_bytes(store: &SessionStore) -> u64 {
+        std::fs::read_dir(store.root()).unwrap().map(|e| e.unwrap().metadata().unwrap().len()).sum()
+    }
+
+    #[test]
+    fn a_torn_tail_is_cut_on_next_touch_and_the_session_resumes() {
+        let (store, dir) = store("torn", IngestConfig::default());
+        for i in 0..4 {
+            store.append("s1", None, None, i * 25, recs(i * 25..(i + 1) * 25)).unwrap();
+        }
+        store.append("other", None, None, 0, recs(0..10)).unwrap();
+        // What a crash inside the last write leaves: half a frame.
+        let path = store.log_path("s1");
+        let full = std::fs::read(&path).unwrap();
+        let last_frame = full[..full.len() - 1].iter().rposition(|b| *b == b'\n').unwrap() + 1;
+        std::fs::write(&path, &full[..(last_frame + full.len()) / 2]).unwrap();
+        drop(store);
+
+        let store = SessionStore::open(&dir, IngestConfig::default()).unwrap();
+        let ids: Vec<String> = store.list().unwrap().into_iter().map(|s| s.id).collect();
+        assert_eq!(ids, ["other", "s1"]);
+        let st = store.status("s1").unwrap();
+        assert_eq!((st.next_offset, st.chunks), (75, 3));
+        assert_eq!(st.bytes, last_frame as u64, "the log ends at its last complete frame");
+        assert_eq!(std::fs::read(&path).unwrap(), &full[..last_frame]);
+        assert_eq!(store.bytes.load(Ordering::Relaxed), disk_bytes(&store));
+        // The client re-sends from `next_offset`; the log is whole again.
+        store.append("s1", None, None, 75, recs(75..100)).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), full);
+        assert_eq!(store.finalize("s1").unwrap().trace.len(), 100);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_log_without_a_complete_header_is_a_session_that_never_was() {
+        let (store, dir) = store("tornheader", IngestConfig::default());
+        store.append("s1", None, None, 0, recs(0..20)).unwrap();
+        let full = std::fs::read(store.log_path("s1")).unwrap();
+        for cut in [0, 1, 17] {
+            std::fs::write(store.log_path("s1"), &full[..cut]).unwrap();
+            let store = SessionStore::open(&dir, IngestConfig::default()).unwrap();
+            assert!(matches!(store.status("s1"), Err(IngestError::UnknownSession { .. })), "{cut}");
+            assert!(store.list().unwrap().is_empty());
+            assert!(!store.log_path("s1").exists(), "the empty log is removed");
+            assert_eq!(store.bytes.load(Ordering::Relaxed), 0);
+            assert!(relock(&store.sessions).is_empty(), "nothing is kept for an unknown id");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_corrupt_frame_is_typed_for_its_id_and_left_out_of_the_listing() {
+        let (store, dir) = store("corrupt", IngestConfig::default());
+        for id in ["bad", "good"] {
+            store.append(id, None, None, 0, recs(0..20)).unwrap();
+            store.append(id, None, None, 20, recs(20..40)).unwrap();
+        }
+        // A complete line that is not a frame, followed by a good one.
+        let path = store.log_path("bad");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        std::fs::write(&path, format!("{}\n{{\"offset\":\n{}\n", lines[0], lines[2])).unwrap();
+        store.forget_all();
+
+        let scope = ibox_obs::scoped();
+        let ids: Vec<String> = store.list().unwrap().into_iter().map(|s| s.id).collect();
+        assert_eq!(ids, ["good"]);
+        assert_eq!(scope.finish().snapshot().counters["ingest.sessions.unreadable"], 1);
+        for err in [
+            store.status("bad").unwrap_err(),
+            store.finalize("bad").unwrap_err(),
+            store.append("bad", None, None, 40, recs(40..50)).unwrap_err(),
+        ] {
+            assert!(matches!(err, IngestError::Parse { .. }), "{err}");
+            assert_eq!(err.http_status(), 500);
+            assert!(err.to_string().contains("frame at byte"), "{err}");
+        }
+        assert_eq!(store.finalize("good").unwrap().trace.len(), 40);
+        // A frame that parses but cannot follow its predecessors is corrupt too.
+        std::fs::write(&path, format!("{}\n{}\n{}\n", lines[0], lines[1], lines[1])).unwrap();
+        let err = store.status("bad").unwrap_err();
+        assert!(matches!(err, IngestError::Parse { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn directories_in_the_old_layout_are_refused_by_name() {
+        let (store, dir) = store("oldlayout", IngestConfig::default());
+        std::fs::create_dir_all(store.root().join("legacy")).unwrap();
+        let store = SessionStore::open(&dir, IngestConfig::default()).unwrap();
+        for err in [
+            store.status("legacy").unwrap_err(),
+            store.append("legacy", None, None, 0, recs(0..5)).unwrap_err(),
+        ] {
+            assert!(matches!(err, IngestError::InvalidId { .. }), "{err}");
+            assert_eq!(err.http_status(), 400);
+            assert!(err.to_string().contains("schema-1 session directory"), "{err}");
+        }
+        assert!(store.list().unwrap().is_empty());
+        assert!(!store.log_path("legacy").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_chunk_must_fit_between_its_neighbours_and_a_rejection_writes_nothing() {
+        let (store, dir) = store("neighbours", IngestConfig::default());
+        let shifted = |range: std::ops::Range<u64>, by: u64| -> Vec<PacketRecord> {
+            range.map(|i| PacketRecord::lost(i, (i + by) * 1_000_000, 1200)).collect()
+        };
+        // A first chunk that is refused leaves no file and no session.
+        let err = store.append("s1", None, None, u64::MAX, recs(0..5)).unwrap_err();
+        assert!(matches!(err, IngestError::Overlap { .. }));
+        assert!(!store.log_path("s1").exists() && relock(&store.sessions).is_empty());
+
+        store.append("s1", None, None, 0, recs(0..20)).unwrap();
+        store.append("s1", None, None, 40, recs(40..60)).unwrap();
+        let before = std::fs::read(store.log_path("s1")).unwrap();
+        let refused = [
+            // Overlaps the buffered chunk from below, and from above.
+            (30, recs(30..45), 409),
+            (50, recs(50..70), 409),
+            // Fits by offset but not by send time: above the buffered
+            // chunk's first record, below the prefix's last, unsorted inside.
+            (20, shifted(20..40, 30), 409),
+            (
+                60,
+                shifted(60..70, 0).into_iter().map(|r| PacketRecord { send_ns: 5, ..r }).collect(),
+                409,
+            ),
+            (20, Vec::new(), 400),
+        ];
+        for (offset, records, status) in refused {
+            let err = store.append("s1", None, None, offset, records).unwrap_err();
+            assert_eq!(err.http_status(), status, "{offset}: {err}");
+            assert_eq!(std::fs::read(store.log_path("s1")).unwrap(), before, "{offset}: {err}");
+        }
+        assert_eq!(store.bytes.load(Ordering::Relaxed), before.len() as u64);
+        // The gap still fills and drains.
+        let r = store.append("s1", None, None, 20, recs(20..40)).unwrap();
+        assert_eq!((r.next_offset, r.buffered), (60, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A write the file system refuses (here: the log is `/dev/full`) is a
+    /// typed error that leaves the session, the meter and the log as they were.
+    #[cfg(unix)]
+    #[test]
+    fn a_failed_write_leaves_memory_and_the_meter_untouched() {
+        let (store, dir) = store("enospc", IngestConfig::default());
+        store.append("s1", None, None, 0, recs(0..20)).unwrap();
+        let before = store.status("s1").unwrap();
+        let aside = dir.join("s1.aside");
+        std::fs::rename(store.log_path("s1"), &aside).unwrap();
+        std::os::unix::fs::symlink("/dev/full", store.log_path("s1")).unwrap();
+        let err = store.append("s1", None, None, 20, recs(20..40)).unwrap_err();
+        assert!(matches!(err, IngestError::Io { .. }), "{err}");
+        std::fs::rename(&aside, store.log_path("s1")).unwrap();
+        let after = store.status("s1").unwrap();
+        assert_eq!((after.next_offset, after.chunks, after.bytes), (20, 1, before.bytes));
+        assert_eq!(store.bytes.load(Ordering::Relaxed), before.bytes);
+        store.append("s1", None, None, 20, recs(20..40)).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A panic under a session's lock, or under the store's map lock, must
+    /// not take the next request down with it.
+    #[test]
+    fn poisoned_locks_still_serve_the_next_request() {
+        let (store, dir) = store("poison", IngestConfig::default());
+        store.append("s1", None, None, 0, recs(0..50)).unwrap();
+        let slot = Arc::clone(&relock(&store.sessions)["s1"]);
+        let crashed = std::thread::spawn(move || {
+            let _guard = slot.lock().unwrap();
+            panic!("poisoning the session lock (expected in this test)");
+        });
+        assert!(crashed.join().is_err());
+        // The state is folded again from the log, and the lock is usable.
+        assert_eq!(store.status("s1").unwrap().next_offset, 50);
+        assert!(!relock(&store.sessions)["s1"].is_poisoned());
+        assert_eq!(store.append("s1", None, None, 50, recs(50..60)).unwrap().next_offset, 60);
+
+        std::thread::scope(|scope| {
+            let crashed = scope.spawn(|| {
+                let _guard = store.sessions.lock().unwrap();
+                panic!("poisoning the store map (expected in this test)");
+            });
+            assert!(crashed.join().is_err());
+        });
+        assert!(store.sessions.is_poisoned());
+        assert_eq!(store.append("s2", None, None, 0, recs(0..10)).unwrap().next_offset, 10);
+        assert_eq!(store.list().unwrap().len(), 2);
+        assert_eq!(store.finalize("s1").unwrap().trace.len(), 60);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The one place the live fold reads the log back: the cross-traffic
+    /// anchor at a first delivery that is not in the first chunk. Recovery
+    /// must land on the same bits.
+    #[test]
+    fn the_anchor_after_a_lost_only_prefix_is_the_one_recovery_computes() {
+        let duration = ibox_sim::SimTime::from_secs(3);
+        let inst = ibox_testbed::Profile::Ethernet.builder().seed(11).duration(duration).sample();
+        let trace = ibox_testbed::run_protocol(&inst, "cubic", duration, 11);
+        let mut records = trace.records()[..4000].to_vec();
+        for rec in &mut records[..50] {
+            rec.recv_ns = None;
+        }
+        let (store, dir) = store("anchor", IngestConfig::default());
+        store.append("s1", None, None, 0, records[..50].to_vec()).unwrap();
+        assert!(store.status("s1").unwrap().watermark.is_none());
+        store.append("s1", None, None, 50, records[50..2000].to_vec()).unwrap();
+        store.append("s1", None, None, 2000, records[2000..].to_vec()).unwrap();
+        let live = store.status("s1").unwrap().watermark.unwrap();
+        assert!(live.cross_total_bytes > 0.0, "the trace must exercise the cross fold");
+        store.forget_all();
+        let recovered = store.status("s1").unwrap().watermark.unwrap();
+        assert_eq!(recovered.cross_total_bytes.to_bits(), live.cross_total_bytes.to_bits());
+        assert_eq!(recovered.bandwidth_bps.to_bits(), live.bandwidth_bps.to_bits());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,11 +12,12 @@
 //!   histograms, and P² streaming quantiles; one relaxed atomic op per
 //!   update on the hot path.
 //! * span timers — `let _g = span!("estimate.crosstraffic");` aggregates
-//!   wall time per label via RAII ([`Registry::span`]).
-//! * [`trace`] — causal per-request tracing: `trace_span!` records span
-//!   begin/end events (with SplitMix64-derived trace/span IDs) into a
-//!   fixed-capacity [`TraceCollector`] ring, exportable as Chrome
-//!   trace-event JSON; a no-op branch when sampling is off.
+//!   wall time per label via RAII ([`Registry::span`]) and, when a trace is
+//!   being recorded on the thread, is also a span of that trace.
+//! * [`trace`] — causal per-request tracing: span begin/end events (with
+//!   SplitMix64-derived trace/span IDs) land in a fixed-capacity
+//!   [`TraceCollector`] ring, exportable as Chrome trace-event JSON; a
+//!   no-op branch when sampling is off.
 //! * [`manifest`] — a JSON run manifest (seed, config hash, git rev,
 //!   duration, metrics snapshot) written next to every command's output.
 
@@ -98,13 +99,16 @@ pub fn scoped() -> ScopedRegistry {
     ScopedRegistry { registry }
 }
 
-/// Time a scope into a registry: `span!("label")` uses the global
-/// registry, `span!(registry, "label")` a specific one. Bind the result
-/// (`let _g = span!(..)`) — the time is recorded when the guard drops.
+/// Time a scope: `span!("label")` aggregates wall time under the label in
+/// the global registry and, when a trace is being recorded on this thread,
+/// also records the span's begin/end in it ([`trace::span`]);
+/// `span!(registry, "label")` aggregates into a specific registry only.
+/// Bind the result (`let _g = span!(..)`) — the span ends when the guard
+/// drops.
 #[macro_export]
 macro_rules! span {
     ($label:expr) => {
-        $crate::global().span($label)
+        $crate::trace::span($label)
     };
     ($registry:expr, $label:expr) => {
         $registry.span($label)

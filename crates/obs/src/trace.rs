@@ -19,9 +19,9 @@
 //! Recording is thread-local and allocation-light: an active scope
 //! buffers events in a `Vec` and flushes to the shared ring-buffer
 //! [`TraceCollector`] once, when the scope ends. When tracing is
-//! disabled — or no scope is active on the thread — [`trace_span!`],
+//! disabled — or no scope is active on the thread — [`span!`](crate::span),
 //! [`instant`], and [`counter`] are a single thread-local branch and
-//! record nothing, so steady-state hot paths stay allocation-free.
+//! record no event, so steady-state hot paths stay allocation-free.
 //!
 //! Parallel work propagates causality explicitly: the thread that owns
 //! a scope calls [`link`] to reserve child-span slots, hands the
@@ -368,41 +368,34 @@ fn end_span_in(state: &mut ScopeState, span: u64) {
     }
 }
 
-/// RAII guard from [`span`] / [`trace_span!`]: ends the trace span and
-/// folds wall time into the `span!` aggregation when it drops. Inactive
-/// guards (no scope on this thread) are inert.
+/// RAII guard from [`span`] / [`span!`](crate::span): when it drops it
+/// ends the trace span (if a scope was active when it opened) and folds
+/// the wall time into the per-label aggregation.
 #[must_use = "dropping the guard immediately ends the span"]
 pub struct TraceSpanGuard {
-    trace: u64,
-    span: u64,
-    _agg: Option<SpanGuard>,
+    /// The trace and span opened in the active scope, if there was one.
+    traced: Option<(u64, u64)>,
+    _agg: SpanGuard,
 }
 
 impl Drop for TraceSpanGuard {
     fn drop(&mut self) {
-        if self.trace == 0 {
-            return;
-        }
+        let Some((trace, span)) = self.traced else { return };
         with_scope(|state| {
-            if state.trace == self.trace {
-                end_span_in(state, self.span);
+            if state.trace == trace {
+                end_span_in(state, span);
             }
         });
     }
 }
 
-/// Open a child span of the innermost active span on this thread. When
-/// a scope is active this also starts a [`crate::span!`] aggregation
-/// under the same label (so traced phases show up in `/metrics` too);
-/// when none is, it returns an inert guard without allocating.
+/// Time a scope under `name`: the wall time always lands in this thread's
+/// [`global`](crate::global) registry, and when a trace scope is active on
+/// the thread the span also opens as a child of the innermost active span
+/// (one thread-local branch otherwise).
 pub fn span(name: &str) -> TraceSpanGuard {
-    let opened = with_scope(|state| (state.trace, begin_child(state, name)));
-    match opened {
-        Some((trace, span)) => {
-            TraceSpanGuard { trace, span, _agg: Some(crate::global().span(name)) }
-        }
-        None => TraceSpanGuard { trace: 0, span: 0, _agg: None },
-    }
+    let traced = with_scope(|state| (state.trace, begin_child(state, name)));
+    TraceSpanGuard { traced, _agg: crate::global().span(name) }
 }
 
 /// Record a point-in-time marker inside the enclosing span (no-op
@@ -626,17 +619,6 @@ pub fn fold(events: Vec<TraceEvent>) {
     with_scope(|state| state.buf.extend(events));
 }
 
-/// Open a causal trace span: begin/end events in the active trace plus
-/// the classic [`span!`](crate::span) wall-time aggregation under the
-/// same label. Compiles down to one thread-local branch when no trace
-/// is being recorded. Bind the guard: `let _t = trace_span!("model-fit");`.
-#[macro_export]
-macro_rules! trace_span {
-    ($label:expr) => {
-        $crate::trace::span($label)
-    };
-}
-
 // --- Chrome trace-event export ------------------------------------------
 
 /// Render a trace as Chrome trace-event JSON (the "JSON Array Format"
@@ -736,7 +718,7 @@ mod tests {
     fn disabled_tracing_is_a_noop() {
         assert!(start_root(42, "off").is_none());
         assert!(!active());
-        let _g = span("nobody-home"); // must not panic or record
+        let _g = span("nobody-home"); // must not panic or record an event
         instant("nothing");
         counter("nothing", 1.0);
         assert!(link(4).is_none());
@@ -777,7 +759,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_span_composes_with_span_aggregation() {
+    fn a_traced_span_is_aggregated_too() {
         let collector = TraceCollector::new(1024);
         let scope = crate::scoped();
         {

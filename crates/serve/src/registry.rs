@@ -192,10 +192,10 @@ impl ModelRegistry {
         PinGuard { reg: self, id: id.to_string() }
     }
 
-    /// Remove leftovers a crashed writer may have abandoned (`.<id>.tmp-*`
-    /// files). Safe against live writers in *this* process: writers
-    /// rename away their temp file before `compact` could see a stale one
-    /// for longer than one put.
+    /// Remove leftovers a crashed writer may have abandoned (the
+    /// `.<file>.tmp-*` files of `ibox::write_atomic`). Safe against live
+    /// writers in *this* process: writers rename away their temp file
+    /// before `compact` could see a stale one for longer than one put.
     pub fn compact(&self) {
         let Ok(entries) = std::fs::read_dir(&self.dir) else { return };
         for entry in entries.flatten() {
@@ -248,19 +248,12 @@ impl ModelRegistry {
         ModelArtifact::load(&path).map_err(RegistryError::Artifact)
     }
 
-    /// Store `artifact` under `id`, atomically (write-then-rename), so a
+    /// Store `artifact` under `id`, atomically (`ibox::write_atomic`), so a
     /// concurrent [`get`](Self::get) sees either nothing or the complete
     /// file.
     pub fn put(&self, id: &str, artifact: &ModelArtifact) -> Result<(), RegistryError> {
         Self::validate(id)?;
-        let path = self.path_of(id);
-        let tmp = self.dir.join(format!(".{id}.tmp-{}", std::process::id()));
-        let write =
-            std::fs::write(&tmp, artifact.to_json()).and_then(|()| std::fs::rename(&tmp, &path));
-        write.map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            RegistryError::Artifact(ArtifactError::Io { path, detail: e.to_string() })
-        })?;
+        artifact.save(&self.path_of(id)).map_err(RegistryError::Artifact)?;
         self.touch(id);
         Ok(())
     }

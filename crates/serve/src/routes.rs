@@ -704,7 +704,7 @@ fn handle_replay(app: &Arc<App>, req: &Request) -> Result<Response, Response> {
     // Exactly the bytes `ibox replay -o out.json` writes for this model:
     // the replay path is byte-identical online and offline.
     let encoded = {
-        let _span = ibox_obs::trace_span!("json.encode");
+        let _span = ibox_obs::span!("json.encode");
         serde_json::to_string(&trace)
     };
     let json =
@@ -846,6 +846,51 @@ mod tests {
             assert!(body.contains(span), "span {span:?} missing from:\n{body}");
         }
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The store's spans need no call-site wiring: `span!` joins whatever
+    /// trace the request opened.
+    #[test]
+    fn traced_ingest_requests_show_the_store_spans() {
+        ibox_obs::trace::set_enabled(true);
+        let (app, dir) = test_app("traced_ingest");
+        let records: Vec<String> = (0..40u64)
+            .map(|i| {
+                let (send, recv) = (i * 1_000_000, i * 1_000_000 + 30_000_000);
+                format!(r#"{{"seq":{i},"send_ns":{send},"size":1200,"recv_ns":{recv}}}"#)
+            })
+            .collect();
+        let traced = |req: &mut Request, id: &str| {
+            req.headers.push(("x-ibox-trace-id".to_string(), id.to_string()));
+        };
+        let spans_of = |id: &str| body_text(&handle(&app, &get(&format!("/trace/{id}"))));
+
+        let body = format!(r#"{{"offset":0,"records":[{}]}}"#, records.join(","));
+        let mut append = post("/traces/traced/append", &body);
+        traced(&mut append, "routes-test-append");
+        let resp = handle(&app, &append);
+        assert_eq!(resp.status, 200, "{}", body_text(&resp));
+        let spans = spans_of("routes-test-append");
+        for span in ["request.ingest_append", "ingest.append"] {
+            assert!(spans.contains(span), "span {span:?} missing from:\n{spans}");
+        }
+
+        // After a restart the first touch folds the log, visibly.
+        app.ingest.forget_all();
+        let mut status = get("/ingest/sessions/traced");
+        traced(&mut status, "routes-test-status");
+        assert_eq!(handle(&app, &status).status, 200);
+        assert!(spans_of("routes-test-status").contains("ingest.recover"));
+
+        let mut finalize = post("/traces/traced/finalize", "{}");
+        traced(&mut finalize, "routes-test-finalize");
+        let resp = handle(&app, &finalize);
+        assert_eq!(resp.status, 200, "{}", body_text(&resp));
+        let spans = spans_of("routes-test-finalize");
+        for span in ["request.ingest_finalize", "ingest.finalize", "ingest.log.sync", "model-fit"] {
+            assert!(spans.contains(span), "span {span:?} missing from:\n{spans}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

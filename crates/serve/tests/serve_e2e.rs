@@ -505,3 +505,107 @@ fn ingest_finalize_fit_matches_one_shot_fit_bytes() {
     server.handle().shutdown();
     server.join();
 }
+
+/// The crash the directory layout could not survive: the daemon dies
+/// inside a chunk write. On restart the torn tail of that session's log is
+/// cut at its last complete frame — whether it was cut mid-frame, mid-header
+/// or down to nothing — the session beside it and the listing are
+/// unaffected, and the resumed stream finalizes to the bytes of a one-shot
+/// fit. The ingest directory holds one log per session and nothing else.
+#[test]
+fn ingest_survives_a_crash_mid_write_and_resumes() {
+    let (server, dir) = start(|_| {});
+    let duration = SimTime::from_secs(2);
+    let train = ibox_testbed::run_protocol(
+        &ibox_testbed::Profile::Ethernet.builder().seed(13).duration(duration).sample(),
+        "cubic",
+        duration,
+        13,
+    );
+    let meta = serde_json::to_string(&train.meta).unwrap();
+    let per = train.len().div_ceil(4);
+    let chunks: Vec<(usize, Vec<u8>)> = train
+        .records()
+        .chunks(per)
+        .enumerate()
+        .map(|(i, recs)| {
+            let records = serde_json::to_string(&recs.to_vec()).unwrap();
+            let body =
+                format!(r#"{{"offset": {}, "meta": {meta}, "records": {records}}}"#, i * per);
+            (i * per, body.into_bytes())
+        })
+        .collect();
+    let stream = |c: &mut HttpClient, id: &str| {
+        for (offset, body) in &chunks {
+            let (status, resp) =
+                c.request("POST", &format!("/traces/{id}/append"), Some(body)).unwrap();
+            assert_eq!(status, 200, "{id} @ {offset}: {}", String::from_utf8_lossy(&resp));
+        }
+    };
+    let mut c = client(&server);
+    for id in ["mid-frame", "mid-header", "emptied", "bystander"] {
+        stream(&mut c, id);
+    }
+    drop(c); // an idle keep-alive connection would hold the drain for its read timeout
+    server.handle().shutdown();
+    server.join();
+
+    let ingest = dir.join("ingest");
+    let mut files: Vec<String> = std::fs::read_dir(&ingest)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["bystander.log", "emptied.log", "mid-frame.log", "mid-header.log"]);
+    let cut = |id: &str, keep: &dyn Fn(&[u8]) -> usize| {
+        let path = ingest.join(format!("{id}.log"));
+        let log = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &log[..keep(&log)]).unwrap();
+    };
+    cut("mid-frame", &|log| log.len() - 1000);
+    cut("mid-header", &|_| 20);
+    cut("emptied", &|_| 0);
+
+    let mut config = ServeConfig::new("127.0.0.1:0", &dir);
+    config.jobs = 2;
+    let server = Server::bind(config).expect("rebind");
+    let mut c = client(&server);
+    let (status, body) = c.request("GET", "/ingest/sessions", None).unwrap();
+    let listing = String::from_utf8(body).unwrap();
+    assert_eq!(status, 200, "{listing}");
+    assert!(listing.contains("\"bystander\"") && listing.contains("\"mid-frame\""), "{listing}");
+    let (status, body) = c.request("GET", "/ingest/sessions/mid-frame", None).unwrap();
+    let text = String::from_utf8(body).unwrap();
+    assert_eq!(status, 200, "{text}");
+    let v = serde_json::parse_value(&text).unwrap();
+    assert_eq!(
+        v.get("next_offset").and_then(serde::Value::as_f64),
+        Some((3 * per) as f64),
+        "{text}"
+    );
+    for id in ["mid-header", "emptied"] {
+        let (status, _) = c.request("GET", &format!("/ingest/sessions/{id}"), None).unwrap();
+        assert_eq!(status, 404, "{id}: a log without a header is a session that never was");
+    }
+
+    // Every client re-sends its stream (accepted chunks answer as
+    // duplicates) and finalizes; all four fits are the one-shot fit.
+    let oneshot =
+        serde_json::to_string(&ibox::fit_model(&ibox::ModelKind::IBoxNet, &train)).unwrap();
+    for id in ["mid-frame", "mid-header", "emptied", "bystander"] {
+        if id != "bystander" {
+            stream(&mut c, id);
+        }
+        let (status, resp) =
+            c.request("POST", &format!("/traces/{id}/finalize"), Some(b"{}")).unwrap();
+        assert_eq!(status, 200, "{id}: {}", String::from_utf8_lossy(&resp));
+        let fitted =
+            ModelArtifact::load(&ModelArtifact::registry_path(&dir, &format!("{id}-v1"))).unwrap();
+        assert_eq!(serde_json::to_string(&fitted.model).unwrap(), oneshot, "{id}");
+    }
+    assert_eq!(std::fs::read_dir(&ingest).unwrap().count(), 4, "one log per session, no more");
+
+    drop(c);
+    server.handle().shutdown();
+    server.join();
+}

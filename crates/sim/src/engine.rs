@@ -411,10 +411,11 @@ impl Simulation {
 
     /// Run to completion and return traces and statistics.
     pub fn run(mut self) -> SimOutput {
-        // One begin/end pair per run in the active causal trace (a
-        // single thread-local branch when tracing is off). Timeline
-        // events additionally require the opt-in flag.
-        let _run_span = ibox_obs::trace_span!("sim-run");
+        // One aggregated span per run, which is also a begin/end pair in
+        // the active causal trace (a single thread-local branch when
+        // tracing is off). Timeline events additionally require the
+        // opt-in flag.
+        let _run_span = ibox_obs::span!("sim-run");
         self.tl = self.timeline && ibox_obs::trace::active();
         self.reserve_buffers();
         // Seed initial events.

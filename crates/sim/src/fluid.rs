@@ -823,7 +823,7 @@ impl FluidSim {
 
     /// Run the fluid simulation to completion.
     pub fn run(mut self) -> SimOutput {
-        let _run_span = ibox_obs::trace_span!("fluid-run");
+        let _run_span = ibox_obs::span!("fluid-run");
         let wall = std::time::Instant::now();
         let end_s = self.end.as_secs_f64();
         self.enumerate_cross();

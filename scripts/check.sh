@@ -4,10 +4,12 @@
 #
 # Always: the grep gates (the CLI option tables, fits routed through the
 # FitCache, replay options routed through ReplayRequest, timing routed
-# through ibox-obs, ingest on the online fold),
+# through ibox-obs with one span macro, ingest on the online fold and on
+# the one session log),
 # release build, workspace tests, the vendored serde shims' unit tests,
 # the request ledger's self-tests (benchmark/), clippy -D warnings,
-# rustfmt --check, and last the scripts/loc.sh size report (print only).
+# rustfmt --check, and last the scripts/loc.sh size report, which fails
+# when a crate's runtime panic sites outgrow scripts/panic_budget.txt.
 # --quick additionally smoke-tests the release binary end to end: a
 # 5-spec batch file (every model kind, incl. a tiny iBoxML) through
 # `ibox batch --jobs 2 --model-cache`, then a fit → save → reload →
@@ -23,7 +25,10 @@
 # --quick also smoke-tests streaming ingest: a 3-chunk `ibox ingest
 # append` + `finalize` against the live daemon, asserting the fitted
 # lineage version replays byte-identically to a one-shot fit and that
-# bare-id replays pin to the latest version.
+# bare-id replays pin to the latest version; then a crash smoke on a
+# second daemon: 4 chunks, `kill -9`, 1000 bytes chopped off the session
+# log, restart — status answers at the last complete chunk, the re-sent
+# stream finalizes.
 # --perf additionally runs the release `perf`, `trace`, `infer`,
 # `flow`, `path`, and `ingest` binaries in quick mode and fails on a
 # regression vs the committed BENCH_perf.json / BENCH_trace.json /
@@ -82,6 +87,16 @@ for f in crates/ingest/src/*.rs; do
         exit 1
     fi
 done
+
+# A session is one append-only log folded by Session::check/apply: the
+# file-per-chunk layout and its second (recovery) reader must not return.
+for name in 'manifest\.json' 'chunk-' 'pending-' 'write_manifest' 'load_session'; do
+    gate "$name" crates/ingest/src \
+        "'$name' in the ingest runtime — a session is one <id>.log whose frames Session::apply folds, live and on recovery alike"
+done
+# One span macro: span! aggregates always and joins the active trace.
+gate 'trace_span!' crates \
+    "trace_span! is gone — span! records the trace event too when a trace is active"
 
 quick=0
 perf=0
@@ -197,16 +212,19 @@ EOF
     echo "path smoke passed"
 
     echo "==> serve smoke: fit + replay over HTTP, byte-identical to offline replay"
-    ./target/release/ibox serve --addr 127.0.0.1:0 --jobs 2 --model-cache "$tmp/mcache" \
-        > "$tmp/serve.log" 2>&1 &
-    serve_pid=$!
-    base=""
-    for _ in $(seq 1 100); do
-        base="$(sed -n 's|^listening on \(http://.*\)$|\1|p' "$tmp/serve.log" | head -1)"
-        [[ -n "$base" ]] && break
-        sleep 0.1
-    done
-    [[ -n "$base" ]] || { echo "FAIL: serve never printed its address" >&2; cat "$tmp/serve.log" >&2; kill "$serve_pid"; exit 1; }
+    # start_daemon <model dir> <log file>: sets $serve_pid and $base.
+    start_daemon() {
+        ./target/release/ibox serve --addr 127.0.0.1:0 --jobs 2 --model-cache "$1" > "$2" 2>&1 &
+        serve_pid=$!
+        base=""
+        for _ in $(seq 1 100); do
+            base="$(sed -n 's|^listening on \(http://.*\)$|\1|p' "$2" | head -1)"
+            [[ -n "$base" ]] && break
+            sleep 0.1
+        done
+        [[ -n "$base" ]] || { echo "FAIL: serve never printed its address" >&2; cat "$2" >&2; kill "$serve_pid"; exit 1; }
+    }
+    start_daemon "$tmp/mcache" "$tmp/serve.log"
 
     # Fit the artifact-smoke training trace over HTTP (synchronously).
     printf '{"wait": true, "model": "IBoxNet", "trace": %s}' "$(cat "$tmp/train.json")" > "$tmp/fit-req.json"
@@ -274,6 +292,32 @@ EOF
     test -f "$tmp/mcache/serve.manifest.json" \
         || { echo "FAIL: serve wrote no run manifest on exit" >&2; exit 1; }
     echo "serve smoke passed"
+
+    echo "==> crash smoke: kill -9 mid-stream, torn session log, restart, resume, finalize"
+    start_daemon "$tmp/crash" "$tmp/crash.log"
+    run ./target/release/ibox ingest append "$tmp/train.json" --url "$base" --session crash --chunks 4
+    kill -9 "$serve_pid"
+    wait "$serve_pid" 2> /dev/null || true
+    log="$tmp/crash/ingest/crash.log"
+    [[ "$(ls "$tmp/crash/ingest")" == crash.log ]] \
+        || { echo "FAIL: the ingest dir holds more than the one session log" >&2; ls -la "$tmp/crash/ingest" >&2; exit 1; }
+    truncate -s -1000 "$log"
+    # What recovery must answer: the chunk frames that are still complete
+    # (one frame per newline, the header first).
+    want=$(($(wc -l < "$log") - 1))
+    start_daemon "$tmp/crash" "$tmp/crash.log"
+    run ./target/release/ibox call "$base/ingest/sessions/crash" -o "$tmp/crash-status.json"
+    grep -q "\"chunks\":$want," "$tmp/crash-status.json" \
+        || { echo "FAIL: recovered session does not stand at its $want complete chunks" >&2; cat "$tmp/crash-status.json" >&2; kill "$serve_pid"; exit 1; }
+    run ./target/release/ibox call "$base/ingest/sessions" -o "$tmp/crash-list.json"
+    grep -q '"crash"' "$tmp/crash-list.json" \
+        || { echo "FAIL: recovered session missing from the listing" >&2; kill "$serve_pid"; exit 1; }
+    run ./target/release/ibox ingest append "$tmp/train.json" --url "$base" --session crash --chunks 4
+    run ./target/release/ibox ingest finalize --url "$base" --session crash
+    run ./target/release/ibox call --post "$base/shutdown" > /dev/null
+    wait "$serve_pid" \
+        || { echo "FAIL: serve exited nonzero after graceful shutdown" >&2; exit 1; }
+    echo "crash smoke passed"
 fi
 
 if (( perf )); then
@@ -304,7 +348,8 @@ if (( perf )); then
     echo "ingest bench smoke passed"
 fi
 
-# The size trend — LOC, pub items, gate count. Prints, never fails.
-scripts/loc.sh || true
+# The size trend — LOC, pub items, gate count — and the panic budget,
+# which may only shrink.
+run scripts/loc.sh --check
 
 echo "all checks passed"

@@ -4,11 +4,14 @@
 # and the grep-gate count in check.sh. A panic site is a line before the
 # file's `#[cfg(test)]`, not a comment, containing `.unwrap()`, `.expect(`,
 # `panic!` or `unreachable!` — a budget that should only shrink.
-# Print only — the numbers are a trend to watch, not a gate.
-#   scripts/loc.sh
+# Prints by default; `--check` also fails when a crate's runtime panic
+# sites exceed its line in scripts/panic_budget.txt (lower the line when a
+# crate shrinks; raising it needs a reason in the PR).
+#   scripts/loc.sh [--check]
 #   scripts/loc.sh --runtime <file>...   lines before `#[cfg(test)]`, summed
 set -euo pipefail
 cd "$(dirname "$0")/.."
+budget=scripts/panic_budget.txt
 
 if [[ ${1:-} == --runtime ]]; then
     shift
@@ -32,6 +35,7 @@ runtime() {
 # Group by crate directory; root src/, tests/ and examples/ stand alone.
 group() { sed -E 's#^(crates/[^/]+|[^/]+)/.*#\1#'; }
 
+over=0
 printf '%-20s %8s %6s %7s\n' crate loc pub panics
 for g in $(files | group | sort -u); do
     loc=$(files | grep -E "^$g/" | xargs cat | wc -l)
@@ -41,6 +45,14 @@ for g in $(files | group | sort -u); do
     # shellcheck disable=SC2046
     panics=$(runtime $(files | grep "^$srcdir/") | grep -cE "$panic_re" || true)
     printf '%-20s %8d %6d %7d\n' "$g" "$loc" "$pubs" "$panics"
+    if [[ ${1:-} == --check ]]; then
+        allowed=$(awk -v g="$g" '$1 == g {print $2}' "$budget")
+        if (( panics > ${allowed:-0} )); then
+            echo "FAIL: $g has $panics runtime panic sites, budget ${allowed:-0} ($budget)" >&2
+            over=1
+        fi
+    fi
 done
 printf '%-20s %8d\n' total "$(files | xargs cat | wc -l)"
 printf '%-20s %8d\n' 'check.sh gates' "$(grep -c '^gate ' scripts/check.sh)"
+exit "$over"
