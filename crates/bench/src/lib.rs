@@ -1,21 +1,16 @@
 //! # ibox-bench
 //!
-//! The experiment harness: one binary per figure/table of the paper's
-//! evaluation, plus Criterion microbenchmarks.
+//! The experiment harness: the paper's evaluation as one table-driven
+//! binary, the perf gates, and Criterion microbenchmarks.
 //!
-//! | Target | Paper artifact | Invocation |
+//! | Target | What it measures | Invocation |
 //! |---|---|---|
-//! | `fig2` | Fig. 2 — ensemble test, iBoxNet vs GT (rate / p95 delay / loss) | `cargo run -p ibox-bench --release --bin fig2` |
-//! | `fig3` | Fig. 3 — ablations: no cross traffic & statistical loss | `... --bin fig3` |
-//! | `fig4` | Fig. 4 — instance test: clustering + t-SNE + rate alignment | `... --bin fig4` |
-//! | `fig5` | Fig. 5 — reordering-rate CDFs (GT / iBoxML / iBoxNet+LSTM / +Linear) | `... --bin fig5` |
-//! | `fig7` | Fig. 7 — control-loop bias delay histograms | `... --bin fig7` |
-//! | `fig8` | Fig. 8 — SAX behaviour-discovery pattern tables | `... --bin fig8` |
-//! | `table1` | Table 1 — iBoxML ± cross traffic on RTC calls | `... --bin table1` |
+//! | `paper` | every figure and table of the paper (Figs. 2–5, 7, 8, Table 1) plus `ablations`, `profiles`, `protocols`, `extensions`: verdicts asserted over seeds, `BENCH_paper.json` | `cargo run -p ibox-bench --release --bin paper [name…]` |
+//! | `perf`, `trace`, `infer`, `flow`, `path`, `ingest` | inner-layer perf gates against the committed `BENCH_<name>.json` | `... --bin perf -- --baseline BENCH_perf.json` |
 //! | benches | §4.2 — per-packet inference latency; sim throughput; estimation cost | `cargo bench -p ibox-bench` |
 //!
 //! Every binary takes an optional `--quick` flag that shrinks dataset
-//! sizes for smoke-testing; the full runs match the scales reported in
+//! sizes for smoke-testing; `paper`'s full run is the scale recorded in
 //! `EXPERIMENTS.md`.
 
 #![forbid(unsafe_code)]
@@ -28,6 +23,9 @@ use std::fmt::Write as _;
 pub enum Scale {
     /// Small datasets for smoke tests (`--quick`).
     Quick,
+    /// Full scale, except where a run too long for a gate picks a fixed
+    /// reduced size itself (`paper`'s `table1`).
+    Gate,
     /// The scale recorded in EXPERIMENTS.md.
     Full,
 }
@@ -46,28 +44,12 @@ impl Scale {
     pub fn pick(self, q: usize, f: usize) -> usize {
         match self {
             Scale::Quick => q,
-            Scale::Full => f,
+            Scale::Gate | Scale::Full => f,
         }
     }
 }
 
-/// Parse `--jobs N` from the process args. `0` (the default) means all
-/// cores. Every figure binary routes its independent runs through the
-/// `ibox-runner` pool, so `--jobs` trades wall time only — results are
-/// bit-identical at any value.
-pub fn jobs_from_args() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--jobs" {
-            if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                return n;
-            }
-        }
-    }
-    0
-}
-
-/// One figure/table binary's run record: times the run and, on
+/// One perf binary's run record: times the run and, on
 /// [`finish`](BenchRun::finish), writes `BENCH_<name>.json` — a run
 /// manifest embedding the full global metrics snapshot (simulator
 /// counters, estimation spans, ML training stats) so every reported
@@ -78,7 +60,7 @@ pub struct BenchRun {
 }
 
 impl BenchRun {
-    /// Start timing the bench binary `name` (e.g. `fig2`).
+    /// Start timing the bench binary `name` (e.g. `perf`).
     pub fn start(name: &str) -> Self {
         ibox_obs::info!("{name}: starting ({:?})", Scale::from_args());
         Self {
@@ -89,7 +71,7 @@ impl BenchRun {
 
     /// Write `BENCH_<name>.json` next to the working directory with the
     /// global metrics snapshot. Failures are logged, not fatal — the
-    /// figures on stdout are the primary artifact.
+    /// numbers on stdout are the primary artifact.
     pub fn finish(self) {
         let manifest = self.builder.finish(ibox_obs::global().snapshot());
         let path = std::path::PathBuf::from(format!("BENCH_{}.json", self.name));

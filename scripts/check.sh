@@ -29,11 +29,16 @@
 # second daemon: 4 chunks, `kill -9`, 1000 bytes chopped off the session
 # log, restart — status answers at the last complete chunk, the re-sent
 # stream finalizes.
+# --quick also runs `paper --quick`: every row of the paper's evaluation at
+# toy sizes, failing when a row errs (it writes and gates nothing).
 # --perf additionally runs the release `perf`, `trace`, `infer`,
 # `flow`, `path`, and `ingest` binaries in quick mode and fails on a
 # regression vs the committed BENCH_perf.json / BENCH_trace.json /
 # BENCH_infer.json / BENCH_flow.json / BENCH_path.json /
-# BENCH_ingest.json.
+# BENCH_ingest.json; then `paper` with every row named, i.e. at gate scale
+# (full, but table1 at a fixed reduced call count; canonical seeds only),
+# which fails when a verdict comes out other than BENCH_paper.json records
+# or a statistic leaves its recorded min–max band widened by that spread.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -318,6 +323,12 @@ EOF
     wait "$serve_pid" \
         || { echo "FAIL: serve exited nonzero after graceful shutdown" >&2; exit 1; }
     echo "crash smoke passed"
+
+    echo "==> paper smoke: every experiment row at --quick"
+    run ./target/release/paper --quick > "$tmp/paper.txt"
+    grep -q '^## Table 1' "$tmp/paper.txt" \
+        || { echo "FAIL: paper --quick printed no Table 1" >&2; exit 1; }
+    echo "paper smoke passed"
 fi
 
 if (( perf )); then
@@ -346,6 +357,11 @@ if (( perf )); then
     echo "==> ingest smoke: quick online-vs-batch refit bench vs committed BENCH_ingest.json"
     (cd "$perf_tmp" && run "$repo/target/release/ingest" --quick --baseline "$repo/BENCH_ingest.json")
     echo "ingest bench smoke passed"
+    echo "==> paper gate: every row at gate scale vs committed BENCH_paper.json"
+    # Named rows are checked against ./BENCH_paper.json and write nothing.
+    run ./target/release/paper fig2 fig3 fig4 fig5 fig7 fig8 table1 \
+        ablations profiles protocols extensions > /dev/null
+    echo "paper gate passed"
 fi
 
 # The size trend — LOC, pub items, gate count — and the panic budget,
