@@ -21,8 +21,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
-
 use ibox::abtest::{ensemble_test, instance_test, EnsembleReport, ModelKind};
 use ibox::adaptive::AdaptiveCross;
 use ibox::estimator::{CrossTrafficEstimate, StaticParams};
@@ -32,7 +30,8 @@ use ibox::meld::reorder::{augment_with_reordering, ReorderLinear, ReorderLstm};
 use ibox::realism::{realism_of_model, realism_test};
 use ibox::validity::ValidityRegion;
 use ibox::{FitCache, IBoxNet};
-use ibox_bench::{cell, dist_cells, render_table, Scale};
+use ibox_bench::{cell, dist_cells, num, Expected, Experiment, Ledger, LedgerRow, Report, Runs};
+use ibox_bench::{Scale, Sweep, Table};
 use ibox_cc::Cubic;
 use ibox_ml::TrainConfig;
 use ibox_sim::{CongestionControl, CrossTrafficCfg, FixedRate, PathConfig, PathEmulator, PathSpec};
@@ -49,25 +48,13 @@ use ibox_trace::{FlowTrace, TraceDataset};
 
 use Expected::{Holds, KnownFailure};
 
-/// One paper artifact.
-struct Experiment {
-    name: &'static str,
-    /// Where the paper (or this reproduction's DESIGN.md) has it.
-    paper: &'static str,
-    /// The canonical seed: of the dataset, or of the training where `run` says so.
-    seed: u64,
-    /// How many further seeds (`seed + k · STRIDE`) a ledger run evaluates.
-    sweep: u64,
-    run: fn(&Ctx, u64) -> Result<Report, String>,
-}
-
 /// Larger than any offset a row adds to its seed, so sweeps share no run.
 const STRIDE: u64 = 10_007;
 
 /// The evaluation, in the paper's order. Rows that finish in seconds sweep
 /// nine further seeds; fewer where a run trains an iBoxML; `table1` is one
 /// five-minute run whose spread is its three ensemble members.
-const EXPERIMENTS: &[Experiment] = &[
+const EXPERIMENTS: &[Experiment<Ctx>] = &[
     Experiment { name: "fig2", paper: "Fig. 2", seed: 2_000, sweep: 9, run: fig2 },
     Experiment { name: "fig3", paper: "Fig. 3", seed: 2_000, sweep: 9, run: fig3 },
     Experiment { name: "fig4", paper: "Fig. 4", seed: 42, sweep: 9, run: fig4 },
@@ -81,15 +68,7 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "extensions", paper: "§6", seed: 0, sweep: 9, run: extensions },
 ];
 
-/// What this reproduction is expected to make of a claim.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Expected {
-    /// The claim holds on every seed.
-    Holds,
-    /// A named gap: the claim fails on at least one seed. One that starts
-    /// holding everywhere fails the gate too, so the list shrinks on purpose.
-    KnownFailure(&'static str),
-}
+const PAPER: Table<Ctx> = Table { bin: "paper", sweep: Sweep::Seeds(STRIDE), rows: EXPERIMENTS };
 
 /// Why the known failures fail. EXPERIMENTS.md's "Reproduction gaps" are these.
 const SEED_DEPENDENT: Expected =
@@ -106,43 +85,6 @@ const CELLULAR_D95: Expected =
     KnownFailure("p95 delay is rejected at the canonical seed and matches on the others");
 const TOKEN_BUCKET: Expected =
     KnownFailure("expected by §3.2: a token bucket is variable bandwidth, outside the model");
-
-/// One claim of the paper, evaluated on one seed.
-struct Verdict {
-    claim: String,
-    holds: bool,
-    expected: Expected,
-}
-
-/// What one run of a row produced.
-#[derive(Default)]
-struct Report {
-    /// The figure as text tables — `paper <name>`'s stdout.
-    text: String,
-    stats: Vec<(String, f64)>,
-    verdicts: Vec<Verdict>,
-}
-
-impl Report {
-    fn table(&mut self, title: &str, header: &[&str], rows: &[Vec<String>]) {
-        self.text += &render_table(title, header, rows);
-    }
-
-    fn stat(&mut self, name: impl Into<String>, value: f64) {
-        self.stats.push((name.into(), value));
-    }
-
-    /// Record a KS test as `<name> D` / `<name> p`; returns its two cells.
-    fn ks(&mut self, name: &str, ks: KsResult) -> [String; 2] {
-        self.stat(format!("{name} D"), ks.statistic);
-        self.stat(format!("{name} p"), ks.p_value);
-        [cell(ks.statistic, 3), cell(ks.p_value, 3)]
-    }
-
-    fn verdict(&mut self, claim: impl Into<String>, holds: bool, expected: Expected) {
-        self.verdicts.push(Verdict { claim: claim.into(), holds, expected });
-    }
-}
 
 /// A table row: its label, then its cells.
 fn labelled(label: impl Into<String>, cells: impl IntoIterator<Item = String>) -> Vec<String> {
@@ -954,277 +896,46 @@ fn extensions(ctx: &Ctx, seed: u64) -> Result<Report, String> {
     Ok(rep)
 }
 
-/// `BENCH_paper.json`: what a ledger run measured, and what the gate and
-/// EXPERIMENTS.md read back.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct Ledger {
-    schema: u32,
-    /// Always `"full"`: no other scale writes a ledger.
-    scale: String,
-    cores: usize,
-    host: String,
-    git_rev: Option<String>,
-    rows: Vec<LedgerRow>,
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct LedgerRow {
-    name: String,
-    paper: String,
-    /// Canonical seed first.
-    seeds: Vec<u64>,
-    /// Wall time of the canonical run.
-    wall_s: f64,
-    stats: Vec<StatRecord>,
-    verdicts: Vec<VerdictRecord>,
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct StatRecord {
-    name: String,
-    /// One value per seed that reported it, in `seeds` order.
-    per_seed: Vec<f64>,
-    min: f64,
-    median: f64,
-    max: f64,
-}
-
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct VerdictRecord {
-    claim: String,
-    per_seed: Vec<bool>,
-    /// `k/K`: seeds on which the claim held, of seeds run.
-    holds: String,
-    /// `holds` or `known-failure`.
-    expected: String,
-    reason: Option<String>,
-}
-
-fn tally(per_seed: &[bool]) -> String {
-    format!("{}/{}", per_seed.iter().filter(|h| **h).count(), per_seed.len())
-}
-
-/// The expectation rule: `holds` means on every seed, `known-failure` means
-/// not on every seed.
-fn expectation(expected: &str, per_seed: &[bool]) -> Result<(), String> {
-    let k = tally(per_seed);
-    match (expected, per_seed.iter().all(|h| *h)) {
-        ("holds", false) => Err(format!("expected to hold, holds {k}")),
-        ("known-failure", true) => Err(format!("known failure holds {k} — promote it to `Holds`")),
-        _ => Ok(()),
+/// A row's `<!-- paper:<name> -->` block of EXPERIMENTS.md.
+fn doc_block(row: &LedgerRow) -> String {
+    let seeds: Vec<String> = row.seeds.iter().map(|s| s.to_string()).collect();
+    let mut out = format!("`paper {}`, full scale, seeds {}:\n\n", row.name, seeds.join(", "));
+    out +=
+        &format!("| statistic | seed {} | min | median | max |\n|---|---|---|---|---|\n", seeds[0]);
+    for s in &row.stats {
+        let cells = [s.per_seed[0], s.min, s.median, s.max].map(num);
+        out += &format!("| {} | {} |\n", s.name, cells.join(" | "));
     }
-}
-
-/// One row's runs, canonical seed first.
-struct Runs<'a> {
-    exp: &'a Experiment,
-    seeds: Vec<u64>,
-    reports: Vec<Report>,
-    wall_s: f64,
-}
-
-/// Run `rows` at `ctx.scale` — at full scale over each row's sweep, else at
-/// the canonical seed only — printing each canonical report's tables. Seeds
-/// outermost, so rows that share a dataset find it cached. A row that fails
-/// is reported and dropped; the rest still run.
-fn run_rows<'a>(ctx: &Ctx, rows: &[&'a Experiment]) -> (Vec<Runs<'a>>, Vec<String>) {
-    let sweep = |e: &Experiment| if ctx.scale == Scale::Full { e.sweep } else { 0 };
-    let mut runs: Vec<Runs> = rows
-        .iter()
-        .map(|exp| Runs { exp, seeds: Vec::new(), reports: Vec::new(), wall_s: 0.0 })
-        .collect();
-    let mut failures = Vec::new();
-    for k in 0..=rows.iter().map(|e| sweep(e)).max().unwrap_or(0) {
-        for run in runs.iter_mut().filter(|r| k <= sweep(r.exp)) {
-            let seed = run.exp.seed + k * STRIDE;
-            ibox_obs::info!("{} at seed {seed}…", run.exp.name);
-            let clock = ibox_obs::Stopwatch::start();
-            match (run.exp.run)(ctx, seed) {
-                Ok(report) => {
-                    if k == 0 {
-                        print!("{}", report.text);
-                        run.wall_s = clock.elapsed_s();
-                    }
-                    run.seeds.push(seed);
-                    run.reports.push(report);
-                }
-                Err(reason) => {
-                    failures.push(format!("row {}: {reason} (seed {seed})", run.exp.name))
-                }
-            }
-        }
-    }
-    runs.retain(|run| run.seeds.len() as u64 == 1 + sweep(run.exp));
-    (runs, failures)
-}
-
-fn cpu_model() -> Option<String> {
-    let info = std::fs::read_to_string("/proc/cpuinfo").ok()?;
-    let line = info.lines().find(|l| l.starts_with("model name"))?;
-    Some(line.split_once(':')?.1.trim().to_string())
-}
-
-impl LedgerRow {
-    /// Fold a row's per-seed reports; statistics and claims are matched by
-    /// name, in the canonical report's order.
-    fn of(run: &Runs) -> LedgerRow {
-        let canonical = &run.reports[0];
-        let stats = canonical.stats.iter().map(|(name, _)| {
-            let of_seed = |r: &Report| r.stats.iter().find(|s| s.0 == *name).map(|s| s.1);
-            let per_seed: Vec<f64> = run.reports.iter().filter_map(of_seed).collect();
-            let q = |q: f64| percentile(&per_seed, q).unwrap_or(f64::NAN);
-            StatRecord { name: name.clone(), min: q(0.0), median: q(0.5), max: q(1.0), per_seed }
-        });
-        let verdicts = canonical.verdicts.iter().map(|v| {
-            let of_seed =
-                |r: &Report| r.verdicts.iter().find(|o| o.claim == v.claim).map(|o| o.holds);
-            let per_seed: Vec<bool> = run.reports.iter().filter_map(of_seed).collect();
-            let (expected, reason) = match v.expected {
-                Holds => ("holds", None),
-                KnownFailure(reason) => ("known-failure", Some(reason.to_string())),
-            };
-            let (claim, holds, expected) =
-                (v.claim.clone(), tally(&per_seed), expected.to_string());
-            VerdictRecord { claim, per_seed, holds, expected, reason }
-        });
-        LedgerRow {
-            name: run.exp.name.to_string(),
-            paper: run.exp.paper.to_string(),
-            seeds: run.seeds.clone(),
-            wall_s: run.wall_s,
-            stats: stats.collect(),
-            verdicts: verdicts.collect(),
-        }
-    }
-
-    /// What a gate run must share with the recorded row to be comparable.
-    fn shape(&self) -> (Vec<&str>, Vec<[&str; 2]>) {
-        let stats = self.stats.iter().map(|s| s.name.as_str()).collect();
-        (stats, self.verdicts.iter().map(|v| [v.claim.as_str(), v.expected.as_str()]).collect())
-    }
-
-    fn doc_block(&self) -> String {
-        let seeds: Vec<String> = self.seeds.iter().map(|s| s.to_string()).collect();
-        let mut out = format!("`paper {}`, full scale, seeds {}:\n\n", self.name, seeds.join(", "));
-        out += &format!(
-            "| statistic | seed {} | min | median | max |\n|---|---|---|---|---|\n",
-            seeds[0]
-        );
-        for s in &self.stats {
-            let cells = [s.per_seed[0], s.min, s.median, s.max].map(num);
-            out += &format!("| {} | {} |\n", s.name, cells.join(" | "));
-        }
-        out += "\n| claim | holds on | expected |\n|---|---|---|\n";
-        for v in &self.verdicts {
-            let expected = match &v.reason {
-                Some(reason) => format!("known failure — {reason}"),
-                None => v.expected.clone(),
-            };
-            out += &format!("| {} | {} | {expected} |\n", v.claim, v.holds);
-        }
-        out
-    }
-}
-
-impl Ledger {
-    fn of(runs: &[Runs]) -> Ledger {
-        Ledger {
-            schema: 1,
-            scale: "full".to_string(),
-            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            host: cpu_model().unwrap_or_else(|| "unknown".to_string()),
-            git_rev: ibox_obs::git_rev(&std::env::current_dir().unwrap_or_default()),
-            rows: runs.iter().map(LedgerRow::of).collect(),
-        }
-    }
-
-    /// One line per verdict, for stderr.
-    fn summary(&self) -> String {
-        let line = |row: &LedgerRow, v: &VerdictRecord| {
-            format!("paper: {} holds {} ({}) — {}\n", row.name, v.holds, v.expected, v.claim)
+    out += "\n| claim | holds on | expected |\n|---|---|---|\n";
+    for v in &row.verdicts {
+        let expected = match &v.reason {
+            Some(reason) => format!("known failure — {reason}"),
+            None => v.expected.clone(),
         };
-        self.rows.iter().flat_map(|row| row.verdicts.iter().map(move |v| line(row, v))).collect()
+        out += &format!("| {} | {} | {expected} |\n", v.claim, v.holds);
     }
-
-    /// Verdicts that left their expectation, over every seed recorded.
-    fn unexpected(&self) -> Vec<String> {
-        let check = |row: &LedgerRow, v: &VerdictRecord| {
-            let unmet = expectation(&v.expected, &v.per_seed).err()?;
-            Some(format!("{}: \"{}\": {unmet}", row.name, v.claim))
-        };
-        self.rows
-            .iter()
-            .flat_map(|row| row.verdicts.iter().filter_map(move |v| check(row, v)))
-            .collect()
-    }
-
-    /// The gate. `fresh` holds canonical-seed runs of some rows: each
-    /// statistic must lie in this ledger's min–max band widened by that
-    /// spread on either side (a row recorded on one seed has no measured
-    /// spread, hence no band), and each verdict must come out as recorded
-    /// at that seed.
-    fn regressions(&self, fresh: &Ledger) -> Vec<String> {
-        let mut failures = Vec::new();
-        for row in &fresh.rows {
-            let recorded = self.rows.iter().find(|old| old.name == row.name);
-            let Some(old) = recorded.filter(|old| old.shape() == row.shape()) else {
-                let what = "the ledger lacks the row or some statistic, claim or expectation of it";
-                failures.push(format!("{}: {what} — rerun `paper`", row.name));
-                continue;
-            };
-            for (stat, rec) in row.stats.iter().zip(&old.stats) {
-                // One part in 10⁹ more: a constant statistic may differ in its
-                // last bits under another libm.
-                let (value, spread) = (stat.per_seed[0], rec.max - rec.min + 1e-9 * rec.max.abs());
-                let (lo, hi) = (rec.min - spread, rec.max + spread);
-                if rec.per_seed.len() > 1 && !(lo..=hi).contains(&value) {
-                    let [value, lo, hi] = [value, lo, hi].map(num);
-                    failures
-                        .push(format!("{}: {} = {value} left [{lo}, {hi}]", row.name, stat.name));
-                }
-            }
-            for (v, rec) in row.verdicts.iter().zip(&old.verdicts) {
-                if v.per_seed[0] != rec.per_seed[0] {
-                    let now = if v.per_seed[0] { "holds" } else { "fails" };
-                    let (name, claim, expected) = (&row.name, &v.claim, &v.expected);
-                    failures.push(format!("{name}: \"{claim}\" now {now} (expected: {expected})"));
-                }
-            }
-        }
-        failures
-    }
-
-    /// `doc` with every row's `<!-- paper:<name> -->` … `<!-- /paper -->`
-    /// block regenerated.
-    fn splice_into(&self, doc: &str) -> Result<String, String> {
-        let mut doc = doc.to_string();
-        for row in &self.rows {
-            let open = format!("<!-- paper:{} -->\n", row.name);
-            let start =
-                doc.find(&open).ok_or(format!("no `{}` block", open.trim_end()))? + open.len();
-            let len = doc[start..]
-                .find("<!-- /paper -->")
-                .ok_or(format!("`{}` never closes", open.trim_end()))?;
-            doc.replace_range(start..start + len, &row.doc_block());
-        }
-        Ok(doc)
-    }
+    out
 }
 
-/// A number as the doc tables print it: three significant places or so.
-fn num(v: f64) -> String {
-    match v.abs() {
-        a if a >= 100.0 => format!("{v:.1}"),
-        a if a >= 1.0 => format!("{v:.2}"),
-        _ => format!("{v:.4}"),
+/// `doc` with every row's `<!-- paper:<name> -->` … `<!-- /paper -->`
+/// block regenerated from `ledger`.
+fn splice_into(ledger: &Ledger, doc: &str) -> Result<String, String> {
+    let mut doc = doc.to_string();
+    for row in &ledger.rows {
+        let open = format!("<!-- paper:{} -->\n", row.name);
+        let start = doc.find(&open).ok_or(format!("no `{}` block", open.trim_end()))? + open.len();
+        let len = doc[start..]
+            .find("<!-- /paper -->")
+            .ok_or(format!("`{}` never closes", open.trim_end()))?;
+        doc.replace_range(start..start + len, &doc_block(row));
     }
+    Ok(doc)
 }
 
-const LEDGER: &str = "BENCH_paper.json";
 const DOC: &str = "EXPERIMENTS.md";
 
-/// What a ledger run leaves in the working directory.
-fn write_outputs(ledger: &Ledger, runs: &[Runs]) -> Result<(), String> {
+/// What a ledger run leaves in the working directory beside `BENCH_paper.json`.
+fn write_outputs(ledger: &Ledger, runs: &[Runs<Ctx>]) -> Result<(), String> {
     let io =
         |what: &str, r: std::io::Result<()>| r.map_err(|e| format!("cannot write {what}: {e}"));
     io("results/", std::fs::create_dir_all("results"))?;
@@ -1232,12 +943,10 @@ fn write_outputs(ledger: &Ledger, runs: &[Runs]) -> Result<(), String> {
         let path = format!("results/{}.txt", run.exp.name);
         io(&path, std::fs::write(&path, &run.reports[0].text))?;
     }
-    let json = serde_json::to_string_pretty(ledger).map_err(|e| format!("{LEDGER}: {e}"))?;
-    io(LEDGER, std::fs::write(LEDGER, json + "\n"))?;
     match std::fs::read_to_string(DOC) {
         Ok(doc) => io(
             DOC,
-            std::fs::write(DOC, ledger.splice_into(&doc).map_err(|e| format!("{DOC}: {e}"))?),
+            std::fs::write(DOC, splice_into(ledger, &doc).map_err(|e| format!("{DOC}: {e}"))?),
         ),
         Err(_) => Ok(()), // run outside the repository: nothing to regenerate
     }
@@ -1245,29 +954,18 @@ fn write_outputs(ledger: &Ledger, runs: &[Runs]) -> Result<(), String> {
 
 const USAGE: &str = "usage: paper [--quick] [--jobs N] [name…]";
 
-/// `(scale, jobs, rows)` of the invocation: `--quick` is a smoke, names
-/// without it are the gate, neither is the ledger run.
-fn parse(args: &[String]) -> Result<(Scale, usize, Vec<&'static Experiment>), String> {
-    let (mut quick, mut jobs, mut rows) = (false, 0, Vec::new());
+/// `(scale, jobs, rows)` of the invocation, by [`Table::select`]'s mode rule.
+fn parse(args: &[String]) -> Result<(Scale, usize, Vec<&'static Experiment<Ctx>>), String> {
+    let (mut quick, mut jobs, mut names) = (false, 0, Vec::new());
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
             "--jobs" => jobs = args.next().and_then(|n| n.parse().ok()).ok_or(USAGE)?,
-            name => rows.push(EXPERIMENTS.iter().find(|e| e.name == name).ok_or_else(|| {
-                let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
-                format!("no experiment `{name}` (have: {})\n{USAGE}", known.join(", "))
-            })?),
+            name => names.push(name),
         }
     }
-    let scale = match (quick, rows.is_empty()) {
-        (true, _) => Scale::Quick,
-        (false, false) => Scale::Gate,
-        (false, true) => Scale::Full,
-    };
-    if rows.is_empty() {
-        rows = EXPERIMENTS.iter().collect();
-    }
+    let (scale, rows) = PAPER.select(quick, &names).map_err(|e| format!("{e}\n{USAGE}"))?;
     Ok((scale, jobs, rows))
 }
 
@@ -1278,45 +976,25 @@ fn main() {
         std::process::exit(2)
     });
     let ctx = Ctx { scale, jobs, pairs: RefCell::new(None) };
-    let (runs, mut failures) = run_rows(&ctx, &rows);
-    let ledger = Ledger::of(&runs);
-    eprint!("{}", ledger.summary());
-    match scale {
-        Scale::Quick => {}
-        Scale::Gate => {
-            let committed = std::fs::read_to_string(LEDGER)
-                .map_err(|e| e.to_string())
-                .and_then(|text| serde_json::from_str::<Ledger>(&text).map_err(|e| e.to_string()));
-            match committed {
-                Ok(committed) => failures.extend(committed.regressions(&ledger)),
-                Err(e) => failures.push(format!("cannot read ./{LEDGER} to gate against: {e}")),
-            }
-        }
-        // A ledger missing a row would fail every later gate of that row.
-        Scale::Full if failures.is_empty() => {
-            failures.extend(ledger.unexpected());
-            failures.extend(write_outputs(&ledger, &runs).err());
-        }
-        Scale::Full => {}
-    }
-    for failure in &failures {
-        eprintln!("paper: {failure}");
-    }
-    std::process::exit(if failures.is_empty() { 0 } else { 1 });
+    std::process::exit(PAPER.main(&ctx, scale, &rows, write_outputs));
 }
+
+#[cfg(test)]
+#[path = "../table_tests.rs"]
+mod table_tests;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Rows that train no iBoxML: well under two seconds each at `--quick`.
-    fn cheap() -> Vec<&'static Experiment> {
+    fn cheap() -> Vec<&'static Experiment<Ctx>> {
         EXPERIMENTS.iter().filter(|e| !["fig5", "fig7", "table1"].contains(&e.name)).collect()
     }
 
     fn quick(jobs: usize) -> Ledger {
         let ctx = Ctx { scale: Scale::Quick, jobs, pairs: RefCell::new(None) };
-        let (runs, failures) = run_rows(&ctx, &cheap());
+        let (runs, failures) = PAPER.run_rows(&ctx, Scale::Quick, &cheap());
         assert_eq!(failures, Vec::<String>::new());
         let texts: Vec<&str> = runs.iter().map(|r| r.reports[0].text.as_str()).collect();
         assert!(texts.iter().all(|t| t.starts_with("## ")), "every row prints a table");
@@ -1329,25 +1007,13 @@ mod tests {
     }
 
     fn committed_ledger() -> Ledger {
-        serde_json::from_str(&committed(LEDGER)).expect("BENCH_paper.json parses")
+        serde_json::from_str(&committed("BENCH_paper.json")).expect("BENCH_paper.json parses")
     }
 
     #[test]
     fn names_are_unique_and_every_row_carries_a_verdict() {
-        let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
-        let mut unique = names.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), names.len(), "duplicate experiment name in {names:?}");
-        for row in &quick(0).rows {
-            assert!(!row.verdicts.is_empty(), "{} asserts nothing", row.name);
-            assert!(!row.stats.is_empty(), "{} measures nothing", row.name);
-        }
-        // The rows too slow to run here are held to the same by the ledger.
-        let ledger = committed_ledger();
-        let recorded: Vec<&str> = ledger.rows.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(recorded, names, "BENCH_paper.json rows differ from the table: rerun `paper`");
-        assert!(ledger.rows.iter().all(|row| !row.verdicts.is_empty()));
+        let (quick, committed) = (quick(0), committed_ledger());
+        table_tests::names_are_unique_and_every_row_carries_a_verdict(&PAPER, &quick, &committed);
     }
 
     /// ROADMAP aim 3, applied to the science: same seed, same bytes, at any
@@ -1364,7 +1030,7 @@ mod tests {
     #[test]
     fn experiments_md_tables_are_the_ledger_rendered() {
         let (ledger, doc) = (committed_ledger(), committed(DOC));
-        let regenerated = ledger.splice_into(&doc).expect("every row has its block");
+        let regenerated = splice_into(&ledger, &doc).expect("every row has its block");
         assert!(regenerated == doc, "EXPERIMENTS.md drifted from BENCH_paper.json: rerun `paper`");
         assert_eq!(ledger.scale, "full");
     }
@@ -1376,57 +1042,12 @@ mod tests {
         assert_eq!(committed_ledger().unexpected(), Vec::<String>::new());
     }
 
-    fn fixture_report(claim: &str, holds: bool, expected: Expected, stat: f64) -> Report {
-        let mut rep = Report { text: "## fixture\n".into(), ..Report::default() };
-        rep.stat("value", stat);
-        rep.verdict(claim, holds, expected);
-        rep
-    }
-
-    fn promoted(_: &Ctx, seed: u64) -> Result<Report, String> {
-        Ok(fixture_report("a gap that closed", true, KnownFailure("once failed"), seed as f64))
-    }
-
-    fn broken(_: &Ctx, seed: u64) -> Result<Report, String> {
-        Ok(fixture_report("a claim that broke", seed != 5, Holds, 1.0))
-    }
-
-    fn erring(_: &Ctx, _: u64) -> Result<Report, String> {
-        Err("no flow recorded".into())
-    }
-
     #[test]
     fn a_known_failure_that_holds_and_a_holds_that_fails_both_fail_the_gate() {
-        let table = [
-            Experiment { name: "promoted", paper: "-", seed: 1, sweep: 2, run: promoted },
-            Experiment { name: "erring", paper: "-", seed: 1, sweep: 0, run: erring },
-            Experiment { name: "broken", paper: "-", seed: 5, sweep: 1, run: broken },
-        ];
         let ctx = Ctx { scale: Scale::Full, jobs: 1, pairs: RefCell::new(None) };
-        let (runs, failures) = run_rows(&ctx, &table.iter().collect::<Vec<_>>());
-        // A row that errs is reported by name and the rows after it still run.
-        assert_eq!(failures, ["row erring: no flow recorded (seed 1)"]);
-        let ledger = Ledger::of(&runs);
-        assert_eq!(ledger.rows[0].seeds, [1, 1 + STRIDE, 1 + 2 * STRIDE]);
-        let unexpected = ledger.unexpected();
-        assert_eq!(unexpected.len(), 2, "{unexpected:?}");
-        assert!(unexpected[0].contains("promoted") && unexpected[0].contains("promote it"));
-        assert!(unexpected[1].contains("broken") && unexpected[1].contains("holds 1/2"));
-
-        // Against that ledger, a canonical-seed run that repeats it passes …
-        let ctx = Ctx { scale: Scale::Gate, ..ctx };
-        let rerun =
-            |table: &[Experiment]| Ledger::of(&run_rows(&ctx, &table.iter().collect::<Vec<_>>()).0);
-        assert_eq!(ledger.regressions(&rerun(&table)), Vec::<String>::new());
-        // … one whose verdict flips, or whose statistic leaves the band
-        // [1 − 2·STRIDE, 1 + 4·STRIDE], does not.
-        let mut moved = table;
-        moved[0].seed = 1 + 5 * STRIDE;
-        moved[2].seed = 6;
-        let regressions = ledger.regressions(&rerun(&moved));
-        assert_eq!(regressions.len(), 2, "{regressions:?}");
-        assert!(regressions[0].starts_with("promoted: value = "));
-        assert!(regressions[1].contains("\"a claim that broke\" now holds"));
+        table_tests::a_known_failure_that_holds_and_a_holds_that_fails_both_fail_the_gate(
+            &PAPER, &ctx,
+        );
     }
 
     #[test]

@@ -105,8 +105,8 @@ fn single_stage_fluid_bytes_match_the_parent_commit() {
     assert_eq!(actual, golden, "1-stage fluid bytes changed");
 }
 
-/// The k-stage chain of `crates/bench/src/bin/path.rs`: the 12 Mbps
-/// bottleneck first, then progressively faster transit hops.
+/// The k-stage chain of `perf`'s `path` row (`crates/bench/src/bin/perf.rs`):
+/// the 12 Mbps bottleneck first, then progressively faster transit hops.
 fn bench_chain(stages: usize) -> PathSpec {
     let hop = |rate_bps: f64, delay_ms: u64, buffer: u64| {
         PathStage::new(PathConfig::simple(rate_bps, SimTime::from_millis(delay_ms), buffer))

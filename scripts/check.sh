@@ -29,16 +29,17 @@
 # second daemon: 4 chunks, `kill -9`, 1000 bytes chopped off the session
 # log, restart — status answers at the last complete chunk, the re-sent
 # stream finalizes.
-# --quick also runs `paper --quick`: every row of the paper's evaluation at
-# toy sizes, failing when a row errs (it writes and gates nothing).
-# --perf additionally runs the release `perf`, `trace`, `infer`,
-# `flow`, `path`, and `ingest` binaries in quick mode and fails on a
-# regression vs the committed BENCH_perf.json / BENCH_trace.json /
-# BENCH_infer.json / BENCH_flow.json / BENCH_path.json /
-# BENCH_ingest.json; then `paper` with every row named, i.e. at gate scale
-# (full, but table1 at a fixed reduced call count; canonical seeds only),
-# which fails when a verdict comes out other than BENCH_paper.json records
-# or a statistic leaves its recorded min–max band widened by that spread.
+# --quick also runs `paper --quick` and `perf --quick`: every row of the
+# paper's evaluation and of the perf table at toy sizes, failing when a
+# row errs (they write and gate nothing).
+# --perf additionally runs `perf` and `paper` with every row named, i.e.
+# their gates: `perf` at full scale, one repeat, fails when a claim
+# expected to hold fails or a gated ratio of interleaved arms leaves the
+# min–max band BENCH_perf.json records, widened by that spread plus the
+# ratio's per-round interquartile range; `paper` at
+# gate scale (full, but table1 at a fixed reduced call count; canonical
+# seeds only) fails when a verdict comes out other than BENCH_paper.json
+# records or a statistic leaves its band the same way.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -329,36 +330,20 @@ EOF
     grep -q '^## Table 1' "$tmp/paper.txt" \
         || { echo "FAIL: paper --quick printed no Table 1" >&2; exit 1; }
     echo "paper smoke passed"
+
+    echo "==> perf smoke: every perf row at --quick"
+    run ./target/release/perf --quick > "$tmp/perf.txt"
+    grep -q '^## §4.2 per-packet inference' "$tmp/perf.txt" \
+        || { echo "FAIL: perf --quick printed no §4.2 table" >&2; exit 1; }
+    echo "perf smoke passed"
 fi
 
 if (( perf )); then
-    echo "==> perf smoke: quick benchmarks vs committed BENCH_perf.json"
-    # Run from a scratch dir: the binary writes a fresh BENCH_perf.json to
-    # its cwd, and the committed baseline must stay untouched.
-    repo="$PWD"
-    perf_tmp="$(mktemp -d)"
-    # ${tmp:+...}: also clean the --quick scratch dir if that block ran
-    # (a second trap would otherwise replace its cleanup).
-    trap 'rm -rf ${tmp:+"$tmp"} "$perf_tmp"' EXIT
-    (cd "$perf_tmp" && run "$repo/target/release/perf" --quick --baseline "$repo/BENCH_perf.json")
-    echo "perf smoke passed"
-    echo "==> trace overhead smoke: quick benchmarks vs committed BENCH_trace.json"
-    (cd "$perf_tmp" && run "$repo/target/release/trace" --quick --baseline "$repo/BENCH_trace.json")
-    echo "trace overhead smoke passed"
-    echo "==> inference smoke: quick benchmarks vs committed BENCH_infer.json"
-    (cd "$perf_tmp" && run "$repo/target/release/infer" --quick --baseline "$repo/BENCH_infer.json")
-    echo "inference smoke passed"
-    echo "==> fidelity smoke: quick flow-vs-packet bench vs committed BENCH_flow.json"
-    (cd "$perf_tmp" && run "$repo/target/release/flow" --quick --baseline "$repo/BENCH_flow.json")
-    echo "fidelity bench smoke passed"
-    echo "==> path smoke: quick per-stage-count bench vs committed BENCH_path.json"
-    (cd "$perf_tmp" && run "$repo/target/release/path" --quick --baseline "$repo/BENCH_path.json")
-    echo "path bench smoke passed"
-    echo "==> ingest smoke: quick online-vs-batch refit bench vs committed BENCH_ingest.json"
-    (cd "$perf_tmp" && run "$repo/target/release/ingest" --quick --baseline "$repo/BENCH_ingest.json")
-    echo "ingest bench smoke passed"
+    # Named rows are checked against ./BENCH_<bin>.json and write nothing.
+    echo "==> perf gate: every row at full scale vs committed BENCH_perf.json"
+    run ./target/release/perf train encode infer trace flow path ingest speed > /dev/null
+    echo "perf gate passed"
     echo "==> paper gate: every row at gate scale vs committed BENCH_paper.json"
-    # Named rows are checked against ./BENCH_paper.json and write nothing.
     run ./target/release/paper fig2 fig3 fig4 fig5 fig7 fig8 table1 \
         ablations profiles protocols extensions > /dev/null
     echo "paper gate passed"
