@@ -667,8 +667,7 @@ fn record_batch_timing(wall_s: f64, jobs: usize, runs: usize) {
     let effective = if jobs == 0 { ibox::suggested_jobs() } else { jobs }.min(runs).max(1);
     registry.gauge("batch.wall_time_s").set(wall_s);
     registry.gauge("batch.jobs").set(effective as f64);
-    let serial_s =
-        registry.snapshot().spans.get("batch-run").map(|s| s.total_ns as f64 / 1e9).unwrap_or(0.0);
+    let serial_s = registry.snapshot().spans.get("batch-run").map_or(0.0, |s| s.sum / 1e9);
     if wall_s > 0.0 && serial_s > 0.0 {
         let speedup = serial_s / wall_s;
         registry.gauge("batch.speedup_x").set(speedup);

@@ -8,12 +8,14 @@
 //! * [`log`] — leveled diagnostics on stderr, filtered by `IBOX_LOG` or
 //!   the CLI's `--verbose`/`--quiet` ([`error!`], [`warn!`], [`info!`],
 //!   [`debug!`], [`trace!`]).
-//! * [`metrics`] — a [`Registry`] of counters, gauges, fixed-bucket
-//!   histograms, and P² streaming quantiles; one relaxed atomic op per
-//!   update on the hot path.
-//! * span timers — `let _g = span!("estimate.crosstraffic");` aggregates
-//!   wall time per label via RAII ([`Registry::span`]) and, when a trace is
-//!   being recorded on the thread, is also a span of that trace.
+//! * [`metrics`] — a [`Registry`] of counters, gauges and log-linear
+//!   [`Histogram`]s (16 sub-buckets per octave, p50/p90/p95/p99 within
+//!   1/16 relative); a snapshot carries every metric in full, and
+//!   [`Registry::absorb`] is the one fold of a snapshot into a registry.
+//! * span timers — `let _g = span!("estimate.crosstraffic");` records its
+//!   wall time into the label's histogram of nanoseconds via RAII and,
+//!   when a trace is being recorded on the thread, is also a span of that
+//!   trace.
 //! * [`trace`] — causal per-request tracing: span begin/end events (with
 //!   SplitMix64-derived trace/span IDs) land in a fixed-capacity
 //!   [`TraceCollector`] ring, exportable as Chrome trace-event JSON; a
@@ -24,15 +26,12 @@
 pub mod log;
 pub mod manifest;
 pub mod metrics;
-pub mod quantile;
 pub mod trace;
 
 pub use manifest::{config_hash, git_rev, RunManifest, RunManifestBuilder};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry, SpanGuard, SpanStat,
-    Stopwatch,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry, Stopwatch,
 };
-pub use quantile::StreamingQuantile;
 pub use trace::{TraceCollector, TraceEvent, TraceLink, TracePhase, TraceSummary};
 
 use std::cell::RefCell;
@@ -99,19 +98,15 @@ pub fn scoped() -> ScopedRegistry {
     ScopedRegistry { registry }
 }
 
-/// Time a scope: `span!("label")` aggregates wall time under the label in
-/// the global registry and, when a trace is being recorded on this thread,
-/// also records the span's begin/end in it ([`trace::span`]);
-/// `span!(registry, "label")` aggregates into a specific registry only.
-/// Bind the result (`let _g = span!(..)`) — the span ends when the guard
-/// drops.
+/// Time a scope: `span!("label")` records its wall time into the label's
+/// span histogram in the [`global()`] registry and, when a trace is being
+/// recorded on this thread, also records the span's begin/end in it
+/// ([`trace::span`]). Bind the result (`let _g = span!(..)`) — the span
+/// ends when the guard drops.
 #[macro_export]
 macro_rules! span {
     ($label:expr) => {
         $crate::trace::span($label)
-    };
-    ($registry:expr, $label:expr) => {
-        $registry.span($label)
     };
 }
 
@@ -142,11 +137,14 @@ mod tests {
         {
             let _g = span!("lib.test.span");
         }
-        let reg = crate::Registry::new();
+        // A span lands in the registry that is global() where it opened.
+        let scope = crate::scoped();
         {
-            let _g = span!(reg, "scoped");
+            let _g = span!("scoped");
         }
+        let scoped = scope.finish().snapshot();
         assert_eq!(crate::global().snapshot().spans["lib.test.span"].count, 1);
-        assert_eq!(reg.snapshot().spans["scoped"].count, 1);
+        assert_eq!(scoped.spans["scoped"].count, 1);
+        assert!(!crate::global().snapshot().spans.contains_key("scoped"));
     }
 }

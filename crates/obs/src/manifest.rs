@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use crate::metrics::MetricsSnapshot;
 
 /// Manifest schema version; bump on breaking field changes.
-pub const MANIFEST_SCHEMA: u32 = 1;
+pub const MANIFEST_SCHEMA: u32 = 2;
 
 /// FNV-1a over a serialized config: stable, order-sensitive, cheap. Two
 /// runs with the same hash ran with byte-identical configuration.

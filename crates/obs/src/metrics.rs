@@ -1,22 +1,29 @@
-//! Metrics registry: counters, gauges, fixed-bucket histograms, streaming
-//! quantiles, and RAII span timers, with a serializable snapshot.
+//! Metrics registry: counters, gauges and one distribution type, the
+//! log-linear [`Histogram`], with a serializable, mergeable snapshot.
 //!
-//! Hot-path cost is one relaxed atomic op per update: handles returned by
-//! the registry are `Arc`s onto shared atomics, so the registry lock is
-//! taken only at registration and snapshot time. A [`Registry`] is cheap
-//! to clone (it *is* an `Arc`); the simulator owns one per run so results
-//! stay attributable and deterministic under parallel tests, while the
-//! process-wide [`global()`](crate::global) registry backs the CLI and
-//! benches.
+//! Counter and gauge handles are `Arc`s onto shared atomics (one relaxed
+//! atomic op per update); a histogram is a short-held mutex over its
+//! buckets. The registry's name maps are locked only at registration and
+//! snapshot time. A [`Registry`] is cheap to clone (it *is* an `Arc`); the
+//! simulator owns one per run so results stay attributable and
+//! deterministic under parallel tests, while the process-wide
+//! [`global()`](crate::global) registry backs the CLI and the daemon.
+//!
+//! Every histogram has the same fixed bucket layout: 16 linear sub-buckets
+//! per power-of-two octave over `[2^-20, 2^44)`, plus one underflow bucket
+//! (zero, negatives, tiny values) and one overflow bucket. An interpolated
+//! quantile is therefore within 1/16 relative of the exact nearest-rank
+//! value, and two histograms merge by adding bucket counts. A snapshot
+//! carries its non-empty buckets, so [`Registry::absorb`] of a snapshot
+//! loses nothing: it is the one way registries are folded together. Span
+//! timers ([`span!`](crate::span)) are histograms of nanosecond durations.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-
-use crate::quantile::StreamingQuantile;
 
 /// Monotone event count. Cloning shares the underlying atomic.
 #[derive(Debug, Clone, Default)]
@@ -82,164 +89,139 @@ impl Gauge {
     }
 }
 
-/// Fixed-bucket histogram: atomic per-bucket counts over caller-supplied
-/// edges, plus exact count/sum/min/max. Quantiles are interpolated within
-/// the containing bucket, so their error is bounded by bucket width.
-#[derive(Debug)]
-pub struct Histogram {
-    /// Upper (inclusive) edge of each bucket; the last bucket is a
-    /// catch-all for values above every edge.
-    edges: Vec<f64>,
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    /// Sum in f64 bits, updated by CAS (relaxed; per-run single-writer in
-    /// the hot loop, contended only in rare multi-thread use).
-    sum_bits: AtomicU64,
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
+/// Lowest resolved octave: values below `2^MIN_EXP` underflow.
+const MIN_EXP: i32 = -20;
+/// Values at or above `2^MAX_EXP` overflow.
+const MAX_EXP: i32 = 44;
+/// Linear sub-buckets per octave: the top `SUB_BITS` mantissa bits.
+const SUB_BITS: u32 = 4;
+const SUBS: usize = 1 << SUB_BITS;
+/// Underflow bucket, the resolved buckets, overflow bucket.
+const BUCKETS: usize = (MAX_EXP - MIN_EXP) as usize * SUBS + 2;
+
+/// The bucket `v` (not NaN) falls in, from its exponent and top mantissa
+/// bits.
+fn bucket_of(v: f64) -> usize {
+    let bits = v.to_bits();
+    let exp = ((bits >> 52) & 0x7ff) as i32 - 1023;
+    if v <= 0.0 || exp < MIN_EXP {
+        0
+    } else if exp >= MAX_EXP {
+        BUCKETS - 1
+    } else {
+        1 + (exp - MIN_EXP) as usize * SUBS + (bits >> (52 - SUB_BITS)) as usize % SUBS
+    }
+}
+
+/// Lower edge of resolved bucket `i` (`1 ≤ i < BUCKETS`).
+fn lower_edge(i: usize) -> f64 {
+    let (octave, sub) = ((i - 1) / SUBS, (i - 1) % SUBS);
+    (SUBS + sub) as f64 * 2f64.powi(MIN_EXP + octave as i32 - SUB_BITS as i32)
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Log-linear histogram over the fixed layout in the [module
+/// docs](self): per-bucket counts plus exact count/sum/min/max. Bucket
+/// storage grows only as far as the largest bucket recorded, so a fresh
+/// histogram allocates nothing.
+#[derive(Debug, Default)]
+pub struct Histogram(Mutex<Dist>);
+
+#[derive(Debug, Default)]
+struct Dist {
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+    buckets: Vec<u64>,
+}
+
+impl Dist {
+    fn add(
+        &mut self,
+        buckets: impl Iterator<Item = (usize, u64)>,
+        n: u64,
+        sum: f64,
+        lo: f64,
+        hi: f64,
+    ) {
+        if n == 0 {
+            return;
+        }
+        for (i, c) in buckets {
+            if i >= self.buckets.len() {
+                self.buckets.resize(i + 1, 0);
+            }
+            self.buckets[i] += c;
+        }
+        (self.min, self.max) =
+            if self.count == 0 { (lo, hi) } else { (self.min.min(lo), self.max.max(hi)) };
+        self.count += n;
+        self.sum += sum;
+    }
 }
 
 impl Histogram {
-    /// Histogram over explicit bucket edges (must be strictly increasing).
-    pub fn with_edges(edges: &[f64]) -> Self {
-        assert!(!edges.is_empty(), "histogram needs at least one edge");
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "histogram edges must be strictly increasing"
-        );
-        Histogram {
-            edges: edges.to_vec(),
-            buckets: (0..=edges.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-        }
-    }
-
-    /// Default edges: powers of two from 1 up to 2^40 — covers counts,
-    /// bytes, and nanosecond durations with ≤ 2× relative bucket error.
-    pub fn log2_default() -> Self {
-        let edges: Vec<f64> = (0..=40).map(|e| (1u64 << e) as f64).collect();
-        Self::with_edges(&edges)
-    }
-
-    /// Record one observation.
+    /// Record one observation. NaN is ignored — one NaN sample must
+    /// neither panic the registry nor poison `sum`. Infinities count as
+    /// `±f64::MAX`, so `sum` only ever adds finite values and cannot
+    /// become NaN.
     pub fn record(&self, v: f64) {
-        let idx = self.edges.partition_point(|e| *e < v);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        update_min(&self.min_bits, v);
-        update_max(&self.max_bits, v);
-    }
-
-    /// Bucket edges this histogram was created with.
-    pub fn edges(&self) -> &[f64] {
-        &self.edges
-    }
-
-    /// Fold this histogram's contents into `dst`, which must have the same
-    /// edges: bucket counts, count, and sum add; min/max combine.
-    fn fold_into(&self, dst: &Histogram) {
-        debug_assert_eq!(self.edges, dst.edges, "fold_into requires identical edges");
-        for (src, out) in self.buckets.iter().zip(&dst.buckets) {
-            out.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
+        if v.is_nan() {
             return;
         }
-        dst.count.fetch_add(count, Ordering::Relaxed);
-        let sum = f64::from_bits(self.sum_bits.load(Ordering::Relaxed));
-        let mut cur = dst.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + sum).to_bits();
-            match dst.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        update_min(&dst.min_bits, f64::from_bits(self.min_bits.load(Ordering::Relaxed)));
-        update_max(&dst.max_bits, f64::from_bits(self.max_bits.load(Ordering::Relaxed)));
+        let v = v.clamp(-f64::MAX, f64::MAX);
+        lock(&self.0).add(std::iter::once((bucket_of(v), 1)), 1, v, v, v);
     }
 
-    /// Point-in-time summary with interpolated quantiles.
+    /// Add a snapshot's buckets and count/sum/min/max to this histogram.
+    fn merge(&self, s: &HistogramSnapshot) {
+        let buckets = s.buckets.iter().map(|&(i, c)| (usize::from(i), c));
+        lock(&self.0).add(buckets, s.count, s.sum, s.min, s.max);
+    }
+
+    /// Point-in-time summary: exact count/sum/min/max, interpolated
+    /// quantiles, and the non-empty buckets.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        let count: u64 = counts.iter().sum();
-        let min = f64::from_bits(self.min_bits.load(Ordering::Relaxed));
-        let max = f64::from_bits(self.max_bits.load(Ordering::Relaxed));
-        let quantile = |q: f64| -> f64 {
-            if count == 0 {
-                return 0.0;
-            }
+        let d = lock(&self.0);
+        let buckets: Vec<(u16, u64)> = (0..d.buckets.len())
+            .filter(|&i| d.buckets[i] > 0)
+            .map(|i| (i as u16, d.buckets[i]))
+            .collect();
+        let (count, min, max) = (d.count, d.min, d.max);
+        // Nearest rank, interpolated inside its bucket and clamped to the
+        // observed range; the underflow/overflow buckets report min/max.
+        let at = |q: f64| -> f64 {
             let target = (q * count as f64).ceil().max(1.0) as u64;
             let mut seen = 0u64;
-            for (idx, c) in counts.iter().enumerate() {
+            for &(i, c) in &buckets {
                 if seen + c >= target {
-                    // Interpolate inside this bucket, clamped to the
-                    // observed min/max so tails stay truthful.
-                    let lo = if idx == 0 { min } else { self.edges[idx - 1] };
-                    let hi = if idx < self.edges.len() { self.edges[idx] } else { max };
-                    let frac = (target - seen) as f64 / *c as f64;
-                    return (lo + (hi - lo) * frac).clamp(min, max);
+                    let v = match usize::from(i) {
+                        0 => min,
+                        i if i + 1 >= BUCKETS => max,
+                        i => {
+                            let lo = lower_edge(i);
+                            lo + (lower_edge(i + 1) - lo) * (target - seen) as f64 / c as f64
+                        }
+                    };
+                    return v.max(min).min(max);
                 }
                 seen += c;
             }
             max
         };
-        HistogramSnapshot {
-            count,
-            sum: f64::from_bits(self.sum_bits.load(Ordering::Relaxed)),
-            min: if count == 0 { 0.0 } else { min },
-            max: if count == 0 { 0.0 } else { max },
-            p50: quantile(0.50),
-            p90: quantile(0.90),
-            p99: quantile(0.99),
-        }
+        let [p50, p90, p95, p99] =
+            if count == 0 { [0.0; 4] } else { [0.5, 0.9, 0.95, 0.99].map(at) };
+        HistogramSnapshot { count, sum: d.sum, min, max, p50, p90, p95, p99, buckets }
     }
 }
 
-fn update_min(bits: &AtomicU64, v: f64) {
-    let mut cur = bits.load(Ordering::Relaxed);
-    while v < f64::from_bits(cur) {
-        match bits.compare_exchange_weak(cur, v.to_bits(), Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => break,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-fn update_max(bits: &AtomicU64, v: f64) {
-    let mut cur = bits.load(Ordering::Relaxed);
-    while v > f64::from_bits(cur) {
-        match bits.compare_exchange_weak(cur, v.to_bits(), Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => break,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-/// Serializable summary of one [`Histogram`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Serializable summary of one [`Histogram`]; complete, so
+/// [`Registry::absorb`] can merge it back.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Observations recorded.
     pub count: u64,
@@ -249,41 +231,17 @@ pub struct HistogramSnapshot {
     pub min: f64,
     /// Largest observation (0 when empty).
     pub max: f64,
-    /// Median estimate (bucket-interpolated).
+    /// Median estimate (within 1/16 relative of the nearest-rank value).
     pub p50: f64,
     /// 90th-percentile estimate.
     pub p90: f64,
+    /// 95th-percentile estimate.
+    pub p95: f64,
     /// 99th-percentile estimate.
     pub p99: f64,
-}
-
-/// Aggregated wall-time for one span label.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct SpanStat {
-    /// Completed spans under this label.
-    pub count: u64,
-    /// Total wall time, nanoseconds.
-    pub total_ns: u64,
-    /// Longest single span, nanoseconds.
-    pub max_ns: u64,
-}
-
-/// RAII timer from [`Registry::span`] (or the [`span!`](crate::span)
-/// macro): measures wall time from construction to drop and folds it into
-/// the registry under the span's label. Nested spans are independent
-/// guards, so each label aggregates its own wall time.
-#[must_use = "a span guard records time when dropped; binding it to `_` drops immediately"]
-pub struct SpanGuard {
-    registry: Registry,
-    label: String,
-    started: Instant,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        let elapsed_ns = self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.registry.record_span_ns(&self.label, elapsed_ns);
-    }
+    /// Non-empty buckets as `(index, count)`, ascending: 0 is underflow,
+    /// the last index of the layout overflow.
+    pub buckets: Vec<(u16, u64)>,
 }
 
 /// A plain wall-clock stopwatch. This is the sanctioned way for the
@@ -318,13 +276,27 @@ impl Stopwatch {
     }
 }
 
+type Named<T> = Mutex<BTreeMap<String, T>>;
+
+/// Get or create the entry `name`.
+fn named<T: Clone + Default>(map: &Named<T>, name: &str) -> T {
+    let mut map = lock(map);
+    if let Some(v) = map.get(name) {
+        return v.clone();
+    }
+    map.entry(name.to_string()).or_default().clone()
+}
+
+fn read<T, S>(map: &Named<T>, f: impl Fn(&T) -> S) -> BTreeMap<String, S> {
+    lock(map).iter().map(|(k, v)| (k.clone(), f(v))).collect()
+}
+
 #[derive(Default)]
 struct Inner {
-    counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    quantiles: Mutex<BTreeMap<String, Arc<Mutex<StreamingQuantile>>>>,
-    spans: Mutex<BTreeMap<String, SpanStat>>,
+    counters: Named<Counter>,
+    gauges: Named<Gauge>,
+    histograms: Named<Arc<Histogram>>,
+    spans: Named<Arc<Histogram>>,
 }
 
 /// A metrics registry. Clones share state.
@@ -347,62 +319,30 @@ impl Registry {
 
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.inner.counters.lock().unwrap();
-        map.entry(name.to_string()).or_default().clone()
+        named(&self.inner.counters, name)
     }
 
     /// Get or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.inner.gauges.lock().unwrap();
-        map.entry(name.to_string()).or_default().clone()
+        named(&self.inner.gauges, name)
     }
 
-    /// Get or create the histogram `name` with default log2 buckets.
+    /// Get or create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.inner.histograms.lock().unwrap();
-        map.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::log2_default())).clone()
+        named(&self.inner.histograms, name)
     }
 
-    /// Get or create the histogram `name` with explicit bucket edges (the
-    /// edges apply only on first creation).
-    pub fn histogram_with_edges(&self, name: &str, edges: &[f64]) -> Arc<Histogram> {
-        let mut map = self.inner.histograms.lock().unwrap();
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::with_edges(edges)))
-            .clone()
-    }
-
-    /// Get or create the P² streaming-quantile estimator `name` tracking
-    /// quantile `q` (0..1; `q` applies only on first creation).
-    pub fn streaming_quantile(&self, name: &str, q: f64) -> Arc<Mutex<StreamingQuantile>> {
-        let mut map = self.inner.quantiles.lock().unwrap();
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Mutex::new(StreamingQuantile::new(q))))
-            .clone()
-    }
-
-    /// Start an RAII span timer; wall time is recorded under `label` when
-    /// the guard drops.
-    pub fn span(&self, label: &str) -> SpanGuard {
-        SpanGuard { registry: self.clone(), label: label.to_string(), started: Instant::now() }
-    }
-
-    /// Fold an explicit duration into the span stats for `label`.
+    /// Record one span of `elapsed_ns` under `label` (what a
+    /// [`span!`](crate::span) guard does when it drops).
     pub fn record_span_ns(&self, label: &str, elapsed_ns: u64) {
-        let mut spans = self.inner.spans.lock().unwrap();
-        let stat = spans.entry(label.to_string()).or_default();
-        stat.count += 1;
-        stat.total_ns += elapsed_ns;
-        stat.max_ns = stat.max_ns.max(elapsed_ns);
+        named(&self.inner.spans, label).record(elapsed_ns as f64);
     }
 
-    /// Fold a snapshot from another registry into this one: counters add,
-    /// gauges take the snapshot's value (last writer wins), span stats
-    /// accumulate. Histogram buckets and streaming-quantile marker state
-    /// cannot be reconstructed from their summaries, so those are skipped —
-    /// record into the target registry directly where live distributions
-    /// are needed. This is how per-run registries (e.g. the simulator's)
-    /// surface in the process-wide [`global`](crate::global) registry.
+    /// Fold a snapshot of another registry into this one: counters add,
+    /// gauges take the snapshot's value (last writer wins), histograms and
+    /// spans merge bucket by bucket. This is how per-run registries (the
+    /// simulator's, each runner job's) surface in the process-wide
+    /// [`global`](crate::global) registry.
     pub fn absorb(&self, snap: &MetricsSnapshot) {
         for (name, v) in &snap.counters {
             self.counter(name).add(*v);
@@ -410,102 +350,43 @@ impl Registry {
         for (name, v) in &snap.gauges {
             self.gauge(name).set(*v);
         }
-        let mut spans = self.inner.spans.lock().unwrap();
-        for (label, s) in &snap.spans {
-            let stat = spans.entry(label.clone()).or_default();
-            stat.count += s.count;
-            stat.total_ns += s.total_ns;
-            stat.max_ns = stat.max_ns.max(s.max_ns);
+        for (name, h) in &snap.histograms {
+            self.histogram(name).merge(h);
         }
-    }
-
-    /// Fold another *live* registry into this one with full fidelity:
-    /// everything [`absorb`](Registry::absorb) covers, **plus** histogram
-    /// buckets (which snapshots cannot carry). Streaming-quantile marker
-    /// state still cannot be merged and is skipped. This is how
-    /// `ibox-runner` folds each scoped per-run registry into the process
-    /// registry in deterministic spec-index order.
-    pub fn absorb_registry(&self, other: &Registry) {
-        self.absorb(&other.snapshot());
-        let histograms: Vec<(String, Arc<Histogram>)> = other
-            .inner
-            .histograms
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        for (name, h) in histograms {
-            let dst = self.histogram_with_edges(&name, h.edges());
-            if dst.edges() == h.edges() {
-                h.fold_into(&dst);
-            }
+        for (label, h) in &snap.spans {
+            named(&self.inner.spans, label).merge(h);
         }
     }
 
     /// Point-in-time copy of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .inner
-                .counters
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self
-                .inner
-                .gauges
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histograms: self
-                .inner
-                .histograms
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
-            quantiles: self
-                .inner
-                .quantiles
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.lock().unwrap().estimate()))
-                .collect(),
-            spans: self.inner.spans.lock().unwrap().clone(),
+            counters: read(&self.inner.counters, Counter::get),
+            gauges: read(&self.inner.gauges, Gauge::get),
+            histograms: read(&self.inner.histograms, |h| h.snapshot()),
+            spans: read(&self.inner.spans, |h| h.snapshot()),
         }
     }
 }
 
-/// Serializable, mergeable copy of a [`Registry`]'s state at one instant.
+/// Serializable copy of a [`Registry`]'s state at one instant; fold it
+/// into a registry with [`Registry::absorb`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, f64>,
-    /// Histogram summaries by name.
+    /// Histograms by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Streaming-quantile estimates by name.
-    pub quantiles: BTreeMap<String, f64>,
-    /// Span wall-time aggregates by label.
-    pub spans: BTreeMap<String, SpanStat>,
+    /// Span wall times by label, as histograms of nanoseconds.
+    pub spans: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {
     /// Number of distinct metrics across all kinds.
     pub fn len(&self) -> usize {
-        self.counters.len()
-            + self.gauges.len()
-            + self.histograms.len()
-            + self.quantiles.len()
-            + self.spans.len()
+        self.counters.len() + self.gauges.len() + self.histograms.len() + self.spans.len()
     }
 
     /// True when no metric of any kind is present.
@@ -513,36 +394,11 @@ impl MetricsSnapshot {
         self.len() == 0
     }
 
-    /// Merge `other` into `self`: counters and span stats accumulate;
-    /// gauges, histograms, and quantiles from `other` win on name clashes
-    /// (they are point-in-time values, not sums).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, v) in &other.histograms {
-            self.histograms.insert(k.clone(), v.clone());
-        }
-        for (k, v) in &other.quantiles {
-            self.quantiles.insert(k.clone(), *v);
-        }
-        for (k, v) in &other.spans {
-            let stat = self.spans.entry(k.clone()).or_default();
-            stat.count += v.count;
-            stat.total_ns += v.total_ns;
-            stat.max_ns = stat.max_ns.max(v.max_ns);
-        }
-    }
-
     /// Render the snapshot in the Prometheus text exposition format
     /// (version 0.0.4): counters and gauges verbatim, histograms as
-    /// `summary` series (quantile labels + `_sum`/`_count`), streaming
-    /// quantiles as gauges, and span aggregates as
-    /// `ibox_span_<label>_{count,seconds_total,max_seconds}`. Metric
-    /// names are sanitized to `[a-zA-Z0-9_:]` and prefixed `ibox_`.
+    /// `summary` series (p50/p90/p95/p99 quantile labels + `_sum`/
+    /// `_count`), and spans as summaries `ibox_span_<label>_seconds`.
+    /// Metric names are sanitized to `[a-zA-Z0-9_:]` and prefixed `ibox_`.
     pub fn to_prometheus(&self) -> String {
         fn name(raw: &str) -> String {
             let mut out = String::with_capacity(raw.len() + 5);
@@ -563,6 +419,13 @@ impl MetricsSnapshot {
                 format!("{v}")
             }
         }
+        fn summary(out: &mut String, n: &str, h: &HistogramSnapshot, per_unit: f64) {
+            out.push_str(&format!("# TYPE {n} summary\n"));
+            for (q, v) in [("0.5", h.p50), ("0.9", h.p90), ("0.95", h.p95), ("0.99", h.p99)] {
+                out.push_str(&format!("{n}{{quantile=\"{q}\"}} {}\n", num(v / per_unit)));
+            }
+            out.push_str(&format!("{n}_sum {}\n{n}_count {}\n", num(h.sum / per_unit), h.count));
+        }
         let mut out = String::new();
         for (k, v) in &self.counters {
             let n = name(k);
@@ -572,29 +435,11 @@ impl MetricsSnapshot {
             let n = name(k);
             out.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", num(*v)));
         }
-        for (k, v) in &self.quantiles {
-            let n = name(k);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", num(*v)));
-        }
         for (k, h) in &self.histograms {
-            let n = name(k);
-            out.push_str(&format!("# TYPE {n} summary\n"));
-            for (q, est) in [("0.5", h.p50), ("0.9", h.p90), ("0.99", h.p99)] {
-                out.push_str(&format!("{n}{{quantile=\"{q}\"}} {}\n", num(est)));
-            }
-            out.push_str(&format!("{n}_sum {}\n{n}_count {}\n", num(h.sum), h.count));
+            summary(&mut out, &name(k), h, 1.0);
         }
-        for (k, s) in &self.spans {
-            let n = name(&format!("span.{k}"));
-            out.push_str(&format!("# TYPE {n}_count counter\n{n}_count {}\n", s.count));
-            out.push_str(&format!(
-                "# TYPE {n}_seconds_total counter\n{n}_seconds_total {}\n",
-                num(s.total_ns as f64 / 1e9)
-            ));
-            out.push_str(&format!(
-                "# TYPE {n}_max_seconds gauge\n{n}_max_seconds {}\n",
-                num(s.max_ns as f64 / 1e9)
-            ));
+        for (k, h) in &self.spans {
+            summary(&mut out, &name(&format!("span.{k}.seconds")), h, 1e9);
         }
         out
     }
@@ -640,25 +485,45 @@ mod tests {
         }
     }
 
+    /// Deterministic uniform draws in (0, 1) (SplitMix64).
+    fn uniform(seed: u64, n: usize) -> Vec<f64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64 + 0.5 / (1u64 << 53) as f64
+            })
+            .collect()
+    }
+
+    /// Standard normal draws (Box–Muller over [`uniform`] pairs).
+    fn normal(seed: u64, n: usize) -> Vec<f64> {
+        let u = uniform(seed, 2 * n);
+        u.chunks(2)
+            .map(|p| (-2.0 * p[0].ln()).sqrt() * (std::f64::consts::TAU * p[1]).cos())
+            .collect()
+    }
+
     #[test]
     fn prometheus_exposition_covers_every_metric_kind() {
         let reg = Registry::new();
         reg.counter("fitcache.hit").add(3);
         reg.gauge("serve.uptime_s").set(12.5);
         reg.histogram("serve.latency.fit_ms").record(4.0);
-        reg.streaming_quantile("serve.latency.fit.p50", 0.5).lock().unwrap().observe(4.0);
-        {
-            let _g = reg.span("model.fit");
-        }
+        reg.record_span_ns("model-fit", 2_000_000);
         let text = reg.snapshot().to_prometheus();
         assert_prometheus_grammar(&text);
         assert!(text.contains("# TYPE ibox_fitcache_hit counter\nibox_fitcache_hit 3\n"));
         assert!(text.contains("ibox_serve_uptime_s 12.5\n"));
         assert!(text.contains("# TYPE ibox_serve_latency_fit_ms summary\n"));
-        assert!(text.contains("ibox_serve_latency_fit_ms{quantile=\"0.5\"}"));
+        assert!(text.contains("ibox_serve_latency_fit_ms{quantile=\"0.95\"} 4\n"));
         assert!(text.contains("ibox_serve_latency_fit_ms_count 1\n"));
-        assert!(text.contains("# TYPE ibox_span_model_fit_count counter\n"));
-        assert!(text.contains("ibox_span_model_fit_seconds_total"));
+        assert!(text.contains("# TYPE ibox_span_model_fit_seconds summary\n"));
+        assert!(text.contains("ibox_span_model_fit_seconds{quantile=\"0.5\"} 0.002\n"));
+        assert!(text.contains("ibox_span_model_fit_seconds_sum 0.002\n"));
     }
 
     #[test]
@@ -681,75 +546,133 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bucket_edges_are_inclusive_upper() {
-        let h = Histogram::with_edges(&[1.0, 2.0, 4.0]);
-        // Exactly on an edge lands in that edge's bucket (≤ edge).
-        h.record(1.0);
-        h.record(2.0);
-        h.record(4.0);
-        h.record(100.0); // overflow bucket
-        let counts: Vec<u64> = h.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        assert_eq!(counts, vec![1, 1, 1, 1]);
-        let s = h.snapshot();
-        assert_eq!(s.count, 4);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert_eq!(s.sum, 107.0);
+    fn buckets_are_sixteen_linear_steps_per_octave() {
+        assert_eq!(lower_edge(1), 2f64.powi(MIN_EXP));
+        assert_eq!(lower_edge(BUCKETS - 1), 2f64.powi(MAX_EXP));
+        for i in 1..BUCKETS - 1 {
+            let (lo, hi) = (lower_edge(i), lower_edge(i + 1));
+            assert_eq!(bucket_of(lo), i, "lower edge {lo} of bucket {i}");
+            assert_eq!(bucket_of(hi.next_down()), i, "just below the upper edge {hi}");
+            assert!((hi - lo) / lo <= 1.0 / 16.0, "bucket {i} is wider than 1/16");
+        }
+        assert_eq!(bucket_of(1.0), 1 + 20 * SUBS);
+        assert_eq!(bucket_of(1.0625), 2 + 20 * SUBS);
     }
 
     #[test]
-    fn histogram_quantiles_are_bucket_accurate() {
-        // Uniform 1..=1000 into fine buckets: quantile error is bounded by
-        // one bucket width (10).
-        let edges: Vec<f64> = (1..=100).map(|i| (i * 10) as f64).collect();
-        let h = Histogram::with_edges(&edges);
-        for v in 1..=1000 {
-            h.record(v as f64);
+    fn hostile_values_land_in_the_edge_buckets_and_never_poison_sum() {
+        // One NaN latency sample must not panic the whole registry (a sort
+        // by partial_cmp().unwrap() once did; total_cmp fixed it), and no
+        // value may make sum NaN.
+        let last = BUCKETS - 1;
+        let table: [(f64, Option<usize>); 12] = [
+            (f64::NAN, None),
+            (-f64::NAN, None),
+            (-1.0, Some(0)),
+            (-0.0, Some(0)),
+            (0.0, Some(0)),
+            (5e-324, Some(0)), // subnormal
+            (f64::MIN_POSITIVE, Some(0)),
+            (2f64.powi(MIN_EXP).next_down(), Some(0)),
+            (f64::NEG_INFINITY, Some(0)),
+            (2f64.powi(MAX_EXP), Some(last)),
+            (f64::MAX, Some(last)),
+            (f64::INFINITY, Some(last)),
+        ];
+        let all = Histogram::default();
+        for (v, bucket) in table {
+            let h = Histogram::default();
+            h.record(v);
+            all.record(v);
+            let s = h.snapshot();
+            assert_eq!(
+                s.buckets,
+                bucket.map(|b| (b as u16, 1)).into_iter().collect::<Vec<_>>(),
+                "{v}"
+            );
+            assert_eq!(s.count, u64::from(bucket.is_some()), "{v}");
+            assert!(!s.sum.is_nan() && !s.p50.is_nan() && !s.max.is_nan(), "{v}: {s:?}");
         }
-        let s = h.snapshot();
-        assert!((s.p50 - 500.0).abs() <= 10.0, "p50 = {}", s.p50);
-        assert!((s.p90 - 900.0).abs() <= 10.0, "p90 = {}", s.p90);
-        assert!((s.p99 - 990.0).abs() <= 10.0, "p99 = {}", s.p99);
+        let s = all.snapshot();
+        assert_eq!(s.count, 10);
+        assert!(!s.sum.is_nan(), "sum of every hostile value: {}", s.sum);
+        assert_eq!((s.min, s.max), (-f64::MAX, f64::MAX));
+    }
+
+    #[test]
+    fn quantiles_are_within_a_sixteenth_of_nearest_rank() {
+        let n = 2_000;
+        let cases: [(&str, Vec<f64>); 4] = [
+            ("uniform(1, 1000)", uniform(1, n).iter().map(|u| 1.0 + 999.0 * u).collect()),
+            ("N(55, 3) ms", normal(2, n).iter().map(|z| 55.0 + 3.0 * z).collect()),
+            (
+                "lognormal(19.4 ms, 0.55)",
+                normal(3, n).iter().map(|z| 19.4 * (0.55 * z).exp()).collect(),
+            ),
+            (
+                "loss in (0.001, 0.5)",
+                uniform(4, n).iter().map(|u| 0.001 * 500f64.powf(*u)).collect(),
+            ),
+        ];
+        for (name, sample) in cases {
+            let h = Histogram::default();
+            sample.iter().for_each(|&v| h.record(v));
+            let s = h.snapshot();
+            let mut sorted = sample.clone();
+            sorted.sort_by(f64::total_cmp);
+            for (q, got) in [(0.5, s.p50), (0.9, s.p90), (0.95, s.p95), (0.99, s.p99)] {
+                let exact = sorted[(q * n as f64).ceil() as usize - 1];
+                assert!(
+                    (got - exact).abs() <= exact / 16.0,
+                    "{name}: p{} = {got}, nearest rank {exact}",
+                    q * 100.0
+                );
+            }
+            assert_eq!((s.min, s.max), (sorted[0], sorted[n - 1]), "{name}");
+        }
     }
 
     #[test]
     fn empty_histogram_snapshot_is_zeroed() {
-        let s = Histogram::log2_default().snapshot();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.min, 0.0);
-        assert_eq!(s.max, 0.0);
-        assert_eq!(s.p99, 0.0);
+        let s = Histogram::default().snapshot();
+        assert_eq!(s, HistogramSnapshot::default());
     }
 
     #[test]
     fn span_timers_nest_and_aggregate() {
-        let reg = Registry::new();
+        let scope = crate::scoped();
         {
-            let _outer = reg.span("outer");
+            let _outer = crate::span!("outer");
             for _ in 0..3 {
-                let _inner = reg.span("inner");
+                let _inner = crate::span!("inner");
                 std::hint::black_box((0..1000u64).sum::<u64>());
             }
         }
-        let snap = reg.snapshot();
-        let outer = snap.spans["outer"];
-        let inner = snap.spans["inner"];
+        let snap = scope.finish().snapshot();
+        let (outer, inner) = (&snap.spans["outer"], &snap.spans["inner"]);
         assert_eq!(outer.count, 1);
         assert_eq!(inner.count, 3);
         // The outer span encloses all inner spans.
-        assert!(outer.total_ns >= inner.total_ns);
-        assert!(inner.max_ns <= inner.total_ns);
+        assert!(outer.sum >= inner.sum);
+        assert!(inner.max <= inner.sum);
+    }
+
+    fn every_kind() -> Registry {
+        let reg = Registry::new();
+        reg.counter("a").add(7);
+        reg.gauge("b").set(2.5);
+        for v in [0.0, 0.3, 42.0, 1e6, 3e15] {
+            reg.histogram("c").record(v);
+        }
+        reg.histogram("empty");
+        reg.record_span_ns("e", 123);
+        reg.record_span_ns("e", 4_567_890);
+        reg
     }
 
     #[test]
     fn snapshot_roundtrips_through_json() {
-        let reg = Registry::new();
-        reg.counter("a").add(7);
-        reg.gauge("b").set(2.5);
-        reg.histogram("c").record(42.0);
-        reg.streaming_quantile("d", 0.5).lock().unwrap().observe(1.0);
-        reg.record_span_ns("e", 123);
-        let snap = reg.snapshot();
+        let snap = every_kind().snapshot();
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
@@ -757,51 +680,25 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates_counters_and_spans() {
-        let mut a = MetricsSnapshot::default();
-        a.counters.insert("n".into(), 3);
-        a.spans.insert("s".into(), SpanStat { count: 1, total_ns: 10, max_ns: 10 });
-        let mut b = MetricsSnapshot::default();
-        b.counters.insert("n".into(), 4);
-        b.gauges.insert("g".into(), 1.5);
-        b.spans.insert("s".into(), SpanStat { count: 2, total_ns: 30, max_ns: 25 });
-        a.merge(&b);
-        assert_eq!(a.counters["n"], 7);
-        assert_eq!(a.gauges["g"], 1.5);
-        assert_eq!(a.spans["s"], SpanStat { count: 3, total_ns: 40, max_ns: 25 });
-    }
-
-    #[test]
-    fn absorb_registry_carries_histogram_buckets() {
-        let per_run = Registry::new();
-        per_run.counter("n").add(3);
-        let h = per_run.histogram_with_edges("depth", &[1.0, 2.0, 4.0]);
-        h.record(1.5);
-        h.record(3.0);
-        h.record(9.0);
-
+    fn absorbing_a_snapshot_into_an_empty_registry_reproduces_it() {
+        let snap = every_kind().snapshot();
         let target = Registry::new();
-        target.histogram_with_edges("depth", &[1.0, 2.0, 4.0]).record(0.5);
-        target.absorb_registry(&per_run);
-
-        let snap = target.snapshot();
-        assert_eq!(snap.counters["n"], 3);
-        let d = &snap.histograms["depth"];
-        assert_eq!(d.count, 4);
-        assert_eq!(d.sum, 14.0);
-        assert_eq!(d.min, 0.5);
-        assert_eq!(d.max, 9.0);
+        target.absorb(&snap);
+        assert_eq!(target.snapshot(), snap);
     }
 
     #[test]
-    fn absorb_folds_a_snapshot_into_a_live_registry() {
+    fn absorb_accumulates_counters_histograms_and_spans() {
         let per_run = Registry::new();
         per_run.counter("n").add(5);
         per_run.gauge("g").set(3.0);
+        per_run.histogram("h").record(9.0);
         per_run.record_span_ns("s", 100);
 
         let target = Registry::new();
         target.counter("n").add(2);
+        target.gauge("g").set(1.0);
+        target.histogram("h").record(0.5);
         target.record_span_ns("s", 40);
         target.absorb(&per_run.snapshot());
         target.absorb(&per_run.snapshot());
@@ -809,6 +706,10 @@ mod tests {
         let snap = target.snapshot();
         assert_eq!(snap.counters["n"], 12);
         assert_eq!(snap.gauges["g"], 3.0);
-        assert_eq!(snap.spans["s"], SpanStat { count: 3, total_ns: 240, max_ns: 100 });
+        let h = &snap.histograms["h"];
+        assert_eq!((h.count, h.sum, h.min, h.max), (3, 18.5, 0.5, 9.0));
+        assert_eq!(h.buckets, vec![(bucket_of(0.5) as u16, 1), (bucket_of(9.0) as u16, 2)]);
+        let s = &snap.spans["s"];
+        assert_eq!((s.count, s.sum, s.min, s.max), (3, 240.0, 40.0, 100.0));
     }
 }

@@ -31,7 +31,7 @@
 //! exactly the discipline `ibox-runner` already uses for metrics, which
 //! is what makes span trees deterministic under `--jobs`.
 
-use crate::metrics::SpanGuard;
+use crate::metrics::{Registry, Stopwatch};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -375,17 +375,21 @@ fn end_span_in(state: &mut ScopeState, span: u64) {
 pub struct TraceSpanGuard {
     /// The trace and span opened in the active scope, if there was one.
     traced: Option<(u64, u64)>,
-    _agg: SpanGuard,
+    registry: Registry,
+    label: String,
+    started: Stopwatch,
 }
 
 impl Drop for TraceSpanGuard {
     fn drop(&mut self) {
-        let Some((trace, span)) = self.traced else { return };
-        with_scope(|state| {
-            if state.trace == trace {
-                end_span_in(state, span);
-            }
-        });
+        if let Some((trace, span)) = self.traced {
+            with_scope(|state| {
+                if state.trace == trace {
+                    end_span_in(state, span);
+                }
+            });
+        }
+        self.registry.record_span_ns(&self.label, self.started.elapsed_ns());
     }
 }
 
@@ -395,7 +399,12 @@ impl Drop for TraceSpanGuard {
 /// (one thread-local branch otherwise).
 pub fn span(name: &str) -> TraceSpanGuard {
     let traced = with_scope(|state| (state.trace, begin_child(state, name)));
-    TraceSpanGuard { traced, _agg: crate::global().span(name) }
+    TraceSpanGuard {
+        traced,
+        registry: crate::global(),
+        label: name.to_string(),
+        started: Stopwatch::start(),
+    }
 }
 
 /// Record a point-in-time marker inside the enclosing span (no-op

@@ -169,7 +169,7 @@ where
     let target = ibox_obs::global();
     let mut out = Vec::with_capacity(pairs.len());
     for (value, registry, events) in pairs {
-        target.absorb_registry(&registry);
+        target.absorb(&registry.snapshot());
         if let Some(events) = events {
             ibox_obs::trace::fold(events);
         }
@@ -181,8 +181,9 @@ where
 /// [`run_indexed`], with per-job metric isolation: each job records into
 /// its own scoped [`ibox_obs::Registry`], and the registries are folded
 /// into the caller's effective registry in index order once every job has
-/// finished. Counters, spans, and histogram buckets all survive the fold;
-/// gauges resolve last-index-wins — exactly what the serial loop did.
+/// finished, each by [`ibox_obs::Registry::absorb`] of its snapshot.
+/// Counters, spans, and histogram buckets all survive the fold; gauges
+/// resolve last-index-wins — exactly what the serial loop did.
 pub fn run_scoped<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -257,7 +258,7 @@ mod tests {
                 reg.counter("pool.test.jobs_done").inc();
                 reg.counter("pool.test.weight").add(i as u64);
                 reg.gauge("pool.test.last_index").set(i as f64);
-                reg.histogram_with_edges("pool.test.h", &[4.0, 8.0]).record(i as f64);
+                reg.histogram("pool.test.h").record(i as f64);
                 i
             });
             (out, scope.finish().snapshot())

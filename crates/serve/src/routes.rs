@@ -3,9 +3,9 @@
 //! Every handler is a pure `(App, Request) → Response` function over the
 //! JSON API; the transport loop lives in [`crate::server`]. Handlers are
 //! wrapped by [`handle`], which records the per-endpoint observability
-//! contract — `serve.requests.<ep>`, `serve.errors.<ep>`, a latency
-//! histogram, and p50/p95 streaming quantiles — and converts a handler
-//! panic into a 500 instead of killing the worker thread.
+//! contract — `serve.requests.<ep>`, `serve.errors.<ep>`, and a latency
+//! histogram whose snapshot reports p50/p90/p95/p99 — and converts a
+//! handler panic into a 500 instead of killing the worker thread.
 //!
 //! Determinism: `/replay` answers with exactly
 //! `serde_json::to_string(&trace)` for the registered model — the same
@@ -218,11 +218,6 @@ pub fn handle(app: &Arc<App>, req: &Request) -> Response {
         reg.counter(&format!("serve.errors.{label}")).inc();
     }
     reg.histogram(&format!("serve.latency_ms.{label}")).record(latency_ms);
-    for q in [0.5, 0.95] {
-        let est =
-            reg.streaming_quantile(&format!("serve.latency_ms.{label}.p{}", (q * 100.0) as u32), q);
-        est.lock().unwrap_or_else(|p| p.into_inner()).observe(latency_ms);
-    }
     resp
 }
 

@@ -725,11 +725,6 @@ impl Simulation {
             ibox_obs::trace::counter("sim.queue_depth_bytes", queue_bytes as f64);
         }
         self.metrics.histogram("sim.queue_depth_bytes").record(queue_bytes as f64);
-        // Also into the process-wide registry: histogram buckets don't
-        // survive `absorb`, so the global distribution is fed directly.
-        if self.report_global {
-            ibox_obs::global().histogram("sim.queue_depth_bytes").record(queue_bytes as f64);
-        }
         let now = self.now;
         self.samples.push(LinkSample {
             t: now,
@@ -1245,6 +1240,22 @@ mod metrics_tests {
         assert!(out.metrics.gauges["sim.queue_depth_hwm_bytes"] > 0.0);
         assert!(out.metrics.gauges["sim.events_per_sec"] > 0.0);
         assert!(out.metrics.histograms["sim.queue_depth_bytes"].count > 0);
+    }
+
+    /// The run's snapshot reaches the global registry by `absorb` alone:
+    /// each queue-depth sample is counted once there, not twice.
+    #[test]
+    fn each_queue_sample_is_counted_once_globally() {
+        let scope = ibox_obs::scoped();
+        let out = lossy_reordering_run(4);
+        let global = scope.finish().snapshot();
+        let samples = out.link_samples.len() as u64;
+        assert!(samples > 0);
+        assert_eq!(out.metrics.histograms["sim.queue_depth_bytes"].count, samples);
+        assert_eq!(
+            global.histograms["sim.queue_depth_bytes"],
+            out.metrics.histograms["sim.queue_depth_bytes"]
+        );
     }
 
     /// The determinism guard: identical config + seed must yield an

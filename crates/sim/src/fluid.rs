@@ -1132,9 +1132,6 @@ impl FluidSim {
             rate_bps: self.spec.bottleneck_rate_bps(),
         });
         self.metrics.histogram("sim.queue_depth_bytes").record(queue_bytes as f64);
-        if self.report_global {
-            ibox_obs::global().histogram("sim.queue_depth_bytes").record(queue_bytes as f64);
-        }
     }
 
     /// Hand the window `[t, t + chunk_s)` of the (single-stage, see
@@ -1493,6 +1490,26 @@ mod tests {
         let recs = t.records();
         assert!(recs.windows(2).all(|w| w[0].send_ns <= w[1].send_ns));
         assert!(recs.iter().enumerate().all(|(i, r)| r.seq == i as u64));
+    }
+
+    /// Samples of a hybrid run (some drawn from packet episodes, whose own
+    /// registries stay local) reach the global registry once each.
+    #[test]
+    fn each_queue_sample_is_counted_once_globally() {
+        let scope = ibox_obs::scoped();
+        let mut sim = FluidSim::new(simple_path(8e6, 20, 50_000), SimTime::from_secs(4), 9);
+        sim.set_hybrid(true);
+        sim.set_sample_every(Some(SimTime::from_millis(10)));
+        sim.add_flow(
+            FlowConfig::bulk("main", SimTime::from_secs(4)),
+            FluidLaw::fixed_window(300.0),
+        );
+        let out = sim.run();
+        let global = scope.finish().snapshot();
+        assert!(global.counters["fluid.episodes"] > 0);
+        let samples = out.link_samples.len() as u64;
+        assert!(samples > 0);
+        assert_eq!(global.histograms["sim.queue_depth_bytes"].count, samples);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 # replay loop asserting byte-identical traces.
 # --quick also smoke-tests the serving daemon, including a causally
 # traced fit (`--trace-id` → `GET /trace/<id>`) and the prometheus
-# metrics exposition, plus a `--fidelity flow` replay smoke (explicit
+# metrics exposition (a replay latency p95 and the model-fit span
+# quantiles must be in it), plus a `--fidelity flow` replay smoke (explicit
 # `--fidelity packet` must stay byte-identical to the default).
 # --quick also smoke-tests composed paths: a 2-stage `--path` replay at
 # packet and flow fidelity, a hostile `--path` file refused with a
@@ -268,6 +269,11 @@ EOF
     run ./target/release/ibox call "$base/metrics?format=prometheus" -o "$tmp/metrics.prom"
     grep -q '^# TYPE ' "$tmp/metrics.prom" \
         || { echo "FAIL: prometheus exposition missing TYPE lines" >&2; kill "$serve_pid"; exit 1; }
+    # Histogram p95 and span quantiles reach the exposition.
+    for series in 'ibox_serve_latency_ms_replay{quantile="0.95"} ' 'ibox_span_model_fit_seconds{quantile="0.5"} '; do
+        grep -qF "$series" "$tmp/metrics.prom" \
+            || { echo "FAIL: prometheus exposition missing $series" >&2; kill "$serve_pid"; exit 1; }
+    done
     echo "trace smoke passed"
 
     echo "==> ingest smoke: 3-chunk streaming append, finalize, version-pinned replay"
