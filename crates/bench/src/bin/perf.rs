@@ -25,14 +25,14 @@ use ibox_bench::Expected::{self, Holds, KnownFailure};
 use serde::Serialize;
 
 use ibox_bench::{cell, num, Experiment, Report, Rounds, Scale, Sweep, Table};
-use ibox_cc::Cubic;
+use ibox_cc::{BbrLite, Cubic};
 use ibox_ingest::{IngestConfig, OnlineCrossTraffic, OnlineStaticParams, SessionStore, Watermark};
 use ibox_ml::lstm::{Lstm, LstmState, LstmWorkspace, StepCache};
 use ibox_ml::matrix::Mat;
 use ibox_ml::{InferenceSession, Logistic, LogisticConfig, Prediction, TrainConfig};
 use ibox_ml::{SequenceModel, SequenceModelConfig};
-use ibox_sim::{CrossTrafficCfg, FixedWindow, FlowConfig, PathConfig, PathEmulator, PathSpec};
-use ibox_sim::{PathStage, ReorderCfg, SimOutput, SimTime, Simulation};
+use ibox_sim::{CongestionControl, CrossTrafficCfg, FixedWindow, FlowConfig, PathConfig};
+use ibox_sim::{PathEmulator, PathSpec, PathStage, ReorderCfg, SimOutput, SimTime, Simulation};
 use ibox_stats::{ks_two_sample, percentile};
 use ibox_testbed::pantheon::run_protocol;
 use ibox_testbed::Profile;
@@ -48,6 +48,7 @@ const ROWS: &[Experiment<Scale>] = &[
     Experiment { name: "trace", paper: "DESIGN.md", seed: 0, sweep: 4, run: trace },
     Experiment { name: "flow", paper: "DESIGN.md", seed: 0, sweep: 4, run: flow },
     Experiment { name: "path", paper: "DESIGN.md", seed: 0, sweep: 4, run: path },
+    Experiment { name: "cc", paper: "DESIGN.md", seed: 0, sweep: 4, run: cc },
     Experiment { name: "ingest", paper: "DESIGN.md", seed: 0, sweep: 4, run: ingest },
     Experiment { name: "speed", paper: "§4.2", seed: 0, sweep: 4, run: speed },
 ];
@@ -729,6 +730,52 @@ fn path(scale: &Scale, _: u64) -> Result<Report, String> {
     }
     let claim = "each added stage slows packet and flow replay by at most 2.5x";
     rep.verdict(claim, worst <= 2.5, Holds);
+    gated(rep)
+}
+
+/// The request benchmark's wired path: 80 Mbps, 5 ms, an 80 KB buffer and
+/// 4 Mbps of Poisson cross traffic, where a 10 s window holds ≈ 70 k acks.
+fn wired(secs: u64) -> PathEmulator {
+    let duration = SimTime::from_secs(secs);
+    let path = PathConfig::simple(80e6, SimTime::from_millis(5), 80_000);
+    let cross = CrossTrafficCfg::Poisson {
+        mean_rate_bps: 4e6,
+        pkt_size: 1200,
+        start: SimTime::ZERO,
+        stop: duration,
+    };
+    PathEmulator::from_spec(PathSpec::single(path), duration).with_cross_traffic(cross)
+}
+
+type NewSender = fn() -> Box<dyn CongestionControl>;
+
+/// Sender cost in the packet engine: BBR-lite against Cubic per sent
+/// packet on the wired path. BBR-lite's windowed max-bandwidth and min-RTT
+/// filters are amortised O(1) per ack; filters that rescan their 10 s
+/// windows on every ack cost ≈ 120x Cubic per packet here.
+fn cc(scale: &Scale, _: u64) -> Result<Report, String> {
+    let secs = scale.pick(2, 10) as u64;
+    let emu = wired(secs);
+    let senders: [(&str, NewSender); 2] =
+        [("bbr", || Box::new(BbrLite::new())), ("cubic", || Box::new(Cubic::new()))];
+    let mut packets = Vec::new();
+    for (name, sender) in senders {
+        packets.push(sent(&emu.run_sender(sender(), name, REPLAY_SEED))?);
+    }
+
+    let mut rep = Report::default();
+    let emu = &emu;
+    let arms = senders.iter().zip(&packets).map(|(&(name, sender), &n)| {
+        arm(name, n, move || {
+            black_box(emu.run_sender(sender(), name, REPLAY_SEED));
+        })
+    });
+    let title = format!("packet engine, 80 Mbps wired path, {secs} s");
+    let rounds = time_arms(&mut rep, &title, "packets", scale.pick(3, 12), arms.collect());
+    let per_packet: Vec<f64> =
+        rounds.ratios(0, 1).iter().map(|r| r * packets[1] / packets[0]).collect();
+    let bbr_x = rep.ratio("bbr/cubic engine time per sent packet x", &per_packet);
+    rep.verdict("BBR-lite costs at most 2x Cubic per sent packet", bbr_x <= 2.0, Holds);
     gated(rep)
 }
 

@@ -6,6 +6,9 @@
 //! ProbeBW gain cycle, pacing at `gain × bw` and a 2×BDP inflight cap.
 //! It captures BBR's qualitative behaviour (fills the pipe without filling
 //! the buffer; periodic probing) without the full state machine.
+//!
+//! Both windowed filters are monotone deques, so an ack costs amortised
+//! O(1) however many samples its 10 s windows hold (≈ 70 k at 80 Mbps).
 
 use std::collections::VecDeque;
 
@@ -25,10 +28,17 @@ const MIN_RATE: f64 = 64_000.0;
 /// A simplified BBR sender.
 #[derive(Debug, Clone)]
 pub struct BbrLite {
-    /// `(time, bw_sample_bps)` history for the windowed max filter.
-    bw_samples: VecDeque<(SimTime, f64)>,
-    /// `(time, rtt)` history for the windowed min filter.
-    rtt_samples: VecDeque<(SimTime, SimTime)>,
+    /// Windowed max bandwidth: `(time, bw_sample_bps)`, samples strictly
+    /// decreasing from the front (the max) — a sample is dropped once a
+    /// newer one at least as large arrives, since it can never be the max
+    /// again before it expires.
+    bw_max: VecDeque<(SimTime, f64)>,
+    /// The times of every bandwidth sample still in the window: its length
+    /// is the sample count the startup exit reads.
+    bw_times: VecDeque<SimTime>,
+    /// Windowed min RTT: `(time, rtt)`, strictly increasing from the front
+    /// (the min).
+    rtt_min: VecDeque<(SimTime, SimTime)>,
     /// Delivered-bytes accounting for bandwidth samples.
     last_ack_time: Option<SimTime>,
     bytes_since_last: u64,
@@ -47,8 +57,9 @@ impl BbrLite {
     /// A fresh BBR-lite sender.
     pub fn new() -> Self {
         Self {
-            bw_samples: VecDeque::new(),
-            rtt_samples: VecDeque::new(),
+            bw_max: VecDeque::new(),
+            bw_times: VecDeque::new(),
+            rtt_min: VecDeque::new(),
             last_ack_time: None,
             bytes_since_last: 0,
             in_startup: true,
@@ -79,6 +90,14 @@ impl BbrLite {
     }
 }
 
+/// Drop the entries of a time-ordered window that are older than `window`
+/// at `now`. Ack times never decrease, so the expired entries are a prefix.
+fn expire<T>(q: &mut VecDeque<T>, now: SimTime, window: SimTime, time: impl Fn(&T) -> SimTime) {
+    while q.front().is_some_and(|e| now.saturating_sub(time(e)) > window) {
+        q.pop_front();
+    }
+}
+
 impl Default for BbrLite {
     fn default() -> Self {
         Self::new()
@@ -98,7 +117,11 @@ impl CongestionControl for BbrLite {
             let dt = ack.now.saturating_sub(last).as_secs_f64();
             if dt > 1e-6 {
                 let sample = self.bytes_since_last as f64 * 8.0 / dt;
-                self.bw_samples.push_back((ack.now, sample));
+                while self.bw_max.back().is_some_and(|&(_, b)| b <= sample) {
+                    self.bw_max.pop_back();
+                }
+                self.bw_max.push_back((ack.now, sample));
+                self.bw_times.push_back(ack.now);
                 self.bytes_since_last = 0;
                 self.last_ack_time = Some(ack.now);
             }
@@ -108,38 +131,24 @@ impl CongestionControl for BbrLite {
             self.last_ack_time = Some(ack.now);
             self.bytes_since_last = 0;
         }
-        // Expire and recompute windowed max bandwidth.
-        while let Some(&(t, _)) = self.bw_samples.front() {
-            if ack.now.saturating_sub(t) > BW_WINDOW {
-                self.bw_samples.pop_front();
-            } else {
-                break;
-            }
-        }
+        // Expire, then read the windowed max bandwidth off the front.
+        expire(&mut self.bw_max, ack.now, BW_WINDOW, |&(t, _)| t);
+        expire(&mut self.bw_times, ack.now, BW_WINDOW, |&t| t);
         let prev_bw = self.bw_est;
-        if let Some(max) = self
-            .bw_samples
-            .iter()
-            .map(|(_, b)| *b)
-            .fold(None::<f64>, |m, b| Some(m.map_or(b, |x| x.max(b))))
-        {
+        if let Some(&(_, max)) = self.bw_max.front() {
             self.bw_est = max.max(MIN_RATE);
         }
 
         // Windowed min RTT.
-        self.rtt_samples.push_back((ack.now, ack.rtt));
-        while let Some(&(t, _)) = self.rtt_samples.front() {
-            if ack.now.saturating_sub(t) > RTT_WINDOW {
-                self.rtt_samples.pop_front();
-            } else {
-                break;
-            }
+        while self.rtt_min.back().is_some_and(|&(_, r)| r >= ack.rtt) {
+            self.rtt_min.pop_back();
         }
-        self.min_rtt =
-            self.rtt_samples.iter().map(|(_, r)| *r).min().unwrap_or(SimTime::from_millis(100));
+        self.rtt_min.push_back((ack.now, ack.rtt));
+        expire(&mut self.rtt_min, ack.now, RTT_WINDOW, |&(t, _)| t);
+        self.min_rtt = self.rtt_min.front().map_or(SimTime::from_millis(100), |&(_, r)| r);
 
         // Exit startup once bandwidth stops growing (25% over a cycle).
-        if self.in_startup && self.bw_samples.len() > 10 && self.bw_est < prev_bw * 1.03 {
+        if self.in_startup && self.bw_times.len() > 10 && self.bw_est < prev_bw * 1.03 {
             self.in_startup = false;
             self.cycle_advanced = ack.now;
         }
@@ -156,7 +165,8 @@ impl CongestionControl for BbrLite {
         // model from a conservative state.
         if signal == CongestionSignal::Timeout {
             self.in_startup = true;
-            self.bw_samples.clear();
+            self.bw_max.clear();
+            self.bw_times.clear();
             self.bw_est = (self.bw_est * 0.5).max(MIN_RATE);
         }
     }
@@ -175,6 +185,7 @@ impl CongestionControl for BbrLite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ack(now_ms: u64, rtt_ms: u64, bytes: u32) -> AckEvent {
         AckEvent {
@@ -247,5 +258,173 @@ mod tests {
     fn pacing_rate_has_floor() {
         let cc = BbrLite::new();
         assert!(cc.pacing_rate_bps().unwrap() >= MIN_RATE);
+    }
+
+    /// The filters as they were before the monotone deques: every sample
+    /// kept, and both windows rescanned on every ack. The differential
+    /// test's reference, and nothing else.
+    struct ScanBbr {
+        bw_samples: VecDeque<(SimTime, f64)>,
+        rtt_samples: VecDeque<(SimTime, SimTime)>,
+        last_ack_time: Option<SimTime>,
+        bytes_since_last: u64,
+        in_startup: bool,
+        cycle_idx: usize,
+        cycle_advanced: SimTime,
+        bw_est: f64,
+        min_rtt: SimTime,
+        packet_size: f64,
+    }
+
+    impl ScanBbr {
+        fn new() -> Self {
+            Self {
+                bw_samples: VecDeque::new(),
+                rtt_samples: VecDeque::new(),
+                last_ack_time: None,
+                bytes_since_last: 0,
+                in_startup: true,
+                cycle_idx: 0,
+                cycle_advanced: SimTime::ZERO,
+                bw_est: 1e6,
+                min_rtt: SimTime::from_millis(100),
+                packet_size: 1400.0,
+            }
+        }
+
+        fn on_ack(&mut self, ack: &AckEvent) {
+            self.packet_size = f64::from(ack.acked_bytes).max(1.0);
+            self.bytes_since_last += u64::from(ack.acked_bytes);
+            if let Some(last) = self.last_ack_time {
+                let dt = ack.now.saturating_sub(last).as_secs_f64();
+                if dt > 1e-6 {
+                    let sample = self.bytes_since_last as f64 * 8.0 / dt;
+                    self.bw_samples.push_back((ack.now, sample));
+                    self.bytes_since_last = 0;
+                    self.last_ack_time = Some(ack.now);
+                }
+            } else {
+                self.last_ack_time = Some(ack.now);
+                self.bytes_since_last = 0;
+            }
+            while let Some(&(t, _)) = self.bw_samples.front() {
+                if ack.now.saturating_sub(t) > BW_WINDOW {
+                    self.bw_samples.pop_front();
+                } else {
+                    break;
+                }
+            }
+            let prev_bw = self.bw_est;
+            if let Some(max) = self
+                .bw_samples
+                .iter()
+                .map(|(_, b)| *b)
+                .fold(None::<f64>, |m, b| Some(m.map_or(b, |x| x.max(b))))
+            {
+                self.bw_est = max.max(MIN_RATE);
+            }
+            self.rtt_samples.push_back((ack.now, ack.rtt));
+            while let Some(&(t, _)) = self.rtt_samples.front() {
+                if ack.now.saturating_sub(t) > RTT_WINDOW {
+                    self.rtt_samples.pop_front();
+                } else {
+                    break;
+                }
+            }
+            self.min_rtt =
+                self.rtt_samples.iter().map(|(_, r)| *r).min().unwrap_or(SimTime::from_millis(100));
+            if self.in_startup && self.bw_samples.len() > 10 && self.bw_est < prev_bw * 1.03 {
+                self.in_startup = false;
+                self.cycle_advanced = ack.now;
+            }
+            if !self.in_startup && ack.now.saturating_sub(self.cycle_advanced) >= self.min_rtt {
+                self.cycle_idx = (self.cycle_idx + 1) % GAIN_CYCLE.len();
+                self.cycle_advanced = ack.now;
+            }
+        }
+
+        fn on_timeout(&mut self) {
+            self.in_startup = true;
+            self.bw_samples.clear();
+            self.bw_est = (self.bw_est * 0.5).max(MIN_RATE);
+        }
+
+        fn cwnd(&self) -> f64 {
+            let bdp_bytes = self.bw_est / 8.0 * self.min_rtt.as_secs_f64();
+            (2.0 * bdp_bytes / self.packet_size).max(4.0)
+        }
+
+        fn pacing_rate_bps(&self) -> f64 {
+            let gain = if self.in_startup { STARTUP_GAIN } else { GAIN_CYCLE[self.cycle_idx] };
+            (gain * self.bw_est).max(MIN_RATE)
+        }
+    }
+
+    /// Gaps between events, ns: ties (0), intervals at and around the 1 µs
+    /// sample floor, ack-clock spacings, and idle gaps at and past the 10 s
+    /// windows, which empty both filters.
+    const GAPS_NS: [u64; 12] = [
+        0,
+        500,
+        1_000,
+        1_001,
+        12_000,
+        1_000_000,
+        7_000_000,
+        50_000_000,
+        400_000_000,
+        10_000_000_000,
+        10_000_000_001,
+        11_000_000_000,
+    ];
+    /// A few RTTs and ack sizes, so that samples tie often.
+    const RTTS_MS: [u64; 5] = [1, 20, 35, 40, 80];
+    const BYTES: [u32; 4] = [0, 64, 1200, 1400];
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The monotone filters and the rescanning reference agree bit for
+        /// bit after every event of an ack stream that mixes tied samples,
+        /// sub-microsecond acks, window-emptying idle gaps, losses and
+        /// timeouts.
+        #[test]
+        fn monotone_filters_match_the_rescanning_reference(
+            events in prop::collection::vec((0u32..100, 0usize..40, 0usize..5, 0usize..4), 1..1500),
+        ) {
+            let (mut fast, mut scan) = (BbrLite::new(), ScanBbr::new());
+            let mut now = SimTime::ZERO;
+            for (i, &(kind, gap, rtt, bytes)) in events.iter().enumerate() {
+                // Most gaps are ack-clock spacings; the rest are drawn evenly.
+                let gap = if gap < GAPS_NS.len() { GAPS_NS[gap] } else { GAPS_NS[4 + gap % 3] };
+                now = SimTime(now.0 + gap);
+                match kind {
+                    0..=2 => {
+                        fast.on_congestion(now, CongestionSignal::Timeout);
+                        scan.on_timeout();
+                    }
+                    3..=5 => fast.on_congestion(now, CongestionSignal::Loss),
+                    _ => {
+                        let ack = AckEvent {
+                            now,
+                            seq: i as u64,
+                            rtt: SimTime::from_millis(RTTS_MS[rtt]),
+                            acked_bytes: BYTES[bytes],
+                            inflight: 0,
+                        };
+                        fast.on_ack(&ack);
+                        scan.on_ack(&ack);
+                    }
+                }
+                prop_assert_eq!(fast.bw_est.to_bits(), scan.bw_est.to_bits(), "bw_est at {}", i);
+                prop_assert_eq!(fast.min_rtt, scan.min_rtt, "min_rtt at {}", i);
+                prop_assert_eq!(fast.in_startup, scan.in_startup, "in_startup at {}", i);
+                prop_assert_eq!(fast.cycle_idx, scan.cycle_idx, "cycle_idx at {}", i);
+                prop_assert_eq!(fast.bw_times.len(), scan.bw_samples.len(), "samples at {}", i);
+                prop_assert_eq!(fast.cwnd().to_bits(), scan.cwnd().to_bits(), "cwnd at {}", i);
+                let pacing = fast.pacing_rate_bps().map(f64::to_bits);
+                prop_assert_eq!(pacing, Some(scan.pacing_rate_bps().to_bits()), "pacing at {}", i);
+            }
+        }
     }
 }

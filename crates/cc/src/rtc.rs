@@ -99,8 +99,7 @@ impl CongestionControl for RtcController {
 
     fn on_ack(&mut self, ack: &AckEvent) {
         let rtt = ack.rtt;
-        self.min_rtt = Some(self.min_rtt.map_or(rtt, |m| m.min(rtt)));
-        let base = self.min_rtt.expect("set above");
+        let base = *self.min_rtt.insert(self.min_rtt.map_or(rtt, |m| m.min(rtt)));
         let qdelay = rtt.saturating_sub(base).as_secs_f64();
         self.smoothed_qdelay = 0.8 * self.smoothed_qdelay + 0.2 * qdelay;
 

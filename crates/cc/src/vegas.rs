@@ -75,8 +75,9 @@ impl CongestionControl for Vegas {
     fn on_ack(&mut self, ack: &AckEvent) {
         // Track the global and per-epoch RTT minima.
         let rtt = ack.rtt;
-        self.base_rtt = Some(self.base_rtt.map_or(rtt, |b| b.min(rtt)));
-        self.epoch_min_rtt = Some(self.epoch_min_rtt.map_or(rtt, |m| m.min(rtt)));
+        let base_rtt = *self.base_rtt.insert(self.base_rtt.map_or(rtt, |b| b.min(rtt)));
+        let epoch_min_rtt =
+            *self.epoch_min_rtt.insert(self.epoch_min_rtt.map_or(rtt, |m| m.min(rtt)));
         let epoch_start = *self.epoch_start.get_or_insert(ack.now);
 
         // Vegas acts once per RTT.
@@ -84,8 +85,8 @@ impl CongestionControl for Vegas {
         if epoch_len < rtt {
             return;
         }
-        let base = self.base_rtt.expect("set above").as_secs_f64().max(1e-6);
-        let observed = self.epoch_min_rtt.expect("set above").as_secs_f64().max(base);
+        let base = base_rtt.as_secs_f64().max(1e-6);
+        let observed = epoch_min_rtt.as_secs_f64().max(base);
         self.epoch_start = Some(ack.now);
         self.epoch_min_rtt = None;
 
