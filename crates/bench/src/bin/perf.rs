@@ -826,8 +826,9 @@ fn online_pass(chunks: &[(u64, Vec<PacketRecord>)]) -> Option<Watermark> {
     last
 }
 
-/// The naive cadence: after each chunk, batch-estimate over the whole
-/// accepted prefix — O(total) per chunk instead of O(chunk).
+/// The naive cadence: after each chunk, re-estimate over the whole
+/// accepted prefix (the same fold, from scratch) — O(total) per chunk
+/// instead of O(chunk).
 fn batch_pass(trace: &FlowTrace, chunks: &[(u64, Vec<PacketRecord>)]) {
     let mut prefix: Vec<PacketRecord> = Vec::new();
     for (_, records) in chunks {

@@ -6,8 +6,8 @@
 use std::path::Path;
 
 use ibox::{
-    fit_model, load_trace, BatchSpec, FitCache, FittedModel, IBoxMlSpec, ModelArtifact, ModelKind,
-    ReplayRequest, RunRecord, RunSpec, ValidityRegion,
+    fit_model, load_trace, load_training_trace, BatchSpec, FitCache, FittedModel, IBoxMlSpec,
+    ModelArtifact, ModelKind, ReplayRequest, RunRecord, RunSpec, ValidityRegion,
 };
 use ibox_obs::{RunManifest, RunManifestBuilder};
 use ibox_trace::metrics::TraceMetrics;
@@ -261,7 +261,7 @@ fn fit_kind(p: &crate::args::Parsed) -> Result<ModelKind, String> {
 fn cmd_fit(argv: &[String]) -> Result<(), String> {
     let p = parse(argv, &FIT)?;
     let kind = fit_kind(&p)?;
-    let trace = load_trace(p.positional(0, "trace file")?)?;
+    let trace = load_training_trace(p.positional(0, "trace file")?)?;
     let artifact = ModelArtifact::new(&kind, fit_model(&kind, &trace));
     println!("fitted {} from {} packets:", kind.name(), trace.len());
     match &artifact.model {
@@ -417,7 +417,7 @@ fn cmd_validity(argv: &[String]) -> Result<(), String> {
     let check_path = p.required("--check")?;
     let jobs = p.num("--jobs", 1usize)?;
     let cache = model_cache(&p)?;
-    let train: Result<Vec<_>, _> = train_paths.iter().map(|t| load_trace(t)).collect();
+    let train: Result<Vec<_>, _> = train_paths.iter().map(|t| load_training_trace(t)).collect();
     let region = ValidityRegion::fit_jobs_cached(&train?, jobs, &cache);
     let report = region.check(&load_trace(check_path)?);
     println!("coverage: {:.3}", report.coverage);

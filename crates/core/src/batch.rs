@@ -21,6 +21,7 @@ use ibox_trace::{from_csv, FlowMeta, FlowTrace};
 
 use crate::artifact::ModelArtifact;
 use crate::cache::FitCache;
+use crate::model::check_fit;
 use crate::replay::ReplayRequest;
 
 /// Outcome of one [`RunSpec`]: identity plus the replay's summary metrics.
@@ -75,6 +76,14 @@ pub fn load_trace(path: &str) -> Result<FlowTrace, String> {
     }
 }
 
+/// [`load_trace`], refusing a trace the estimators cannot fit
+/// ([`check_fit`]) with a sentence naming the file.
+pub fn load_training_trace(path: &str) -> Result<FlowTrace, String> {
+    let trace = load_trace(path)?;
+    check_fit(&trace).map_err(|e| format!("cannot fit {path}: {e}"))?;
+    Ok(trace)
+}
+
 /// Execute one spec: resolve the source, fit the model (unless the source
 /// is an already-fitted artifact), replay the spec's protocol, and
 /// summarize. Fits go through `cache`, so identical (trace, kind, config,
@@ -98,7 +107,7 @@ pub fn execute_run_cached(
         RunSource::Synth { profile, protocol, seed } => {
             fitted(&ibox_testbed::synth(profile, protocol, spec.duration_s, *seed)?.1)
         }
-        RunSource::TraceFile { path } => fitted(&load_trace(path)?),
+        RunSource::TraceFile { path } => fitted(&load_training_trace(path)?),
         RunSource::ProfileFile { path } => {
             ("profile replay", ModelArtifact::load(std::path::Path::new(path))?)
         }
@@ -271,6 +280,19 @@ mod tests {
             .build()
             .unwrap();
         assert!(run_batch_jobs(&bad_profile, 1).unwrap_err().contains("unknown profile"));
+    }
+
+    #[test]
+    fn a_trace_file_that_cannot_be_fitted_is_an_error_not_a_panic() {
+        let path =
+            std::env::temp_dir().join(format!("ibox_batch_silent_{}.json", std::process::id()));
+        let silent = vec![ibox_trace::PacketRecord::lost(0, 0, 1200)];
+        let silent = FlowTrace::from_records(FlowMeta::new("silent", "cubic", "0"), silent);
+        std::fs::write(&path, serde_json::to_string(&silent).unwrap()).unwrap();
+        let spec = RunSpec::builder().trace_file(path.to_string_lossy()).protocol("cubic");
+        let err = execute_run_cached(&spec.build().unwrap(), &FitCache::in_memory()).unwrap_err();
+        assert!(err.contains("no delivered packets"), "{err}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   `(b, d, B, C)`. The static parameters come from domain-knowledge
 //!   estimators ([`estimator::StaticParams`]); the dynamic cross-traffic
 //!   series from queue-dynamics inversion
-//!   ([`estimator::CrossTrafficEstimate`], the "three forces"). The fitted
+//!   ([`estimator::CrossTrafficEstimate`], the "three forces"); each is
+//!   one O(record) fold, shared with streaming ingest. The fitted
 //!   model runs on a NetEm-like path emulator and can host *any*
 //!   congestion-control protocol — the counterfactual engine.
 //! * [`IBoxMl`] (§4) — a deep LSTM state-space model that learns
@@ -102,13 +103,14 @@ pub use artifact::{
 };
 pub use baseline::StatisticalLossModel;
 pub use batch::{
-    execute_run_cached, load_trace, run_batch_jobs, run_batch_with_cache, BatchResult, RunRecord,
+    execute_run_cached, load_trace, load_training_trace, run_batch_jobs, run_batch_with_cache,
+    BatchResult, RunRecord,
 };
 pub use cache::{FitCache, FitCacheKey};
-pub use estimator::{CrossTrafficEstimate, StaticParams};
+pub use estimator::{CrossTrafficEstimate, FitError, StaticParams};
 pub use iboxml::{IBoxMl, IBoxMlConfig, IBoxMlConfigBuilder};
 pub use iboxnet::IBoxNet;
-pub use model::{fit_model, FittedIBoxMl, FittedModel, PathModel, ReplayOpts};
+pub use model::{check_fit, fit_model, FittedIBoxMl, FittedModel, PathModel, ReplayOpts};
 pub use realism::{realism_of_model, realism_test, RealismReport};
 pub use replay::{load_path, ReplayRequest};
 pub use validity::{ValidityRegion, ValidityReport};

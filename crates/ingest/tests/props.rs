@@ -1,15 +1,18 @@
 //! Property tests for the streaming ingest pipeline — the tentpole
-//! guarantee: folding a trace through the online estimators in *any*
-//! chunking is **bit-identical** to the batch estimators on the
-//! concatenated trace, and a chunked-ingest finalize produces a fitted
-//! model byte-identical to a one-shot fit of the same records.
+//! guarantee: folding a trace through the estimators in *any* chunking is
+//! **bit-identical** to the batch estimators they replaced (kept in
+//! `reference/` for this comparison), and a chunked-ingest finalize
+//! produces a fitted model byte-identical to a one-shot fit of the same
+//! records.
+
+mod reference;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use ibox::estimator::{CrossTrafficEstimate, StaticParams, DEFAULT_BIN_SECS};
+use ibox::estimator::{CrossTrafficEstimate, FitError, StaticParams, DEFAULT_BIN_SECS};
 use ibox::fit_model;
 use ibox_ingest::{IngestConfig, OnlineCrossTraffic, OnlineStaticParams, SessionStore};
 use ibox_runner::{IBoxMlSpec, ModelKind};
@@ -26,6 +29,51 @@ fn train() -> &'static FlowTrace {
             duration,
             17,
         )
+    })
+}
+
+/// The reference traces: ethernet; india-cellular (loss and Markov
+/// capacity); ethernet whose first and last records are lost (so `t0` and
+/// the span's end come from lost packets); ethernet with every third
+/// arrival held back 700 ms (arrival order far from send order); one
+/// delivered record; none. These decide the fold's release order, its
+/// padding to the span and its fewer-than-two-probes case.
+fn references() -> &'static [FlowTrace] {
+    static CELL: OnceLock<Vec<FlowTrace>> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let duration = SimTime::from_secs(3);
+        let profile = ibox_testbed::Profile::IndiaCellular.builder().seed(23).duration(duration);
+        let cellular = ibox_testbed::run_protocol(&profile.sample(), "cubic", duration, 23);
+        let base = train();
+        let n = base.len() as u64;
+        let later = |r: &PacketRecord| PacketRecord {
+            send_ns: r.send_ns + 5_000_000,
+            recv_ns: r.recv_ns.map(|ns| ns + 5_000_000),
+            ..*r
+        };
+        let mut edges = vec![PacketRecord::lost(n, 0, 1400)];
+        edges.extend(base.records().iter().map(later));
+        edges.push(PacketRecord::lost(n + 1, 10_000_000_000, 1400));
+        let delivering = |k: Option<usize>| -> Vec<PacketRecord> {
+            let keep = |(i, r): (usize, &PacketRecord)| {
+                if Some(i) == k {
+                    *r
+                } else {
+                    PacketRecord::lost(r.seq, r.send_ns, r.size)
+                }
+            };
+            base.records().iter().enumerate().map(keep).collect()
+        };
+        let held = |(i, r): (usize, &PacketRecord)| PacketRecord {
+            recv_ns: r.recv_ns.map(|ns| ns + if i % 3 == 0 { 700_000_000 } else { 0 }),
+            ..*r
+        };
+        let reordered = base.records().iter().enumerate().map(held).collect();
+        let mut all = vec![base.clone(), cellular];
+        for records in [edges, reordered, delivering(Some(base.len() / 2)), delivering(None)] {
+            all.push(FlowTrace::from_records(base.meta.clone(), records));
+        }
+        all
     })
 }
 
@@ -75,35 +123,48 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// Tentpole invariant, estimator level: folding in random chunk
-    /// splits equals the one-shot batch estimate bit-for-bit — both the
-    /// static `(b, d, B)` and the cross-traffic bins.
+    /// splits equals the batch estimators on the whole trace bit-for-bit —
+    /// both the static `(b, d, B)` and the cross-traffic bins — on every
+    /// reference trace; and the one-shot entry points are that fold.
     #[test]
     fn online_estimators_match_batch_bit_for_bit_under_any_chunking(
         cuts in prop::collection::vec(any::<u64>(), 0..12),
     ) {
-        let trace = train();
-        let chunks = chunked(trace.records(), &cuts);
+        for trace in references() {
+            let chunks = chunked(trace.records(), &cuts);
+            let mut statics = OnlineStaticParams::new();
+            for (_, records) in &chunks {
+                statics.fold_chunk(records);
+                statics.params(); // a mid-stream watermark must not perturb the fold
+            }
+            // With nothing delivered there is no (b, d, B); any params drive C.
+            let params = if trace.delivered_count() == 0 {
+                prop_assert_eq!(statics.check(), Err(FitError::NoDeliveredPackets));
+                prop_assert_eq!(statics.params(), None);
+                StaticParams::estimate(train())
+            } else {
+                prop_assert_eq!(statics.check(), Ok(()));
+                let want = reference::static_params(trace);
+                let got = statics.params().expect("delivered packets");
+                prop_assert_eq!(got.bandwidth_bps.to_bits(), want.bandwidth_bps.to_bits());
+                prop_assert_eq!(got.prop_delay, want.prop_delay);
+                prop_assert_eq!(got.buffer_bytes, want.buffer_bytes);
+                prop_assert_eq!(StaticParams::estimate(trace), want);
+                want
+            };
 
-        let mut statics = OnlineStaticParams::new();
-        for (_, records) in &chunks {
-            statics.fold_chunk(records);
-        }
-        let got = statics.params().expect("delivered packets");
-        let want = StaticParams::estimate(trace);
-        prop_assert_eq!(got.bandwidth_bps.to_bits(), want.bandwidth_bps.to_bits());
-        prop_assert_eq!(got.prop_delay, want.prop_delay);
-        prop_assert_eq!(got.buffer_bytes, want.buffer_bytes);
-        prop_assert_eq!(statics.span_secs().to_bits(), trace.span_secs().to_bits());
-
-        let mut cross = OnlineCrossTraffic::with_span(&want, DEFAULT_BIN_SECS, statics.span_secs());
-        for (_, records) in &chunks {
-            cross.fold_chunk(records);
-        }
-        let got = cross.finish();
-        let want = CrossTrafficEstimate::estimate(trace, &want, DEFAULT_BIN_SECS);
-        prop_assert_eq!(got.bins.len(), want.bins.len());
-        for (k, (g, w)) in got.bins.iter().zip(&want.bins).enumerate() {
-            prop_assert_eq!(g.to_bits(), w.to_bits(), "bin {} diverged", k);
+            let mut cross = OnlineCrossTraffic::new(&params, DEFAULT_BIN_SECS);
+            for (_, records) in &chunks {
+                cross.fold_chunk(records);
+            }
+            let got = cross.finish(trace.span_secs());
+            let want = reference::cross_traffic(trace, &params, DEFAULT_BIN_SECS);
+            prop_assert_eq!(got.bins.len(), want.bins.len());
+            for (k, (g, w)) in got.bins.iter().zip(&want.bins).enumerate() {
+                prop_assert_eq!(g.to_bits(), w.to_bits(), "bin {} diverged", k);
+            }
+            let once = CrossTrafficEstimate::estimate(trace, &params, DEFAULT_BIN_SECS);
+            prop_assert_eq!(once, got);
         }
     }
 

@@ -11,7 +11,7 @@
 //!
 //! | Endpoint | Semantics |
 //! |---|---|
-//! | `POST /fit` | Fit a model on an inline trace or a synth spec. Keyed by the content-addressed fit identity; single-flight through the [`ibox::FitCache`]. Async by default (`202` + job id), synchronous with `"wait": true`. |
+//! | `POST /fit` | Fit a model on an inline trace or a synth spec. Keyed by the content-addressed fit identity; single-flight through the [`ibox::FitCache`]. Async by default (`202` + job id), synchronous with `"wait": true`. A trace that cannot be fitted (`ibox::FitError`) is a `400`. |
 //! | `POST /replay` | Replay a protocol through a registered model. The body is **byte-identical** to what offline `ibox replay` writes. |
 //! | `POST /batch` | Run a `BatchSpec` over the runner pool; answers with the jobs-invariant `BatchResult` JSON. |
 //! | `POST /traces/<id>/append` | Append one packet-record chunk to a streaming ingest session (creating it on first append). Out-of-order chunks buffer, duplicates are idempotent, budgets answer `413`. Returns the live watermark estimate; at the configured cadence, re-fits and registers a new model version. |

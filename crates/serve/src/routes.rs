@@ -594,6 +594,11 @@ fn handle_fit(app: &Arc<App>, req: &Request) -> Response {
     if app.registry.contains(&id) {
         return object_response(200, &[("model", &id), ("status", "ready")]);
     }
+    // A trace the estimators refuse is the client's error, answered before
+    // a fit (or a job slot) is spent on it.
+    if let Err(e) = ibox::check_fit(&train) {
+        return Response::error(400, &format!("the training trace cannot be fitted: {e}"));
+    }
 
     if wait {
         return match fit_and_register(app, &kind, &train, &id) {

@@ -4,8 +4,7 @@
 #
 # Always: the grep gates (the CLI option tables, fits routed through the
 # FitCache, replay options routed through ReplayRequest, timing routed
-# through ibox-obs with one span macro, ingest on the online fold and on
-# the one session log),
+# through ibox-obs with one span macro, ingest on the one session log),
 # release build, workspace tests, the vendored serde shims' unit tests,
 # the request ledger's self-tests (benchmark/), clippy -D warnings,
 # rustfmt --check, and last the scripts/loc.sh size report, which fails
@@ -81,20 +80,6 @@ gate 'Instant::now\(' crates/serve/src \
     "raw Instant::now() timing in ibox-serve — use ibox_obs::Stopwatch or span! so the timing is observable"
 gate 'Instant::now\(' crates/runner/src \
     "raw Instant::now() timing in ibox-runner — use ibox_obs::Stopwatch or span! so the timing is observable"
-# The ingest runtime must stay on the O(chunk) online fold — re-running
-# the batch estimators over the accumulated trace is exactly what the
-# crate exists to avoid. Comments and the #[cfg(test)] bit-identity
-# oracles (which *compare* against the batch path) are exempt.
-for f in crates/ingest/src/*.rs; do
-    if awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$f" \
-        | grep -E '(StaticParams|CrossTrafficEstimate)::estimate\(' > /dev/null; then
-        echo "FAIL: batch estimator call in ingest runtime code ($f) — fold through OnlineStaticParams / OnlineCrossTraffic" >&2
-        awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$f" \
-            | grep -nE '(StaticParams|CrossTrafficEstimate)::estimate\(' >&2
-        exit 1
-    fi
-done
-
 # A session is one append-only log folded by Session::check/apply: the
 # file-per-chunk layout and its second (recovery) reader must not return.
 for name in 'manifest\.json' 'chunk-' 'pending-' 'write_manifest' 'load_session'; do
@@ -251,6 +236,17 @@ EOF
     cmp "$tmp/replay-http.json" "$tmp/replay-offline.json" \
         || { echo "FAIL: HTTP replay bytes differ from the offline replay" >&2; kill "$serve_pid"; exit 1; }
 
+    # A trace whose timestamps would size a 368 GB estimate is the
+    # client's error (400), and the daemon keeps serving.
+    printf '%s' '{"wait":true,"trace":{"meta":{"path":"hostile","protocol":"cubic","run":"far-future"},"records":[{"seq":0,"send_ns":0,"size":1400,"recv_ns":30000000},{"seq":1,"send_ns":4611686018427387903,"size":1400,"recv_ns":4611686018457387903}]}}' \
+        > "$tmp/hostile-fit.json"
+    if ./target/release/ibox call --data "$tmp/hostile-fit.json" "$base/fit" > "$tmp/hostile-fit.log" 2>&1; then
+        echo "FAIL: a trace spanning 146 years was fitted" >&2; kill "$serve_pid"; exit 1
+    fi
+    grep -q 'failed with 400' "$tmp/hostile-fit.log" \
+        || { echo "FAIL: the hostile /fit body was not a 400" >&2; cat "$tmp/hostile-fit.log" >&2; kill "$serve_pid"; exit 1; }
+    run ./target/release/ibox call "$base/healthz" > /dev/null
+
     echo "==> trace smoke: request-scoped causal trace + prometheus exposition"
     # A fresh synth source (not train.json, whose model is already
     # registered) so the fit-cache and model-fit phases actually run.
@@ -296,6 +292,16 @@ EOF
         || { echo "FAIL: latest-version replay differs from the pinned-version replay" >&2; kill "$serve_pid"; exit 1; }
     cmp "$tmp/ingest-replay-latest.json" "$tmp/replay-http.json" \
         || { echo "FAIL: streamed-ingest fit did not replay byte-identically to the one-shot fit" >&2; kill "$serve_pid"; exit 1; }
+    # The same far-future trace streamed in: accepted, then refused at
+    # finalize with a 409, and the daemon keeps serving.
+    sed 's/^{"wait":true,"trace":\(.*\)}$/\1/' "$tmp/hostile-fit.json" > "$tmp/hostile-trace.json"
+    run ./target/release/ibox ingest append "$tmp/hostile-trace.json" --url "$base" --session hostile --chunks 1
+    if ./target/release/ibox ingest finalize --url "$base" --session hostile > "$tmp/hostile-finalize.log" 2>&1; then
+        echo "FAIL: a session spanning 146 years was finalized" >&2; kill "$serve_pid"; exit 1
+    fi
+    grep -q '409' "$tmp/hostile-finalize.log" \
+        || { echo "FAIL: the hostile finalize was not a 409" >&2; cat "$tmp/hostile-finalize.log" >&2; kill "$serve_pid"; exit 1; }
+    run ./target/release/ibox call "$base/healthz" > /dev/null
     echo "ingest smoke passed"
 
     run ./target/release/ibox call --post "$base/shutdown" > /dev/null
