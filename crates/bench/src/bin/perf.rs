@@ -20,7 +20,8 @@
 use std::hint::black_box;
 
 use ibox::estimator::{CrossTrafficEstimate, StaticParams, DEFAULT_BIN_SECS};
-use ibox::{fit_model, Fidelity, IBoxMl, IBoxMlConfig, IBoxNet, ModelKind, ReplayOpts};
+use ibox::{fit_model, Fidelity, IBoxMl, IBoxMlConfig, IBoxMlSpec, IBoxNet, ModelArtifact};
+use ibox::{ModelKind, ReplayOpts};
 use ibox_bench::Expected::{self, Holds, KnownFailure};
 use serde::Serialize;
 
@@ -31,6 +32,7 @@ use ibox_ml::lstm::{Lstm, LstmState, LstmWorkspace, StepCache};
 use ibox_ml::matrix::Mat;
 use ibox_ml::{InferenceSession, Logistic, LogisticConfig, Prediction, TrainConfig};
 use ibox_ml::{SequenceModel, SequenceModelConfig};
+use ibox_serve::ModelRegistry;
 use ibox_sim::{CongestionControl, CrossTrafficCfg, FixedWindow, FlowConfig, PathConfig};
 use ibox_sim::{PathEmulator, PathSpec, PathStage, ReorderCfg, SimOutput, SimTime, Simulation};
 use ibox_stats::{ks_two_sample, percentile};
@@ -50,6 +52,7 @@ const ROWS: &[Experiment<Scale>] = &[
     Experiment { name: "path", paper: "DESIGN.md", seed: 0, sweep: 4, run: path },
     Experiment { name: "cc", paper: "DESIGN.md", seed: 0, sweep: 4, run: cc },
     Experiment { name: "ingest", paper: "DESIGN.md", seed: 0, sweep: 4, run: ingest },
+    Experiment { name: "registry", paper: "DESIGN.md", seed: 0, sweep: 4, run: registry },
     Experiment { name: "speed", paper: "§4.2", seed: 0, sweep: 4, run: speed },
 ];
 
@@ -883,6 +886,58 @@ fn ingest(scale: &Scale, _: u64) -> Result<Report, String> {
     }
     let claim = "at 64 chunks the online fold refits at least as fast as batch re-estimation";
     rep.verdict(claim, online_x >= 1.0, Holds);
+    gated(rep)
+}
+
+/// The model registry's decoded tier: a warm `ModelRegistry::get` against
+/// the cold `ModelArtifact::load` (read + parse) every `/replay` paid
+/// before it, on a `[128,128]` iBoxML artifact — the request ledger's
+/// `replay_ml` shape, ≈ 4 MB of JSON.
+fn registry(scale: &Scale, _: u64) -> Result<Report, String> {
+    let duration = SimTime::from_secs(scale.pick(2, 10) as u64);
+    let train = run_protocol(&Profile::Ethernet.sample(1, duration), PROTOCOL, duration, 1);
+    let spec = IBoxMlSpec { hidden_sizes: vec![128, 128], epochs: 1, ..IBoxMlSpec::default() };
+    let kind = ModelKind::IBoxMl(spec);
+    let artifact = ModelArtifact::new(&kind, fit_model(&kind, &train));
+    let dir = std::env::temp_dir().join(format!("ibox-perf-registry-{}", std::process::id()));
+    let reg = ModelRegistry::open(&dir)?;
+    reg.put("ml", &artifact).map_err(|e| e.to_string())?;
+    let path = ModelArtifact::registry_path(&dir, "ml");
+    let mb = std::fs::metadata(&path).map_err(|e| e.to_string())?.len() as f64 / 1e6;
+    let (cold, warm) = (ModelArtifact::load(&path), reg.get("ml"));
+    let json = artifact.to_json();
+    if cold.map(|a| a.to_json()).as_ref() != Ok(&json) || warm.map(|a| a.to_json()) != Ok(json) {
+        return Err("a cold load and a warm get differ from the stored artifact".into());
+    }
+
+    // Warm gets per call, so that no arm's call is much shorter than another's.
+    const GETS: usize = 2_000;
+    let mut rep = Report::default();
+    let scope = ibox_obs::scoped();
+    let arms = vec![
+        arm("cold ModelArtifact::load", 1.0, || {
+            let _ = black_box(ModelArtifact::load(&path));
+        }),
+        arm("warm ModelRegistry::get", GETS as f64, || {
+            for _ in 0..GETS {
+                let _ = black_box(reg.get("ml"));
+            }
+        }),
+    ];
+    let title = format!("model artifact, iBoxML [128,128], {mb:.1} MB");
+    let rounds = time_arms(&mut rep, &title, "loads", scale.pick(3, 20), arms);
+    let counters = scope.finish().snapshot().counters;
+    let _ = std::fs::remove_dir_all(&dir);
+    if counters.contains_key("registry.decode") {
+        return Err("a warm get decoded the artifact again".into());
+    }
+    let per_load: Vec<f64> = rounds.ratios(0, 1).iter().map(|r| r * GETS as f64).collect();
+    let load_x = rep.ratio("cold load / warm get x", &per_load);
+    rep.record("artifact MB", mb);
+    rep.record("cold load ms", rounds.median(0) * 1e3);
+    rep.record("warm get us", rounds.median(1) * 1e6 / GETS as f64);
+    let claim = "a warm registry get costs at most 1/50 of a load";
+    rep.verdict(claim, load_x >= 50.0, Holds);
     gated(rep)
 }
 

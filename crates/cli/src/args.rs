@@ -131,26 +131,37 @@ pub struct Parsed {
     pub options: BTreeMap<String, Vec<String>>,
 }
 
+/// An argument error: the command line does not fit the command's
+/// grammar, so `ibox` follows it with the usage block.
+#[derive(Debug)]
+pub struct UsageError(pub String);
+
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
 /// Parse `argv` (after the subcommand) against the command's grammar.
 ///
 /// Anything starting with `-` that the table doesn't know is an error —
 /// with a suggestion when a declared option is close — so a typo like
 /// `--no-crossx` can never swallow the argument after it.
-pub fn parse(argv: &[String], cmd: &CmdSpec) -> Result<Parsed, String> {
+pub fn parse(argv: &[String], cmd: &CmdSpec) -> Result<Parsed, UsageError> {
     let mut out = Parsed::default();
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         if arg.starts_with('-') && arg.len() > 1 {
             let Some(opt) = cmd.find(arg) else {
-                return Err(unknown_option_error(arg, cmd));
+                return Err(UsageError(unknown_option_error(arg, cmd)));
             };
             let entry = out.options.entry(opt.name.to_string()).or_default();
             if !entry.is_empty() && !opt.repeatable {
-                return Err(format!("option {} given more than once", opt.name));
+                return Err(UsageError(format!("option {} given more than once", opt.name)));
             }
             if opt.takes_value {
-                let value =
-                    it.next().ok_or_else(|| format!("option {} needs a value", opt.name))?;
+                let needs_value = || UsageError(format!("option {} needs a value", opt.name));
+                let value = it.next().ok_or_else(needs_value)?;
                 entry.push(value.clone());
             } else {
                 entry.push(String::new());
@@ -162,12 +173,12 @@ pub fn parse(argv: &[String], cmd: &CmdSpec) -> Result<Parsed, String> {
     let max =
         if cmd.positionals.iter().any(|p| p.variadic) { usize::MAX } else { cmd.positionals.len() };
     if out.positional.len() > max {
-        return Err(format!(
+        return Err(UsageError(format!(
             "unexpected argument {:?} (ibox {} takes at most {max} positional argument{})",
             out.positional[max],
             cmd.name,
             if max == 1 { "" } else { "s" }
-        ));
+        )));
     }
     Ok(out)
 }
@@ -207,8 +218,9 @@ fn levenshtein(a: &str, b: &str) -> usize {
 
 impl Parsed {
     /// Required positional argument `idx`.
-    pub fn positional(&self, idx: usize, what: &str) -> Result<&str, String> {
-        self.positional.get(idx).map(String::as_str).ok_or_else(|| format!("missing {what}"))
+    pub fn positional(&self, idx: usize, what: &str) -> Result<&str, UsageError> {
+        let missing = || UsageError(format!("missing {what}"));
+        self.positional.get(idx).map(String::as_str).ok_or_else(missing)
     }
 
     /// Optional option value (the last one given, by canonical name).
@@ -222,8 +234,8 @@ impl Parsed {
     }
 
     /// Required option value.
-    pub fn required(&self, key: &str) -> Result<&str, String> {
-        self.opt(key).ok_or_else(|| format!("missing required option {key}"))
+    pub fn required(&self, key: &str) -> Result<&str, UsageError> {
+        self.opt(key).ok_or_else(|| UsageError(format!("missing required option {key}")))
     }
 
     /// Boolean flag.
@@ -232,10 +244,10 @@ impl Parsed {
     }
 
     /// Numeric option with default.
-    pub fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    pub fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, UsageError> {
         match self.opt(key) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("invalid value for {key}: {v:?}")),
+            Some(v) => v.parse().map_err(|_| UsageError(format!("invalid value for {key}: {v:?}"))),
         }
     }
 }
@@ -289,23 +301,23 @@ mod tests {
     #[test]
     fn unknown_options_rejected_with_suggestion() {
         let err = parse(&argv(&["-x"]), &TEST_CMD).unwrap_err();
-        assert!(err.contains("unknown option -x"), "{err}");
+        assert!(err.0.contains("unknown option -x"), "{err}");
 
         // The old parser treated any mistyped `--flag` as value-taking and
         // silently swallowed the next argument. Now it's a hard error with
         // a suggestion.
         let err = parse(&argv(&["--no-crossx", "t.json"]), &TEST_CMD).unwrap_err();
-        assert!(err.contains("unknown option --no-crossx"), "{err}");
-        assert!(err.contains("did you mean `--no-cross`?"), "{err}");
+        assert!(err.0.contains("unknown option --no-crossx"), "{err}");
+        assert!(err.0.contains("did you mean `--no-cross`?"), "{err}");
 
         let err = parse(&argv(&["--sed", "7"]), &TEST_CMD).unwrap_err();
-        assert!(err.contains("did you mean `--seed`?"), "{err}");
+        assert!(err.0.contains("did you mean `--seed`?"), "{err}");
     }
 
     #[test]
     fn far_off_typos_get_no_suggestion() {
         let err = parse(&argv(&["--zzzzzzzzzz"]), &TEST_CMD).unwrap_err();
-        assert!(!err.contains("did you mean"), "{err}");
+        assert!(!err.0.contains("did you mean"), "{err}");
     }
 
     #[test]
@@ -314,13 +326,13 @@ mod tests {
         assert_eq!(p.opt_all("--train"), vec!["a.json", "b.json"]);
 
         let err = parse(&argv(&["--seed", "1", "--seed", "2"]), &TEST_CMD).unwrap_err();
-        assert!(err.contains("more than once"), "{err}");
+        assert!(err.0.contains("more than once"), "{err}");
     }
 
     #[test]
     fn excess_positionals_rejected() {
         let err = parse(&argv(&["a.json", "b.json"]), &TEST_CMD).unwrap_err();
-        assert!(err.contains("unexpected argument"), "{err}");
+        assert!(err.0.contains("unexpected argument"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use ibox::{
 use ibox_obs::{RunManifest, RunManifestBuilder};
 use ibox_trace::metrics::TraceMetrics;
 
-use crate::args::{parse, CmdSpec, OptSpec, PosSpec};
+use crate::args::{parse, CmdSpec, OptSpec, PosSpec, UsageError};
 use crate::io::{save_text, save_trace};
 
 const OUTPUT: OptSpec = OptSpec::value("--output", "path").with_short("-o");
@@ -166,8 +166,57 @@ manifest (seed, config hash, git rev, metrics).",
     s
 }
 
+/// Why a command failed. A usage error means the command line was wrong,
+/// and `ibox` follows it with the usage block; a runtime error means the
+/// arguments were fine and the work failed (an unreadable or unfittable
+/// trace, a daemon's 4xx), and one line says why.
+#[derive(Debug)]
+pub enum CliError {
+    /// The arguments do not fit the command's grammar or value ranges.
+    Usage(String),
+    /// The command ran and failed.
+    Run(String),
+}
+
+impl From<UsageError> for CliError {
+    fn from(e: UsageError) -> Self {
+        CliError::Usage(e.0)
+    }
+}
+
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Run(e)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(e: &str) -> Self {
+        CliError::Run(e.to_string())
+    }
+}
+
+impl From<ibox::ArtifactError> for CliError {
+    fn from(e: ibox::ArtifactError) -> Self {
+        CliError::Run(e.to_string())
+    }
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Usage(e) | CliError::Run(e) => f.write_str(e),
+        }
+    }
+}
+
+/// A [`CliError::Usage`] from any message.
+fn usage_error(e: impl Into<String>) -> CliError {
+    CliError::Usage(e.into())
+}
+
 /// Dispatch a full argv (starting at the subcommand).
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+pub fn dispatch(argv: &[String]) -> Result<(), CliError> {
     // Verbosity flags apply to every subcommand; map them onto the
     // process-wide log filter before any command logic runs.
     let quiet = argv.iter().any(|a| a == "--quiet");
@@ -175,7 +224,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     ibox_obs::log::set_level_from_flags(quiet, verbose);
 
     let Some(cmd) = argv.first() else {
-        return Err("no subcommand".into());
+        return Err(usage_error("no subcommand"));
     };
     let rest = &argv[1..];
     ibox_obs::debug!("dispatching {cmd} {rest:?}");
@@ -199,7 +248,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
             println!("{}", usage());
             Ok(())
         }
-        other => Err(format!("unknown subcommand {other:?}")),
+        other => Err(usage_error(format!("unknown subcommand {other:?}"))),
     }
 }
 
@@ -226,39 +275,39 @@ fn model_cache(p: &crate::args::Parsed) -> Result<FitCache, String> {
 
 /// `--protocol`, `--duration` and `--seed` as a replay request — checked
 /// here, before any file is opened.
-fn replay_flags(p: &crate::args::Parsed) -> Result<ReplayRequest, String> {
+fn replay_flags(p: &crate::args::Parsed) -> Result<ReplayRequest, CliError> {
     let mut replay = ReplayRequest::new(p.required("--protocol")?);
     replay.duration_s = p.num("--duration", replay.duration_s)?;
     replay.seed = p.num("--seed", replay.seed)?;
-    replay.check()?;
+    replay.check().map_err(usage_error)?;
     Ok(replay)
 }
 
 /// Map the `fit --model` selector (plus the legacy iBoxNet fit-variant
 /// flags) onto a [`ModelKind`].
-fn fit_kind(p: &crate::args::Parsed) -> Result<ModelKind, String> {
+fn fit_kind(p: &crate::args::Parsed) -> Result<ModelKind, CliError> {
     let kind = match p.opt("--model") {
         None | Some("iboxnet") => ModelKind::IBoxNet,
         Some("statistical-loss") => ModelKind::StatisticalLoss,
         Some("iboxml") => ModelKind::IBoxMl(IBoxMlSpec::default()),
         Some(other) => {
-            return Err(format!(
+            return Err(usage_error(format!(
                 "unknown model kind {other:?} (use iboxnet, statistical-loss, or iboxml)"
-            ))
+            )))
         }
     };
     match (p.flag("--no-cross"), p.flag("--with-reordering")) {
         (false, false) => Ok(kind),
         _ if kind != ModelKind::IBoxNet => {
-            Err("--no-cross/--with-reordering only apply to the iboxnet model".into())
+            Err(usage_error("--no-cross/--with-reordering only apply to the iboxnet model"))
         }
         (true, false) => Ok(ModelKind::IBoxNetNoCross),
         (false, true) => Ok(ModelKind::IBoxNetReorder),
-        (true, true) => Err("--no-cross and --with-reordering are mutually exclusive".into()),
+        (true, true) => Err(usage_error("--no-cross and --with-reordering are mutually exclusive")),
     }
 }
 
-fn cmd_fit(argv: &[String]) -> Result<(), String> {
+fn cmd_fit(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv, &FIT)?;
     let kind = fit_kind(&p)?;
     let trace = load_training_trace(p.positional(0, "trace file")?)?;
@@ -297,10 +346,11 @@ fn cmd_fit(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_replay(argv: &[String]) -> Result<(), String> {
+fn cmd_replay(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv, &REPLAY)?;
     let mut replay = replay_flags(&p)?;
-    replay.fidelity = p.opt("--fidelity").unwrap_or(replay.fidelity.as_str()).parse()?;
+    let fidelity = p.opt("--fidelity").unwrap_or(replay.fidelity.as_str());
+    replay.fidelity = fidelity.parse().map_err(usage_error)?;
     // A composed chain of stages to replay through, not the recorded path.
     replay.path = p.opt("--path").map(ibox::load_path).transpose()?;
     let artifact = ModelArtifact::load(Path::new(p.positional(0, "model artifact")?))?;
@@ -327,7 +377,7 @@ fn cmd_replay(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_simulate(argv: &[String]) -> Result<(), String> {
+fn cmd_simulate(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv, &SIMULATE)?;
     let builder = RunManifestBuilder::new("simulate");
     let profile_path = p.positional(0, "profile file")?;
@@ -335,7 +385,7 @@ fn cmd_simulate(argv: &[String]) -> Result<(), String> {
     let runs = p.num("--runs", 1usize)?;
     let jobs = p.num("--jobs", 1usize)?;
     if runs == 0 {
-        return Err("--runs must be at least 1".into());
+        return Err(usage_error("--runs must be at least 1"));
     }
 
     if runs > 1 {
@@ -377,14 +427,14 @@ fn cmd_simulate(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_metrics(argv: &[String]) -> Result<(), String> {
+fn cmd_metrics(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv, &METRICS)?;
     let trace = load_trace(p.positional(0, "trace file")?)?;
     print_metrics(&trace);
     Ok(())
 }
 
-fn cmd_synth(argv: &[String]) -> Result<(), String> {
+fn cmd_synth(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv, &SYNTH)?;
     let builder = RunManifestBuilder::new("synth");
     let seed = p.num("--seed", 1u64)?;
@@ -403,7 +453,7 @@ fn cmd_synth(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_validity(argv: &[String]) -> Result<(), String> {
+fn cmd_validity(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv, &VALIDITY)?;
     // `--train` repeats; bare positionals are accepted as extra training
     // traces for back-compatibility with the single-value parser.
@@ -412,7 +462,7 @@ fn cmd_validity(argv: &[String]) -> Result<(), String> {
         train_paths.push(extra);
     }
     if train_paths.is_empty() {
-        return Err("validity needs --train <trace> [--train <trace>…]".into());
+        return Err(usage_error("validity needs --train <trace> [--train <trace>…]"));
     }
     let check_path = p.required("--check")?;
     let jobs = p.num("--jobs", 1usize)?;
@@ -428,7 +478,7 @@ fn cmd_validity(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_batch(argv: &[String]) -> Result<(), String> {
+fn cmd_batch(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv, &BATCH)?;
     let builder = RunManifestBuilder::new("batch");
     let spec_path = p.positional(0, "batch spec file")?;
@@ -436,7 +486,8 @@ fn cmd_batch(argv: &[String]) -> Result<(), String> {
         std::fs::read_to_string(spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
     let mut batch = BatchSpec::from_json(&text)?;
     if let Some(jobs) = p.opt("--jobs") {
-        batch.jobs = jobs.parse().map_err(|_| format!("invalid value for --jobs: {jobs:?}"))?;
+        batch.jobs =
+            jobs.parse().map_err(|_| usage_error(format!("invalid value for --jobs: {jobs:?}")))?;
     }
     let cache = model_cache(&p)?;
     let wall = std::time::Instant::now();
@@ -451,7 +502,7 @@ fn cmd_batch(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(argv: &[String]) -> Result<(), String> {
+fn cmd_serve(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv, &SERVE)?;
     let addr = p.opt("--addr").unwrap_or("127.0.0.1:7070").to_string();
     // The registry/cache dir doubles as the daemon's state dir; without
@@ -489,7 +540,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_call(argv: &[String]) -> Result<(), String> {
+fn cmd_call(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv, &CALL)?;
     let url = p.positional(0, "url")?;
     let timeout_s: u64 = p.num("--timeout", 10u64)?;
@@ -514,7 +565,7 @@ fn cmd_call(argv: &[String]) -> Result<(), String> {
     )?;
     let text = String::from_utf8_lossy(&resp);
     if status >= 400 {
-        return Err(format!("{method} {url} failed with {status}: {text}"));
+        return Err(CliError::Run(format!("{method} {url} failed with {status}: {text}")));
     }
     match p.opt("--output") {
         Some(out) => save_text(&text, out)?,
@@ -530,7 +581,7 @@ fn cmd_call(argv: &[String]) -> Result<(), String> {
 /// one-shot `fit` of the same file), `finalize` seals the session and
 /// registers the fitted model's next lineage version, and `status`
 /// reads `/ingest/sessions[/<session>]`.
-fn cmd_ingest(argv: &[String]) -> Result<(), String> {
+fn cmd_ingest(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv, &INGEST)?;
     let action = p.positional(0, "ingest action")?;
     let base = p.opt("--url").unwrap_or("http://127.0.0.1:7070").trim_end_matches('/').to_string();
@@ -539,11 +590,11 @@ fn cmd_ingest(argv: &[String]) -> Result<(), String> {
     let session = p.opt("--session");
     match action {
         "append" => {
-            let session = session.ok_or("ingest append needs --session <id>")?;
+            let session = session.ok_or(usage_error("ingest append needs --session <id>"))?;
             let trace = load_trace(p.positional(1, "trace file")?)?;
             let records = trace.records();
             if records.is_empty() {
-                return Err("trace has no records to append".into());
+                return Err(CliError::Run("trace has no records to append".into()));
             }
             let chunks: usize = p.num("--chunks", 8usize)?;
             let per = records.len().div_ceil(chunks.clamp(1, records.len()));
@@ -561,7 +612,9 @@ fn cmd_ingest(argv: &[String]) -> Result<(), String> {
                     ibox_serve::request_url(&url, "POST", Some(body.as_bytes()), timeout)?;
                 let text = String::from_utf8_lossy(&resp).into_owned();
                 if status >= 400 {
-                    return Err(format!("append of records {done}..{end} failed {status}: {text}"));
+                    return Err(CliError::Run(format!(
+                        "append of records {done}..{end} failed {status}: {text}"
+                    )));
                 }
                 ibox_obs::debug!("appended records {done}..{end}: {text}");
                 last = text;
@@ -571,12 +624,12 @@ fn cmd_ingest(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "finalize" => {
-            let session = session.ok_or("ingest finalize needs --session <id>")?;
+            let session = session.ok_or(usage_error("ingest finalize needs --session <id>"))?;
             let url = format!("{base}/traces/{session}/finalize");
             let (status, resp) = ibox_serve::request_url(&url, "POST", Some(b"{}"), timeout)?;
             let text = String::from_utf8_lossy(&resp);
             if status >= 400 {
-                return Err(format!("finalize failed {status}: {text}"));
+                return Err(CliError::Run(format!("finalize failed {status}: {text}")));
             }
             println!("{text}");
             Ok(())
@@ -589,13 +642,14 @@ fn cmd_ingest(argv: &[String]) -> Result<(), String> {
             let (status, resp) = ibox_serve::request_url(&url, "GET", None, timeout)?;
             let text = String::from_utf8_lossy(&resp);
             if status >= 400 {
-                return Err(format!("status failed {status}: {text}"));
+                return Err(CliError::Run(format!("status failed {status}: {text}")));
             }
             println!("{text}");
             Ok(())
         }
         other => {
-            Err(format!("unknown ingest action {other:?} (expected append, finalize, or status)"))
+            let expected = "expected append, finalize, or status";
+            Err(usage_error(format!("unknown ingest action {other:?} ({expected})")))
         }
     }
 }
@@ -606,11 +660,11 @@ fn cmd_ingest(argv: &[String]) -> Result<(), String> {
 /// phases and per-job lanes on a timeline. `--timeline` additionally
 /// records the simulator's queue-depth counter track and drop/RTO
 /// instants for every sim-backed run.
-fn cmd_trace(argv: &[String]) -> Result<(), String> {
+fn cmd_trace(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv, &TRACE)?;
     let action = p.positional(0, "trace action")?;
     if action != "export" {
-        return Err(format!("unknown trace action {action:?} (expected \"export\")"));
+        return Err(usage_error(format!("unknown trace action {action:?} (expected \"export\")")));
     }
     let spec_path = p.positional(1, "batch spec file")?;
     let out = p.required("--output")?;
@@ -618,7 +672,8 @@ fn cmd_trace(argv: &[String]) -> Result<(), String> {
         std::fs::read_to_string(spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
     let mut batch = BatchSpec::from_json(&text)?;
     if let Some(jobs) = p.opt("--jobs") {
-        batch.jobs = jobs.parse().map_err(|_| format!("invalid value for --jobs: {jobs:?}"))?;
+        batch.jobs =
+            jobs.parse().map_err(|_| usage_error(format!("invalid value for --jobs: {jobs:?}")))?;
     }
     let cache = model_cache(&p)?;
 
@@ -744,11 +799,11 @@ mod tests {
     fn ingest_argument_errors_are_reported_without_a_daemon() {
         // Grammar-level failures must not require a live server.
         assert!(dispatch(&argv(&["ingest"])).is_err());
-        let err = dispatch(&argv(&["ingest", "shred"])).unwrap_err();
+        let err = dispatch(&argv(&["ingest", "shred"])).unwrap_err().to_string();
         assert!(err.contains("unknown ingest action"), "{err}");
-        let err = dispatch(&argv(&["ingest", "append", "t.json"])).unwrap_err();
+        let err = dispatch(&argv(&["ingest", "append", "t.json"])).unwrap_err().to_string();
         assert!(err.contains("--session"), "{err}");
-        let err = dispatch(&argv(&["ingest", "finalize"])).unwrap_err();
+        let err = dispatch(&argv(&["ingest", "finalize"])).unwrap_err().to_string();
         assert!(err.contains("--session"), "{err}");
     }
 
@@ -773,7 +828,8 @@ mod tests {
     fn mistyped_flag_is_rejected_not_swallowed() {
         // `--no-crossx trace.json` must error, not treat the trace path as
         // the value of an invented option (the old parser's behaviour).
-        let err = dispatch(&argv(&["fit", "--no-crossx", "whatever.json"])).unwrap_err();
+        let err =
+            dispatch(&argv(&["fit", "--no-crossx", "whatever.json"])).unwrap_err().to_string();
         assert!(err.contains("unknown option --no-crossx"), "{err}");
         assert!(err.contains("did you mean `--no-cross`?"), "{err}");
     }
@@ -945,7 +1001,8 @@ mod tests {
                 &["simulate", "p.json", "--protocol", "cubic"],
                 &["synth", "--profile", "ethernet", "--protocol", "cubic"],
             ] {
-                let err = dispatch(&argv(&[cmd, &["--duration", bad]].concat())).unwrap_err();
+                let err =
+                    dispatch(&argv(&[cmd, &["--duration", bad]].concat())).unwrap_err().to_string();
                 assert!(
                     err.contains("duration must be a positive number of seconds"),
                     "{} --duration {bad}: {err}",
@@ -962,17 +1019,19 @@ mod tests {
 
     #[test]
     fn fit_rejects_conflicting_model_flags() {
-        let err =
-            dispatch(&argv(&["fit", "--model", "iboxml", "--no-cross", "t.json"])).unwrap_err();
+        let err = dispatch(&argv(&["fit", "--model", "iboxml", "--no-cross", "t.json"]))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("only apply to the iboxnet model"), "{err}");
-        let err = dispatch(&argv(&["fit", "--model", "magic", "t.json"])).unwrap_err();
+        let err = dispatch(&argv(&["fit", "--model", "magic", "t.json"])).unwrap_err().to_string();
         assert!(err.contains("unknown model kind"), "{err}");
     }
 
     #[test]
     fn replay_reports_typed_errors_with_the_path() {
-        let err =
-            dispatch(&argv(&["replay", "/nope/model.json", "--protocol", "cubic"])).unwrap_err();
+        let err = dispatch(&argv(&["replay", "/nope/model.json", "--protocol", "cubic"]))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("/nope/model.json"), "{err}");
     }
 
@@ -1087,12 +1146,14 @@ mod tests {
             "--path",
             "/nope/chain.json",
         ]))
-        .unwrap_err();
+        .unwrap_err()
+        .to_string();
         assert!(err.contains("/nope/chain.json"), "{err}");
         std::fs::write(&chain_path, "[]").unwrap();
         let err =
             dispatch(&argv(&["replay", &model_path, "--protocol", "cubic", "--path", &chain_path]))
-                .unwrap_err();
+                .unwrap_err()
+                .to_string();
         assert!(err.contains("at least one stage"), "{err}");
         // Stages an engine would assert on: one sentence naming the stage
         // and the field.
@@ -1125,7 +1186,8 @@ mod tests {
                 "--path",
                 &chain_path,
             ]))
-            .unwrap_err();
+            .unwrap_err()
+            .to_string();
             assert!(err.contains("stage 1") && err.contains(field), "{field}: {err}");
         }
 

@@ -22,8 +22,10 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             ibox_obs::error!("{e}");
-            eprintln!();
-            eprintln!("{}", commands::usage());
+            if let commands::CliError::Usage(_) = e {
+                eprintln!();
+                eprintln!("{}", commands::usage());
+            }
             ExitCode::FAILURE
         }
     }

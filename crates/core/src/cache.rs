@@ -2,11 +2,14 @@
 //!
 //! The cache key is the full provenance of a fit —
 //! `trace digest × model kind × config hash × fit seed` — so a hit can
-//! only ever return the model the miss would have produced. Values are
-//! stored *serialized* (the same JSON the artifact envelope embeds),
-//! which makes a cache hit behaviourally identical to a
-//! saved-then-loaded artifact: the byte-identical-replay guarantee of
-//! [`crate::artifact`] covers cached models for free.
+//! only ever return the model the miss would have produced. Every value
+//! passes through its serialized form (the same JSON the artifact
+//! envelope embeds) once, on the way in, and is then held decoded: a
+//! miss, a disk hit and a memory hit all return the value as that JSON
+//! reads back, so a cache hit is behaviourally identical to a
+//! saved-then-loaded artifact and the byte-identical-replay guarantee of
+//! [`crate::artifact`] covers cached models for free. A memory hit is a
+//! clone, not a parse.
 //!
 //! Concurrency: lookups are **single-flight** per key. When several pool
 //! workers race on the same key, exactly one computes while the rest
@@ -22,9 +25,10 @@
 //! crash of an older build, or damaged since) counts `fitcache.corrupt`,
 //! is refitted like a miss and overwritten.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -84,10 +88,11 @@ impl FitCacheKey {
     }
 }
 
-/// Per-key cell: holds the serialized value once computed. `OnceLock`
-/// gives the single-flight behaviour — concurrent `get_or_init` callers
-/// block until the first finishes.
-type Cell = Arc<OnceLock<String>>;
+/// Per-key cell: holds the value once computed, decoded from its JSON form
+/// as a `Result<T, String>` (the error when that form does not read back).
+/// `OnceLock` gives the single-flight behaviour — concurrent `get_or_init`
+/// callers block until the first finishes.
+type Cell = Arc<OnceLock<Arc<dyn Any + Send + Sync>>>;
 
 /// A cell plus its recency stamp (a monotone tick, not wall time, so
 /// eviction order is deterministic).
@@ -100,6 +105,12 @@ struct Slot {
 struct Entries {
     map: HashMap<String, Slot>,
     tick: u64,
+}
+
+/// Lock the entry map, tolerating poison: every critical section leaves
+/// it valid, so a panicking fit cannot brick the cache.
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// A content-addressed cache of fitted models (and other fit-shaped
@@ -157,7 +168,7 @@ impl FitCache {
 
     /// Number of in-memory entries (testing/introspection).
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("fit cache lock").map.len()
+        relock(&self.entries).map.len()
     }
 
     /// Whether the in-memory cache holds no entries.
@@ -170,11 +181,11 @@ impl FitCache {
     /// path, so a miss returns exactly what later hits will return.
     pub fn get_or_insert_with<T, F>(&self, id: &str, make: F) -> Result<T, String>
     where
-        T: Serialize + Deserialize,
+        T: Serialize + Deserialize + Clone + Send + Sync + 'static,
         F: FnOnce() -> T,
     {
         let cell: Cell = {
-            let mut entries = self.entries.lock().expect("fit cache lock");
+            let mut entries = relock(&self.entries);
             entries.tick += 1;
             let tick = entries.tick;
             let slot = entries
@@ -185,8 +196,7 @@ impl FitCache {
             Arc::clone(&slot.cell)
         };
         let mut filled_here = false;
-        let mut from_disk = None;
-        let json = cell.get_or_init(|| {
+        let stored = cell.get_or_init(|| {
             filled_here = true;
             if let Some(text) = self.read_disk(id) {
                 // Only an entry that parses may fill the cell: a bad one
@@ -194,8 +204,7 @@ impl FitCache {
                 match serde_json::from_str::<T>(&text) {
                     Ok(value) => {
                         ibox_obs::global().counter("fitcache.disk_hit").inc();
-                        from_disk = Some(value);
-                        return text;
+                        return Arc::new(Ok::<T, String>(value));
                     }
                     Err(e) => {
                         ibox_obs::global().counter("fitcache.corrupt").inc();
@@ -207,20 +216,19 @@ impl FitCache {
             let value = make();
             let text = serde_json::to_string(&value).expect("cache value serialization");
             self.write_disk(id, &text);
-            text
+            let read_back = serde_json::from_str::<T>(&text);
+            Arc::new(read_back.map_err(|e| format!("corrupt cache entry {id}: {e}")))
         });
         if !filled_here {
             ibox_obs::global().counter("fitcache.hit").inc();
         }
-        let parsed = match from_disk {
-            Some(value) => Ok(value),
-            None => {
-                serde_json::from_str(json).map_err(|e| format!("corrupt cache entry {id}: {e}"))
-            }
+        let value = match stored.downcast_ref::<Result<T, String>>() {
+            Some(value) => value.clone(),
+            None => Err(format!("cache entry {id} holds a value of another type")),
         };
         drop(cell); // release our handle so this entry is evictable below
         self.enforce_cap();
-        parsed
+        value
     }
 
     /// Drop least-recently-used entries until the map fits the cap.
@@ -232,7 +240,7 @@ impl FitCache {
         if self.max_entries == usize::MAX {
             return;
         }
-        let mut entries = self.entries.lock().expect("fit cache lock");
+        let mut entries = relock(&self.entries);
         while entries.map.len() > self.max_entries {
             let victim = entries
                 .map
@@ -456,6 +464,66 @@ mod tests {
         let metrics = scope.finish().snapshot();
         assert_eq!(metrics.counters["fitcache.hit"], 1);
         assert_eq!(metrics.counters["fitcache.miss"], 1);
+    }
+
+    /// A value that counts how often it is decoded from JSON.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Counted(u64);
+
+    static DECODES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    impl Serialize for Counted {
+        fn to_value(&self) -> serde::Value {
+            self.0.to_value()
+        }
+    }
+
+    impl Deserialize for Counted {
+        fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+            DECODES.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            u64::from_value(v).map(Counted)
+        }
+    }
+
+    /// The fill decodes the value's JSON once; every memory hit after it
+    /// is a clone of that decoded value, not another parse.
+    #[test]
+    fn memory_hits_clone_the_value_decoded_on_the_fill() {
+        let cache = FitCache::in_memory();
+        let scope = ibox_obs::scoped();
+        let values: Vec<Counted> =
+            (0..10).map(|_| cache.get_or_insert_with("k", || Counted(7)).unwrap()).collect();
+        let counters = scope.finish().snapshot().counters;
+        assert!(values.iter().all(|v| *v == Counted(7)));
+        assert_eq!(DECODES.load(std::sync::atomic::Ordering::SeqCst), 1, "one decode, on the fill");
+        assert_eq!((counters["fitcache.miss"], counters["fitcache.hit"]), (1, 9));
+        let err = cache.get_or_insert_with("k", || 7u32).unwrap_err();
+        assert!(err.contains("another type"), "{err}");
+    }
+
+    /// A panic while the entry map is locked poisons it; the cache keeps
+    /// serving fits, hits and misses alike.
+    #[test]
+    fn a_poisoned_lock_does_not_brick_the_cache() {
+        let t = train(10);
+        let cache = FitCache::in_memory().with_max_entries(1);
+        let a = cache.fit_path_model(&ModelKind::IBoxNet, &t);
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = cache.entries.lock();
+                panic!("a fit panicked while holding the cache lock");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && cache.entries.is_poisoned());
+        let scope = ibox_obs::scoped();
+        let b = cache.fit_path_model(&ModelKind::IBoxNet, &t);
+        cache.fit_path_model(&ModelKind::StatisticalLoss, &t);
+        let counters = scope.finish().snapshot().counters;
+        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
+        assert_eq!((counters["fitcache.hit"], counters["fitcache.miss"]), (1, 1));
+        assert_eq!(counters["fitcache.evicted"], 1);
+        assert_eq!(cache.len(), 1);
     }
 
     /// An unbounded cache (the default) never evicts.

@@ -24,10 +24,27 @@
 //! `registry.evicted`) — never a latest pointer, never the newest
 //! version of a lineage, and never a version currently pinned by a
 //! [`PinGuard`] (replays pin the version they resolve to).
+//!
+//! ## Decoded tier
+//!
+//! A model is read far more often than it is written, so
+//! [`ModelRegistry::get`] hands out an `Arc<ModelArtifact>` decoded once
+//! per file: the first request for an id reads and parses the envelope
+//! (counter `registry.decode`), later ones share the result (counter
+//! `registry.decode_hit`). Each cell remembers the file's stamp — length,
+//! mtime and, on unix, inode, from the one `metadata()` call `get` makes
+//! anyway — and a changed stamp is decoded afresh, so a second registry on
+//! the same directory (the offline CLI, another daemon) stays coherent;
+//! `put`, `put_version` and byte-cap eviction drop the cells they outdate.
+//! A missing file is still 404 and drops its cell; load errors are
+//! returned, never cached. Cells are LRU, charged at the file's length,
+//! and hold at most the smaller of the byte cap and `DECODED_CAP_BYTES`
+//! (256 MiB).
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::SystemTime;
 
 use serde::{Deserialize, Serialize};
 
@@ -100,12 +117,59 @@ pub struct VersionSummary {
     pub kind: String,
 }
 
+/// The most artifact bytes the decoded tier holds, whatever the byte cap.
+const DECODED_CAP_BYTES: u64 = 256 << 20;
+
+/// What identifies one content of a file without reading it: a rewrite
+/// through `ibox::write_atomic` is a new inode, and any other rewrite
+/// shows in the length or the mtime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamp {
+    len: u64,
+    mtime: Option<SystemTime>,
+    inode: u64,
+}
+
+impl Stamp {
+    fn of(meta: &std::fs::Metadata) -> Self {
+        #[cfg(unix)]
+        let inode = std::os::unix::fs::MetadataExt::ino(meta);
+        #[cfg(not(unix))]
+        let inode = 0;
+        Self { len: meta.len(), mtime: meta.modified().ok(), inode }
+    }
+}
+
+/// One id's decoded artifact, filled single-flight: the first caller
+/// decodes under `fill` while later ones wait on it and then find `value`
+/// set. A failed decode leaves `value` empty, so errors are never cached.
+#[derive(Default)]
+struct Cell {
+    fill: Mutex<()>,
+    value: OnceLock<Arc<ModelArtifact>>,
+}
+
+/// A cell and the stamp of the file it decodes.
+struct Slot {
+    stamp: Stamp,
+    cell: Arc<Cell>,
+}
+
 /// Recency + pin bookkeeping for eviction (in-memory; recency resets on
-/// restart, which only makes eviction order start from file order).
+/// restart, which only makes eviction order start from file order), and
+/// the decoded tier, whose LRU order is the same recency.
 struct RegState {
     pins: HashMap<String, usize>,
     last_use: HashMap<String, u64>,
     tick: u64,
+    decoded: HashMap<String, Slot>,
+}
+
+/// Lock, tolerating poison: the registry state, the fit job table and the
+/// fit thread list are valid after every statement, so one panicking
+/// request cannot brick the registry or `/fit`.
+pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// Holds a version pinned (un-evictable) for the guard's lifetime —
@@ -161,7 +225,12 @@ impl ModelRegistry {
         let reg = Self {
             dir,
             byte_cap: u64::MAX,
-            state: Mutex::new(RegState { pins: HashMap::new(), last_use: HashMap::new(), tick: 0 }),
+            state: Mutex::new(RegState {
+                pins: HashMap::new(),
+                last_use: HashMap::new(),
+                tick: 0,
+                decoded: HashMap::new(),
+            }),
         };
         reg.compact();
         Ok(reg)
@@ -175,12 +244,11 @@ impl ModelRegistry {
         self
     }
 
-    fn state_lock(&self) -> std::sync::MutexGuard<'_, RegState> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    fn state_lock(&self) -> MutexGuard<'_, RegState> {
+        relock(&self.state)
     }
 
-    fn touch(&self, id: &str) {
-        let mut state = self.state_lock();
+    fn touch(state: &mut RegState, id: &str) {
         state.tick += 1;
         let tick = state.tick;
         state.last_use.insert(id.to_string(), tick);
@@ -237,15 +305,76 @@ impl ModelRegistry {
         Self::validate(id).is_ok() && self.path_of(id).is_file()
     }
 
-    /// Load the artifact named `id`.
-    pub fn get(&self, id: &str) -> Result<ModelArtifact, RegistryError> {
+    /// The artifact named `id`, decoded once per file content (see the
+    /// module docs' *Decoded tier*).
+    pub fn get(&self, id: &str) -> Result<Arc<ModelArtifact>, RegistryError> {
         Self::validate(id)?;
         let path = self.path_of(id);
-        if !path.is_file() {
-            return Err(RegistryError::NotFound(id.to_string()));
+        let stamp = match std::fs::metadata(&path) {
+            Ok(meta) if meta.is_file() => Stamp::of(&meta),
+            _ => {
+                self.state_lock().decoded.remove(id);
+                return Err(RegistryError::NotFound(id.to_string()));
+            }
+        };
+        let cell = {
+            let mut state = self.state_lock();
+            Self::touch(&mut state, id);
+            let slot = state
+                .decoded
+                .entry(id.to_string())
+                .or_insert_with(|| Slot { stamp, cell: Arc::default() });
+            if slot.stamp != stamp {
+                *slot = Slot { stamp, cell: Arc::default() };
+            }
+            Arc::clone(&slot.cell)
+        };
+        let hit = |artifact: &Arc<ModelArtifact>| {
+            ibox_obs::global().counter("registry.decode_hit").inc();
+            Ok(Arc::clone(artifact))
+        };
+        if let Some(artifact) = cell.value.get() {
+            return hit(artifact);
         }
-        self.touch(id);
-        ModelArtifact::load(&path).map_err(RegistryError::Artifact)
+        let fill = relock(&cell.fill);
+        if let Some(artifact) = cell.value.get() {
+            return hit(artifact);
+        }
+        let artifact = Arc::new(ModelArtifact::load(&path).map_err(RegistryError::Artifact)?);
+        ibox_obs::global().counter("registry.decode").inc();
+        let _ = cell.value.set(Arc::clone(&artifact));
+        drop(fill);
+        self.enforce_decoded_cap();
+        Ok(artifact)
+    }
+
+    /// Drop least-recently-used decoded cells until the bytes of the files
+    /// they decode fit the smaller of the byte cap and
+    /// [`DECODED_CAP_BYTES`]. Only filled cells are charged; a caller
+    /// still waiting on a dropped cell gets its value all the same.
+    fn enforce_decoded_cap(&self) {
+        let cap = self.byte_cap.min(DECODED_CAP_BYTES);
+        let mut state = self.state_lock();
+        let mut filled: Vec<(u64, String, u64)> = state
+            .decoded
+            .iter()
+            .filter(|(_, slot)| slot.cell.value.get().is_some())
+            .map(|(id, slot)| {
+                (state.last_use.get(id).copied().unwrap_or(0), id.clone(), slot.stamp.len)
+            })
+            .collect();
+        let mut total: u64 = filled.iter().map(|f| f.2).sum();
+        if total <= cap {
+            return;
+        }
+        filled.sort_unstable();
+        for (_, id, len) in filled {
+            if total <= cap {
+                break;
+            }
+            state.decoded.remove(&id);
+            total -= len;
+        }
     }
 
     /// Store `artifact` under `id`, atomically (`ibox::write_atomic`), so a
@@ -254,7 +383,9 @@ impl ModelRegistry {
     pub fn put(&self, id: &str, artifact: &ModelArtifact) -> Result<(), RegistryError> {
         Self::validate(id)?;
         artifact.save(&self.path_of(id)).map_err(RegistryError::Artifact)?;
-        self.touch(id);
+        let mut state = self.state_lock();
+        state.decoded.remove(id);
+        Self::touch(&mut state, id);
         Ok(())
     }
 
@@ -364,7 +495,7 @@ impl ModelRegistry {
             *n = (*n).max(seq);
             files.push((vid.to_string(), seq, size));
         }
-        let state = self.state_lock();
+        let mut state = self.state_lock();
         // LRU first; never-used files (tick 0) go before used ones, ties
         // broken by version id for determinism.
         files.sort_by(|a, b| {
@@ -384,6 +515,7 @@ impl ModelRegistry {
                 continue;
             }
             if std::fs::remove_file(self.path_of(&vid)).is_ok() {
+                state.decoded.remove(&vid);
                 total = total.saturating_sub(size);
                 ibox_obs::global().counter("registry.evicted").inc();
                 ibox_obs::info!("registry: evicted version {vid} ({size} bytes)");
@@ -408,9 +540,9 @@ impl ModelRegistry {
             match self.get(id) {
                 Ok(artifact) => out.push(ModelSummary {
                     id: id.to_string(),
-                    kind: artifact.kind,
-                    fitted_on: artifact.fitted_on,
-                    config_hash: artifact.config_hash,
+                    kind: artifact.kind.clone(),
+                    fitted_on: artifact.fitted_on.clone(),
+                    config_hash: artifact.config_hash.clone(),
                     schema: artifact.schema,
                 }),
                 Err(e) => ibox_obs::warn!("registry: skipping {name}: {e}"),
@@ -564,6 +696,154 @@ mod tests {
         // Unpinned now: v2 goes first (LRU), newest v5 + pointer stay.
         assert!(!reg.contains("sess-v2"));
         assert!(reg.contains("sess-v5") && reg.contains("sess"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // The decoded tier, one behaviour per test.
+
+    /// Run `f` and return what it returned, with the `registry.decode` and
+    /// `registry.decode_hit` counts it bumped on this thread.
+    fn decode_counts<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+        let scope = ibox_obs::scoped();
+        let out = f();
+        let counters = scope.finish().snapshot().counters;
+        let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+        (out, count("registry.decode"), count("registry.decode_hit"))
+    }
+
+    fn cached(reg: &ModelRegistry, id: &str) -> bool {
+        reg.state_lock().decoded.get(id).is_some_and(|slot| slot.cell.value.get().is_some())
+    }
+
+    #[test]
+    fn decoded_tier_decodes_a_file_once_for_a_hundred_gets() {
+        let dir = tmpdir("decode_once");
+        let reg = ModelRegistry::open(&dir).unwrap();
+        let artifact = sample();
+        reg.put("m", &artifact).unwrap();
+        let (got, decodes, hits) =
+            decode_counts(|| (0..100).map(|_| reg.get("m").unwrap()).collect::<Vec<_>>());
+        assert_eq!((decodes, hits), (1, 99));
+        assert!(got.iter().all(|a| Arc::ptr_eq(a, &got[0])), "every get shares one decode");
+        assert_eq!(got[0].to_json(), artifact.to_json());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn decoded_tier_decodes_once_when_eight_threads_race_on_a_cold_id() {
+        let dir = tmpdir("decode_race");
+        let reg = ModelRegistry::open(&dir).unwrap();
+        reg.put("m", &sample()).unwrap();
+        let start = std::sync::Barrier::new(8);
+        let counts: Vec<(u64, u64)> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let (got, decodes, hits) = decode_counts(|| reg.get("m"));
+                        assert!(got.is_ok());
+                        (decodes, hits)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let decodes: u64 = counts.iter().map(|c| c.0).sum();
+        let hits: u64 = counts.iter().map(|c| c.1).sum();
+        assert_eq!((decodes, hits), (1, 7));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn decoded_tier_serves_the_new_version_after_put_version() {
+        let dir = tmpdir("decode_version");
+        let reg = ModelRegistry::open(&dir).unwrap();
+        reg.put_version("sess", &versioned(1)).unwrap();
+        assert_eq!(reg.get("sess").unwrap().fit_seq, Some(1));
+        reg.put_version("sess", &versioned(2)).unwrap();
+        let (got, decodes, _) = decode_counts(|| reg.get("sess").unwrap());
+        assert_eq!((got.fit_seq, decodes), (Some(2), 1));
+        assert_eq!(reg.latest_version("sess").as_deref(), Some("sess-v2"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn decoded_tier_sees_a_rewrite_by_a_second_registry() {
+        let dir = tmpdir("decode_second");
+        let reg = ModelRegistry::open(&dir).unwrap();
+        reg.put("m", &versioned(1)).unwrap();
+        assert_eq!(reg.get("m").unwrap().fit_seq, Some(1));
+        let other = ModelRegistry::open(&dir).unwrap();
+        other.put("m", &versioned(2)).unwrap();
+        let (got, decodes, hits) = decode_counts(|| reg.get("m").unwrap());
+        assert_eq!((got.fit_seq, decodes, hits), (Some(2), 1, 0));
+        assert_eq!(got.to_json(), versioned(2).to_json());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn decoded_tier_answers_409_for_a_schema_42_overwrite_and_caches_no_error() {
+        let dir = tmpdir("decode_skew");
+        let reg = ModelRegistry::open(&dir).unwrap();
+        let good = sample().to_json();
+        reg.put("m", &sample()).unwrap();
+        assert!(reg.get("m").is_ok());
+        let marker = format!("\"schema\":{}", ibox::MODEL_ARTIFACT_SCHEMA);
+        let skewed = good.replacen(&marker, "\"schema\":42", 1);
+        std::fs::write(reg.path_of("m"), skewed).unwrap();
+        for _ in 0..2 {
+            assert_eq!(reg.get("m").unwrap_err().status(), 409);
+        }
+        std::fs::write(reg.path_of("m"), &good).unwrap();
+        assert_eq!(reg.get("m").unwrap().to_json(), good, "the 409 was not cached");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn decoded_tier_answers_404_for_a_deleted_file_and_drops_its_cell() {
+        let dir = tmpdir("decode_deleted");
+        let reg = ModelRegistry::open(&dir).unwrap();
+        reg.put("m", &sample()).unwrap();
+        assert!(reg.get("m").is_ok() && cached(&reg, "m"));
+        std::fs::remove_file(reg.path_of("m")).unwrap();
+        assert_eq!(reg.get("m").unwrap_err().status(), 404);
+        assert!(!reg.state_lock().decoded.contains_key("m"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn decoded_tier_drops_the_cell_of_a_file_the_byte_cap_evicts() {
+        let dir = tmpdir("decode_evicted");
+        let size = versioned(1).to_json().len() as u64;
+        let reg = ModelRegistry::open(&dir).unwrap().with_byte_cap(size * 7 / 2);
+        reg.put_version("sess", &versioned(1)).unwrap();
+        assert!(reg.get("sess-v1").is_ok() && cached(&reg, "sess-v1"));
+        for seq in 2..=3 {
+            reg.put_version("sess", &versioned(seq)).unwrap();
+        }
+        assert!(!reg.contains("sess-v1"), "the LRU version is evicted");
+        assert!(!reg.state_lock().decoded.contains_key("sess-v1"));
+        assert_eq!(reg.get("sess-v1").unwrap_err().status(), 404);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn decoded_tier_holds_at_most_the_cap_in_lru_order() {
+        let dir = tmpdir("decode_lru");
+        let artifact = sample();
+        let size = artifact.to_json().len() as u64;
+        let reg = ModelRegistry::open(&dir).unwrap().with_byte_cap(size * 5 / 2);
+        let ids: Vec<String> = (0..5).map(|i| format!("m{i}")).collect();
+        for id in &ids {
+            reg.put(id, &artifact).unwrap();
+        }
+        let ((), decodes, _) = decode_counts(|| ids.iter().for_each(|id| drop(reg.get(id))));
+        assert_eq!(decodes, 5);
+        let held: Vec<&String> = ids.iter().filter(|id| cached(&reg, id)).collect();
+        assert_eq!(held, [&ids[3], &ids[4]], "the two most recent fit 2.5 files");
+        let (_, decodes, hits) = decode_counts(|| (reg.get("m4"), reg.get("m0")));
+        assert_eq!((decodes, hits), (1, 1));
+        assert_eq!(reg.state_lock().decoded.len(), 2, "m3 made room for m0");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -18,7 +18,7 @@ use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 use serde::{Deserialize, Value};
@@ -30,7 +30,7 @@ use ibox_ingest::{FinalizeOutput, IngestConfig, SessionStore};
 use ibox_trace::{FlowMeta, FlowTrace, PacketRecord};
 
 use crate::http::{Request, Response};
-use crate::registry::{split_version, ModelRegistry};
+use crate::registry::{relock, split_version, ModelRegistry};
 
 /// State of an asynchronous `/fit` job keyed by model id.
 enum FitJob {
@@ -142,12 +142,6 @@ impl App {
             let _ = t.join();
         }
     }
-}
-
-/// Lock fit bookkeeping, tolerating poison: the job table and thread list
-/// are valid after every statement, so one panic must not brick `/fit`.
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// Stable label for per-endpoint metrics (bounded cardinality: hostile

@@ -179,6 +179,64 @@ fn concurrent_replays_are_byte_identical() {
     server.join();
 }
 
+/// A counter off `GET /metrics` (0 when absent). Counters are process-wide
+/// and tests run in parallel, so only a lower bound on a delta is sound.
+fn counter(c: &mut HttpClient, name: &str) -> u64 {
+    let (status, body) = c.request("GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200);
+    let v = serde_json::parse_value(&String::from_utf8(body).unwrap()).unwrap();
+    v.get("counters").and_then(|c| c.get(name)).and_then(serde::Value::as_f64).unwrap_or(0.0) as u64
+}
+
+/// Replays share one decoded artifact, and the decoded tier follows the
+/// file on disk: a rewrite by another registry on the same directory is
+/// served at once, a deleted file is a 404.
+#[test]
+fn replays_share_one_decode_and_follow_the_file_on_disk() {
+    let (server, dir) = start(|_| {});
+    let mut c = client(&server);
+    let id = fit_sync(&mut c);
+    let replay = format!(r#"{{"model": "{id}", "protocol": "cubic", "duration_s": 2, "seed": 3}}"#);
+    let mut replay = || {
+        let (status, bytes) = c.request("POST", "/replay", Some(replay.as_bytes())).unwrap();
+        (status, String::from_utf8(bytes).unwrap())
+    };
+    let offline = |artifact: &ModelArtifact| {
+        let trace = artifact.model.simulate("cubic", SimTime::from_secs(2), 3);
+        (200, serde_json::to_string(&trace).unwrap())
+    };
+
+    let fitted = ModelArtifact::load(&ModelArtifact::registry_path(&dir, &id)).unwrap();
+    let hits_before = counter(&mut client(&server), "registry.decode_hit");
+    for _ in 0..5 {
+        assert_eq!(replay(), offline(&fitted));
+    }
+    let hits = counter(&mut client(&server), "registry.decode_hit") - hits_before;
+    assert!(hits >= 4, "five replays of one file decode it at most once ({hits} hits)");
+    assert!(counter(&mut client(&server), "registry.decode") >= 1);
+
+    let duration = SimTime::from_secs(2);
+    let train = ibox_testbed::run_protocol(
+        &ibox_testbed::Profile::Ethernet.builder().seed(8).duration(duration).sample(),
+        "cubic",
+        duration,
+        8,
+    );
+    let other = ModelArtifact::new(
+        &ibox::ModelKind::IBoxNet,
+        ibox::fit_model(&ibox::ModelKind::IBoxNet, &train),
+    );
+    ibox_serve::ModelRegistry::open(&dir).unwrap().put(&id, &other).unwrap();
+    assert_ne!(offline(&other), offline(&fitted));
+    assert_eq!(replay(), offline(&other), "a rewrite on disk is served at once");
+
+    std::fs::remove_file(ModelArtifact::registry_path(&dir, &id)).unwrap();
+    assert_eq!(replay().0, 404);
+
+    server.handle().shutdown();
+    server.join();
+}
+
 #[test]
 fn batch_over_http_is_byte_identical_to_the_offline_runner() {
     let (server, _dir) = start(|_| {});

@@ -349,13 +349,16 @@ EOF
         || { echo "FAIL: perf --quick printed no §4.2 table" >&2; exit 1; }
     grep -q '^## packet engine, 80 Mbps wired path' "$tmp/perf.txt" \
         || { echo "FAIL: perf --quick printed no cc table" >&2; exit 1; }
+    grep -q '^## model artifact, iBoxML \[128,128\]' "$tmp/perf.txt" \
+        || { echo "FAIL: perf --quick printed no registry table" >&2; exit 1; }
     echo "perf smoke passed"
 fi
 
 if (( perf )); then
     # Named rows are checked against ./BENCH_<bin>.json and write nothing.
     echo "==> perf gate: every row at full scale vs committed BENCH_perf.json"
-    run ./target/release/perf train encode infer trace flow path cc ingest speed > /dev/null
+    run ./target/release/perf train encode infer trace flow path cc ingest registry speed \
+        > /dev/null
     echo "perf gate passed"
     echo "==> paper gate: every row at gate scale vs committed BENCH_paper.json"
     run ./target/release/paper fig2 fig3 fig4 fig5 fig7 fig8 table1 \
