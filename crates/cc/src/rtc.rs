@@ -85,11 +85,6 @@ impl RtcController {
     pub fn rate_bps(&self) -> f64 {
         self.rate_bps
     }
-
-    /// The smoothed queueing-delay estimate, seconds.
-    pub fn queueing_delay_estimate(&self) -> f64 {
-        self.smoothed_qdelay
-    }
 }
 
 impl CongestionControl for RtcController {

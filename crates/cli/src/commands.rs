@@ -101,7 +101,6 @@ const SERVE: CmdSpec = CmdSpec {
         OptSpec::value("--read-timeout", "S"),
         OptSpec::value("--refit-chunks", "N"),
         OptSpec::value("--registry-cap", "bytes"),
-        OptSpec::value("--fitcache-entries", "N"),
     ],
 };
 
@@ -505,7 +504,7 @@ fn cmd_batch(argv: &[String]) -> Result<(), CliError> {
 fn cmd_serve(argv: &[String]) -> Result<(), CliError> {
     let p = parse(argv, &SERVE)?;
     let addr = p.opt("--addr").unwrap_or("127.0.0.1:7070").to_string();
-    // The registry/cache dir doubles as the daemon's state dir; without
+    // The registry dir doubles as the daemon's state dir; without
     // --model-cache, models live only for this daemon's lifetime.
     let model_dir = match p.opt("--model-cache") {
         Some(dir) => std::path::PathBuf::from(dir),
@@ -516,11 +515,10 @@ fn cmd_serve(argv: &[String]) -> Result<(), CliError> {
     config.max_inflight = p.num("--max-inflight", 64usize)?.max(1);
     let read_timeout_s: u64 = p.num("--read-timeout", 10u64)?;
     config.read_timeout = std::time::Duration::from_secs(read_timeout_s.max(1));
-    // Streaming-ingest knobs: re-fit cadence (0 = only on finalize),
-    // registry byte cap (0 = unbounded), fit-cache entry cap.
+    // Streaming-ingest re-fit cadence (0 = only on finalize); the registry
+    // byte cap (0 = unbounded), which also bounds the in-memory tiers.
     config.ingest.refit_every_chunks = p.num("--refit-chunks", 0u64)?;
     config.registry_cap_bytes = p.num("--registry-cap", 0u64)?;
-    config.fitcache_max_entries = p.num("--fitcache-entries", 0usize)?;
 
     let server = ibox_serve::Server::bind(config)?;
     // The line scripts poll for; stdout, flushed, before blocking.

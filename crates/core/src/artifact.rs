@@ -4,15 +4,17 @@
 //! schema version, model-kind name, config hash, provenance — and
 //! round-trips through JSON such that the reloaded model **replays
 //! byte-identically** to the in-memory original (test-enforced per
-//! [`ModelKind`] in `tests/artifacts.rs`). The same serialized form is
-//! what the fit cache ([`crate::cache`]) stores, so a cache hit is
-//! guaranteed to behave exactly like a saved-then-loaded artifact.
+//! [`ModelKind`] in `tests/artifacts.rs`). The fit cache
+//! ([`crate::cache`]) stores fitted models as these envelopes, so a cache
+//! hit is guaranteed to behave exactly like a saved-then-loaded artifact.
 //!
 //! Loading returns a typed [`ArtifactError`] carrying the offending file
 //! path (and, on version skew, both schema versions) instead of
 //! panicking on malformed input — `ibox replay nonsense.json` must fail
 //! with a sentence, not a backtrace.
 
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,10 +38,10 @@ use crate::model::{FittedModel, PathModel};
 /// upgrades it in memory to this version.
 pub const MODEL_ARTIFACT_SCHEMA: u32 = 3;
 
-/// Filename suffix for registry-managed artifacts (`<id>.artifact.json`).
-/// Distinct from the fit cache's bare `<id>.json` entries (which hold a
-/// serialized [`FittedModel`], not an envelope), so both can share one
-/// `--model-cache` directory without colliding.
+/// Filename suffix of a model directory's envelopes (`<id>.artifact.json`),
+/// the registry's and the fit cache's alike ([`ModelArtifact::registry_path`]).
+/// A bare `<id>.json` beside them is a cached validity region, or an older
+/// build's fitted model, which nothing reads any more.
 pub const ARTIFACT_FILE_SUFFIX: &str = ".artifact.json";
 
 /// Why an artifact failed to load.
@@ -225,19 +227,23 @@ impl ModelArtifact {
     }
 }
 
-/// Write `bytes` to `path` so that a reader — or a crash — sees the old
-/// file or the whole new one, never a prefix: the bytes go to
-/// `.<name>.tmp-<pid>-<n>` beside `path` and are renamed over it. Not
-/// synced: a power loss may lose the new file, not tear it. Leftover temp
-/// files are what `ModelRegistry::compact` sweeps.
+/// Write `bytes` to `path` so that a reader — or a crash, or a power
+/// loss — sees the old file or the whole new one, never a prefix: the
+/// bytes go to `.<name>.tmp-<pid>-<n>` beside `path`, are synced, renamed
+/// over it, and the directory is synced so the rename itself is durable.
+/// Leftover temp files are what `ModelRegistry::compact` sweeps.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let name = path.file_name().ok_or(std::io::ErrorKind::InvalidInput)?.to_string_lossy();
     let unique = NEXT.fetch_add(1, Ordering::Relaxed);
     let tmp = path.with_file_name(format!(".{name}.tmp-{}-{unique}", std::process::id()));
-    std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path)).inspect_err(|_| {
+    let mut file = File::create(&tmp)?;
+    let synced = file.write_all(bytes).and_then(|()| file.sync_all());
+    synced.and_then(|()| std::fs::rename(&tmp, path)).inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
-    })
+    })?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()
 }
 
 #[cfg(test)]

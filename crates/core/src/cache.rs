@@ -1,33 +1,31 @@
 //! Content-addressed fit cache: never fit the same model twice.
 //!
-//! The cache key is the full provenance of a fit —
-//! `trace digest × model kind × config hash × fit seed` — so a hit can
-//! only ever return the model the miss would have produced. Every value
-//! passes through its serialized form (the same JSON the artifact
-//! envelope embeds) once, on the way in, and is then held decoded: a
-//! miss, a disk hit and a memory hit all return the value as that JSON
-//! reads back, so a cache hit is behaviourally identical to a
-//! saved-then-loaded artifact and the byte-identical-replay guarantee of
-//! [`crate::artifact`] covers cached models for free. A memory hit is a
-//! clone, not a parse.
+//! The key is a fit's full provenance — `trace digest × model kind ×
+//! config hash × fit seed` — so a hit only ever returns what the miss
+//! would have produced. A value passes through its serialized form once,
+//! on the way in, and is then held decoded: a miss, a disk hit and a
+//! memory hit (a clone, not a parse) all return that form as it reads
+//! back. A fitted model's form is its artifact envelope
+//! ([`crate::artifact`]), so a cached model replays byte-identically to a
+//! saved-then-loaded one.
 //!
-//! Concurrency: lookups are **single-flight** per key. When several pool
-//! workers race on the same key, exactly one computes while the rest
-//! block on the key's cell — so the `fitcache.hit` / `fitcache.miss`
-//! counters are deterministic at any `--jobs` value (n requests for one
-//! key ⇒ 1 miss, n−1 hits), preserving the batch layer's
-//! metrics-identical-at-any-parallelism contract.
+//! Lookups are **single-flight** per key: when pool workers race on one
+//! key, one computes and the rest block on its cell, so `fitcache.hit` /
+//! `fitcache.miss` are deterministic at any `--jobs` (n requests for one
+//! key ⇒ 1 miss, n−1 hits), as the batch layer's contract requires.
 //!
-//! An optional on-disk directory persists entries across processes
-//! (`--model-cache <dir>`): each entry is one JSON file named by the
-//! key's digest, written atomically. Disk hits count as
-//! `fitcache.disk_hit`; an entry that does not parse (a file torn by a
-//! crash of an older build, or damaged since) counts `fitcache.corrupt`,
-//! is refitted like a miss and overwritten.
+//! With a directory (`--model-cache <dir>`) each entry is one file,
+//! written atomically. A fitted model is the envelope `ModelRegistry::put`
+//! writes for the same id ([`ModelArtifact::registry_path`]), so
+//! `ibox batch` and `ibox serve` on one directory share each fit through
+//! one file; a validity region is its bare JSON at `<id>.json`. A disk hit
+//! counts `fitcache.disk_hit`; an entry that does not load (torn, damaged,
+//! or of a newer schema) counts `fitcache.corrupt`, is refitted and
+//! overwritten.
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use serde::{Deserialize, Serialize};
@@ -35,6 +33,7 @@ use serde::{Deserialize, Serialize};
 use ibox_runner::ModelKind;
 use ibox_trace::FlowTrace;
 
+use crate::artifact::ModelArtifact;
 use crate::model::{fit_model, FittedModel};
 
 /// The full provenance of one fit — everything that can change its result.
@@ -88,11 +87,17 @@ impl FitCacheKey {
     }
 }
 
-/// Per-key cell: holds the value once computed, decoded from its JSON form
-/// as a `Result<T, String>` (the error when that form does not read back).
-/// `OnceLock` gives the single-flight behaviour — concurrent `get_or_init`
-/// callers block until the first finishes.
-type Cell = Arc<OnceLock<Arc<dyn Any + Send + Sync>>>;
+/// A filled cell: the value decoded from its serialized form as a
+/// `Result<T, String>` (the error when that form does not read back),
+/// charged at that form's length.
+struct Stored {
+    value: Box<dyn Any + Send + Sync>,
+    bytes: u64,
+}
+
+/// Per-key cell. `OnceLock` gives the single-flight behaviour —
+/// concurrent `get_or_init` callers block until the first finishes.
+type Cell = Arc<OnceLock<Stored>>;
 
 /// A cell plus its recency stamp (a monotone tick, not wall time, so
 /// eviction order is deterministic).
@@ -102,6 +107,7 @@ struct Slot {
 }
 
 /// The guarded interior: the key map plus the recency clock.
+#[derive(Default)]
 struct Entries {
     map: HashMap<String, Slot>,
     tick: u64,
@@ -116,28 +122,21 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A content-addressed cache of fitted models (and other fit-shaped
 /// results, e.g. validity regions), in memory with optional disk backing.
 ///
-/// Capacity: by default the in-memory map is unbounded (matching the
-/// historical behaviour — batch sweeps rely on every fit staying warm).
-/// [`FitCache::with_max_entries`] bounds it with an LRU discipline:
-/// once the map exceeds the cap, the least-recently-used *completed*
-/// entry is dropped (in-flight fills and cells other threads still hold
-/// are never evicted, preserving single-flight). Evictions increment
-/// `fitcache.evicted`; a disk-backed cache refills evicted entries from
-/// disk, so eviction costs a `fitcache.disk_hit`, not a refit.
+/// By default the in-memory map is unbounded: batch sweeps rely on every
+/// fit staying warm, and an eviction there would be a refit that moves the
+/// `fitcache.miss` counts. [`FitCache::with_byte_cap`] bounds it by the
+/// serialized length of its entries, evicting least-recently-used
+/// *completed* entries (counter `fitcache.evicted`).
 pub struct FitCache {
     entries: Mutex<Entries>,
     dir: Option<PathBuf>,
-    max_entries: usize,
+    byte_cap: u64,
 }
 
 impl FitCache {
     /// A process-local cache with no disk backing.
     pub fn in_memory() -> Self {
-        Self {
-            entries: Mutex::new(Entries { map: HashMap::new(), tick: 0 }),
-            dir: None,
-            max_entries: usize::MAX,
-        }
+        Self { entries: Mutex::default(), dir: None, byte_cap: u64::MAX }
     }
 
     /// A cache backed by `dir` (created if missing): entries persist
@@ -146,34 +145,14 @@ impl FitCache {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
             .map_err(|e| format!("cannot create model cache dir {}: {e}", dir.display()))?;
-        Ok(Self {
-            entries: Mutex::new(Entries { map: HashMap::new(), tick: 0 }),
-            dir: Some(dir),
-            max_entries: usize::MAX,
-        })
+        Ok(Self { dir: Some(dir), ..Self::in_memory() })
     }
 
-    /// Bound the in-memory map to at most `cap` entries (LRU eviction,
-    /// builder-style). `0` is treated as `1` — a cache that can hold
-    /// nothing cannot satisfy single-flight.
-    pub fn with_max_entries(mut self, cap: usize) -> Self {
-        self.max_entries = cap.max(1);
+    /// Bound the in-memory map to `cap` bytes of serialized entries (LRU
+    /// eviction, builder-style).
+    pub fn with_byte_cap(mut self, cap: u64) -> Self {
+        self.byte_cap = cap;
         self
-    }
-
-    /// The configured entry cap (`usize::MAX` when unbounded).
-    pub fn max_entries(&self) -> usize {
-        self.max_entries
-    }
-
-    /// Number of in-memory entries (testing/introspection).
-    pub fn len(&self) -> usize {
-        relock(&self.entries).map.len()
-    }
-
-    /// Whether the in-memory cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Look up `id`, computing (and storing) the value on a miss. The
@@ -183,6 +162,25 @@ impl FitCache {
     where
         T: Serialize + Deserialize + Clone + Send + Sync + 'static,
         F: FnOnce() -> T,
+    {
+        let path = |dir: &Path, id: &str| dir.join(format!("{id}.json"));
+        self.fill(id, path, |text, _| serde_json::from_str(text).map_err(|e| e.to_string()), make)
+    }
+
+    /// The one lookup: a memory hit clones the decoded value; otherwise
+    /// the cell is filled from the entry's file under the cache dir, at
+    /// `path(dir, id)` (a disk hit), or by `make`, whose value is
+    /// serialized, written there and read back. `decode` reads that form
+    /// (`origin` names it in errors).
+    fn fill<T>(
+        &self,
+        id: &str,
+        path: fn(&Path, &str) -> PathBuf,
+        decode: fn(&str, &Path) -> Result<T, String>,
+        make: impl FnOnce() -> T,
+    ) -> Result<T, String>
+    where
+        T: Serialize + Clone + Send + Sync + 'static,
     {
         let cell: Cell = {
             let mut entries = relock(&self.entries);
@@ -198,31 +196,38 @@ impl FitCache {
         let mut filled_here = false;
         let stored = cell.get_or_init(|| {
             filled_here = true;
-            if let Some(text) = self.read_disk(id) {
-                // Only an entry that parses may fill the cell: a bad one
-                // would fail every later request for this key.
-                match serde_json::from_str::<T>(&text) {
+            let path = self.dir.as_deref().map(|dir| path(dir, id));
+            let origin = path.clone().unwrap_or_else(|| id.into());
+            if let Some(text) = path.as_ref().and_then(|p| std::fs::read_to_string(p).ok()) {
+                // Only an entry that reads back may fill the cell: a bad
+                // one would fail every later request for this key.
+                match decode(&text, &origin) {
                     Ok(value) => {
                         ibox_obs::global().counter("fitcache.disk_hit").inc();
-                        return Arc::new(Ok::<T, String>(value));
+                        let value = Box::new(Ok::<T, String>(value));
+                        return Stored { value, bytes: text.len() as u64 };
                     }
                     Err(e) => {
                         ibox_obs::global().counter("fitcache.corrupt").inc();
-                        ibox_obs::warn!("fit cache: entry {id} does not parse ({e}); refitting");
+                        ibox_obs::warn!("fit cache: entry {id} does not load ({e}); refitting");
                     }
                 }
             }
             ibox_obs::global().counter("fitcache.miss").inc();
-            let value = make();
-            let text = serde_json::to_string(&value).expect("cache value serialization");
-            self.write_disk(id, &text);
-            let read_back = serde_json::from_str::<T>(&text);
-            Arc::new(read_back.map_err(|e| format!("corrupt cache entry {id}: {e}")))
+            let text = serde_json::to_string(&make()).expect("cache value serialization");
+            if let Some(path) = &path {
+                if let Err(e) = crate::artifact::write_atomic(path, text.as_bytes()) {
+                    ibox_obs::warn!("fit cache: cannot persist {}: {e}", path.display());
+                }
+            }
+            let read_back = decode(&text, &origin);
+            let value = Box::new(read_back.map_err(|e| format!("corrupt cache entry {id}: {e}")));
+            Stored { value, bytes: text.len() as u64 }
         });
         if !filled_here {
             ibox_obs::global().counter("fitcache.hit").inc();
         }
-        let value = match stored.downcast_ref::<Result<T, String>>() {
+        let value = match stored.value.downcast_ref::<Result<T, String>>() {
             Some(value) => value.clone(),
             None => Err(format!("cache entry {id} holds a value of another type")),
         };
@@ -231,25 +236,29 @@ impl FitCache {
         value
     }
 
-    /// Drop least-recently-used entries until the map fits the cap.
-    /// Only *completed* cells nobody else holds are candidates: an
-    /// in-flight fill (or a cell another thread is about to wait on) has
-    /// `strong_count > 1` and is skipped, so single-flight and the
-    /// deterministic hit/miss counts survive bounding.
+    /// Drop least-recently-used entries until the serialized bytes of the
+    /// completed ones fit the cap. Only completed cells nobody else holds
+    /// are candidates: an in-flight fill (or a cell another thread is about
+    /// to wait on) has `strong_count > 1` and is skipped, so single-flight
+    /// and the deterministic hit/miss counts survive bounding.
     fn enforce_cap(&self) {
-        if self.max_entries == usize::MAX {
+        if self.byte_cap == u64::MAX {
             return;
         }
         let mut entries = relock(&self.entries);
-        while entries.map.len() > self.max_entries {
+        let mut total: u64 =
+            entries.map.values().filter_map(|s| s.cell.get()).map(|s| s.bytes).sum();
+        while total > self.byte_cap {
             let victim = entries
                 .map
                 .iter()
-                .filter(|(_, s)| s.cell.get().is_some() && Arc::strong_count(&s.cell) == 1)
-                .min_by_key(|(_, s)| s.last_use)
-                .map(|(k, _)| k.clone());
-            let Some(key) = victim else { break };
+                .filter(|(_, s)| Arc::strong_count(&s.cell) == 1)
+                .filter_map(|(k, s)| Some((s.last_use, k, s.cell.get()?.bytes)))
+                .min()
+                .map(|(_, k, bytes)| (k.clone(), bytes));
+            let Some((key, bytes)) = victim else { break };
             entries.map.remove(&key);
+            total -= bytes;
             ibox_obs::global().counter("fitcache.evicted").inc();
         }
     }
@@ -264,7 +273,7 @@ impl FitCache {
     /// [`fit_path_model`], also returning the content-addressed key. The
     /// serving layer names registry artifacts by `key.id()`, so a model
     /// fitted over HTTP and one fitted by the CLI on the same trace share
-    /// one identity.
+    /// one identity — and, with a cache dir, one file.
     pub fn fit_path_model_keyed(
         &self,
         kind: &ModelKind,
@@ -272,30 +281,14 @@ impl FitCache {
     ) -> (FitCacheKey, FittedModel) {
         let _span = ibox_obs::span!("fit-cache");
         let key = FitCacheKey::for_fit(kind, train);
-        let model = self
-            .get_or_insert_with(&key.id(), || fit_model(kind, train))
-            .expect("FittedModel round-trips through its own serde form");
-        (key, model)
-    }
-
-    /// The on-disk directory backing this cache, if one was configured.
-    pub fn dir(&self) -> Option<&std::path::Path> {
-        self.dir.as_deref()
-    }
-
-    fn entry_path(&self, id: &str) -> Option<PathBuf> {
-        self.dir.as_ref().map(|d| d.join(format!("{id}.json")))
-    }
-
-    fn read_disk(&self, id: &str) -> Option<String> {
-        std::fs::read_to_string(self.entry_path(id)?).ok()
-    }
-
-    fn write_disk(&self, id: &str, text: &str) {
-        let Some(path) = self.entry_path(id) else { return };
-        if let Err(e) = crate::artifact::write_atomic(&path, text.as_bytes()) {
-            ibox_obs::warn!("fit cache: cannot persist {}: {e}", path.display());
-        }
+        let decode = |text: &str, origin: &Path| {
+            ModelArtifact::parse(text, origin).map_err(|e| e.to_string())
+        };
+        let make = || ModelArtifact::new(kind, fit_model(kind, train));
+        let artifact = self
+            .fill(&key.id(), ModelArtifact::registry_path, decode, make)
+            .expect("a fitted model round-trips through its own envelope");
+        (key, artifact.model)
     }
 }
 
@@ -304,6 +297,11 @@ mod tests {
     use super::*;
     use crate::model::PathModel;
     use ibox_sim::SimTime;
+
+    /// Number of in-memory entries.
+    fn held(cache: &FitCache) -> usize {
+        relock(&cache.entries).map.len()
+    }
 
     fn train(seed: u64) -> FlowTrace {
         ibox_testbed::run_protocol(
@@ -346,7 +344,7 @@ mod tests {
         let metrics = scope.finish().snapshot();
         assert_eq!(metrics.counters["fitcache.miss"], 3);
         assert!(!metrics.counters.contains_key("fitcache.hit"));
-        assert_eq!(cache.len(), 3);
+        assert_eq!(held(&cache), 3);
     }
 
     #[test]
@@ -398,7 +396,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ibox_fitcache_torn_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let key = FitCacheKey::for_fit(&ModelKind::IBoxNet, &t);
-        let entry = dir.join(format!("{}.json", key.id()));
+        let entry = ModelArtifact::registry_path(&dir, &key.id());
         let good = {
             let cache = FitCache::with_dir(&dir).unwrap();
             cache.fit_path_model(&ModelKind::IBoxNet, &t);
@@ -441,18 +439,18 @@ mod tests {
         assert_eq!(metrics.counters["fitcache.hit"], 2);
     }
 
-    /// Satellite: a bounded cache evicts the least-recently-used entry
-    /// (and only that one), counts it, and refills on the next request.
+    /// A byte-capped cache evicts the least-recently-used entry (and only
+    /// that one), counts it, and refills on the next request.
     #[test]
     fn bounded_cache_evicts_lru_and_counts() {
-        let cache = FitCache::in_memory().with_max_entries(2);
+        let cache = FitCache::in_memory().with_byte_cap(2); // two 1-byte values
         let scope = ibox_obs::scoped();
         let get = |id: &str| cache.get_or_insert_with(id, || 1u64).unwrap();
         get("a");
         get("b");
         get("a"); // refresh a: b is now the LRU
         get("c"); // over cap: b evicted
-        assert_eq!(cache.len(), 2);
+        assert_eq!(held(&cache), 2);
         let metrics = scope.finish().snapshot();
         assert_eq!(metrics.counters["fitcache.evicted"], 1);
         assert_eq!(metrics.counters["fitcache.miss"], 3);
@@ -506,7 +504,10 @@ mod tests {
     #[test]
     fn a_poisoned_lock_does_not_brick_the_cache() {
         let t = train(10);
-        let cache = FitCache::in_memory().with_max_entries(1);
+        // Room for either envelope, not for both.
+        let size = |kind: &ModelKind| ModelArtifact::new(kind, fit_model(kind, &t)).to_json().len();
+        let cap = size(&ModelKind::IBoxNet).max(size(&ModelKind::StatisticalLoss));
+        let cache = FitCache::in_memory().with_byte_cap(cap as u64);
         let a = cache.fit_path_model(&ModelKind::IBoxNet, &t);
         let poisoner = std::thread::scope(|s| {
             s.spawn(|| {
@@ -523,7 +524,7 @@ mod tests {
         assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
         assert_eq!((counters["fitcache.hit"], counters["fitcache.miss"]), (1, 1));
         assert_eq!(counters["fitcache.evicted"], 1);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(held(&cache), 1);
     }
 
     /// An unbounded cache (the default) never evicts.
@@ -534,7 +535,7 @@ mod tests {
         for i in 0..64 {
             cache.get_or_insert_with(&format!("k{i}"), || i as u64).unwrap();
         }
-        assert_eq!(cache.len(), 64);
+        assert_eq!(held(&cache), 64);
         let metrics = scope.finish().snapshot();
         assert!(!metrics.counters.contains_key("fitcache.evicted"));
     }

@@ -51,11 +51,6 @@ impl Adam {
         self.cfg.lr
     }
 
-    /// Override the learning rate (e.g. for decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.cfg.lr = lr;
-    }
-
     /// Update one matrix parameter under id `key` with gradient `grad`.
     pub fn update_mat(&mut self, key: u64, param: &mut Mat, grad: &Mat) {
         assert_eq!(param.len(), grad.len(), "gradient shape mismatch");

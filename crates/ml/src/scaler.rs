@@ -89,11 +89,6 @@ impl StandardScaler {
     pub fn inverse_scalar(&self, z: f64) -> f64 {
         z * self.std[0] + self.mean[0]
     }
-
-    /// Scale (σ) of dimension 0 — converts predicted variances back.
-    pub fn scale0(&self) -> f64 {
-        self.std[0]
-    }
 }
 
 #[cfg(test)]

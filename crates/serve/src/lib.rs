@@ -11,10 +11,10 @@
 //!
 //! | Endpoint | Semantics |
 //! |---|---|
-//! | `POST /fit` | Fit a model on an inline trace or a synth spec. Keyed by the content-addressed fit identity; single-flight through the [`ibox::FitCache`]. Async by default (`202` + job id), synchronous with `"wait": true`. A trace that cannot be fitted (`ibox::FitError`) is a `400`. |
+//! | `POST /fit` | Fit a model on an inline trace or a synth spec. Keyed by the content-addressed fit identity; single-flight through the daemon's in-memory [`ibox::FitCache`]; writes one envelope, `<id>.artifact.json`. Async by default (`202` + job id), synchronous with `"wait": true`. A trace that cannot be fitted (`ibox::FitError`) is a `400`. |
 //! | `POST /replay` | Replay a protocol through a registered model. The body is **byte-identical** to what offline `ibox replay` writes. |
-//! | `POST /batch` | Run a `BatchSpec` over the runner pool; answers with the jobs-invariant `BatchResult` JSON. |
-//! | `POST /traces/<id>/append` | Append one packet-record chunk to a streaming ingest session (creating it on first append). Out-of-order chunks buffer, duplicates are idempotent, budgets answer `413`. Returns the live watermark estimate; at the configured cadence, re-fits and registers a new model version. |
+//! | `POST /batch` | Run a `BatchSpec` over the runner pool, fitting through the in-memory cache (it writes no file); answers with the jobs-invariant `BatchResult` JSON. |
+//! | `POST /traces/<id>/append` | Append one packet-record chunk to a streaming ingest session (creating it on first append). Out-of-order chunks buffer, duplicates are idempotent, budgets answer `413`. Returns the live watermark estimate; at the configured cadence, re-fits and registers a new model version: `<id>-v<seq>.artifact.json` plus the latest pointer `<id>.artifact.json`. |
 //! | `POST /traces/<id>/finalize` | Seal a session, fit the concatenated trace (byte-identical to a one-shot `/fit` of the same records), register it as the next lineage version. |
 //! | `GET /ingest/sessions` | List ingest sessions (typed `404`s for unknown ids on the singular route). |
 //! | `GET /ingest/sessions/<id>` | One session's status: offsets, chunks, bytes, sealed, watermark. |
@@ -68,5 +68,5 @@ pub use http::{
 pub use registry::{
     split_version, ModelRegistry, ModelSummary, PinGuard, RegistryError, VersionSummary,
 };
-pub use routes::{App, AppOptions};
+pub use routes::App;
 pub use server::{ServeConfig, Server, ServerHandle};

@@ -2,10 +2,12 @@
 //!
 //! A [`ModelRegistry`] is a directory of [`ModelArtifact`] envelopes,
 //! one `<id>.artifact.json` per model, where `id` is the content-
-//! addressed fit-cache identity (`FitCacheKey::id`). The same directory
-//! doubles as the `--model-cache` fit cache (whose entries are bare
-//! `<id>.json` fitted models, a disjoint namespace), so a daemon and the
-//! offline CLI pointed at one directory share both fits and artifacts.
+//! addressed fit-cache identity (`FitCacheKey::id`). A disk-backed
+//! `FitCache` (`ibox batch --model-cache <dir>`) stores a fitted model as
+//! exactly the envelope [`ModelRegistry::put`] writes for its id, so a
+//! daemon and the offline CLI pointed at one directory share each fit
+//! through one file per model. The daemon's own fit cache lives in memory:
+//! the registry is its only disk store.
 //!
 //! Lookups return typed [`RegistryError`]s that carry an HTTP status:
 //! a missing model is 404, a schema-skewed artifact (written by an
@@ -36,6 +38,8 @@
 //! anyway — and a changed stamp is decoded afresh, so a second registry on
 //! the same directory (the offline CLI, another daemon) stays coherent;
 //! `put`, `put_version` and byte-cap eviction drop the cells they outdate.
+//! [`ModelRegistry::versions`] reads each lineage entry through the same
+//! cells, without marking it used.
 //! A missing file is still 404 and drops its cell; load errors are
 //! returned, never cached. Cells are LRU, charged at the file's length,
 //! and hold at most the smaller of the byte cap and `DECODED_CAP_BYTES`
@@ -308,6 +312,12 @@ impl ModelRegistry {
     /// The artifact named `id`, decoded once per file content (see the
     /// module docs' *Decoded tier*).
     pub fn get(&self, id: &str) -> Result<Arc<ModelArtifact>, RegistryError> {
+        self.decoded(id, true)
+    }
+
+    /// [`get`](Self::get); `touch` marks `id` used, which orders both
+    /// byte-cap eviction and the decoded tier's LRU.
+    fn decoded(&self, id: &str, touch: bool) -> Result<Arc<ModelArtifact>, RegistryError> {
         Self::validate(id)?;
         let path = self.path_of(id);
         let stamp = match std::fs::metadata(&path) {
@@ -319,7 +329,9 @@ impl ModelRegistry {
         };
         let cell = {
             let mut state = self.state_lock();
-            Self::touch(&mut state, id);
+            if touch {
+                Self::touch(&mut state, id);
+            }
             let slot = state
                 .decoded
                 .entry(id.to_string())
@@ -348,12 +360,19 @@ impl ModelRegistry {
         Ok(artifact)
     }
 
+    /// The most bytes a decoded in-memory tier may hold: the smaller of
+    /// the byte cap and [`DECODED_CAP_BYTES`]. The daemon's in-memory fit
+    /// cache is bounded by the same rule.
+    pub(crate) fn decoded_cap(&self) -> u64 {
+        self.byte_cap.min(DECODED_CAP_BYTES)
+    }
+
     /// Drop least-recently-used decoded cells until the bytes of the files
-    /// they decode fit the smaller of the byte cap and
-    /// [`DECODED_CAP_BYTES`]. Only filled cells are charged; a caller
-    /// still waiting on a dropped cell gets its value all the same.
+    /// they decode fit [`decoded_cap`](Self::decoded_cap). Only filled
+    /// cells are charged; a caller still waiting on a dropped cell gets its
+    /// value all the same.
     fn enforce_decoded_cap(&self) {
-        let cap = self.byte_cap.min(DECODED_CAP_BYTES);
+        let cap = self.decoded_cap();
         let mut state = self.state_lock();
         let mut filled: Vec<(u64, String, u64)> = state
             .decoded
@@ -406,13 +425,13 @@ impl ModelRegistry {
         Ok(version)
     }
 
-    /// The lineage of `id`, oldest first. `NotFound` only when neither a
-    /// latest pointer nor any version exists.
+    /// The lineage of `id`, oldest first, each entry read through the
+    /// decoded tier. `NotFound` only when neither a latest pointer nor any
+    /// version exists.
     pub fn versions(&self, id: &str) -> Result<Vec<VersionSummary>, RegistryError> {
         Self::validate(id)?;
         let mut out = Vec::new();
         let Ok(entries) = std::fs::read_dir(&self.dir) else { return Ok(out) };
-        let prefix = format!("{id}-v");
         for entry in entries.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
@@ -421,14 +440,13 @@ impl ModelRegistry {
             if base != id {
                 continue;
             }
-            debug_assert!(vid.starts_with(&prefix));
-            match ModelArtifact::load(&entry.path()) {
+            match self.decoded(vid, false) {
                 Ok(a) => out.push(VersionSummary {
                     version: vid.to_string(),
                     fit_seq,
-                    parent: a.parent,
-                    trace_digest: a.trace_digest,
-                    kind: a.kind,
+                    parent: a.parent.clone(),
+                    trace_digest: a.trace_digest.clone(),
+                    kind: a.kind.clone(),
                 }),
                 Err(e) => ibox_obs::warn!("registry: skipping version {name}: {e}"),
             }
@@ -524,9 +542,9 @@ impl ModelRegistry {
     }
 
     /// Summaries of every loadable artifact, sorted by id. Files that are
-    /// not artifact envelopes (e.g. raw fit-cache entries sharing the
-    /// directory) are skipped; envelopes that fail to load are skipped
-    /// with a warning rather than failing the whole listing.
+    /// not artifact envelopes (a cached validity region, an older build's
+    /// bare fitted model) are skipped; envelopes that fail to load are
+    /// skipped with a warning rather than failing the whole listing.
     pub fn list(&self) -> Vec<ModelSummary> {
         let Ok(entries) = std::fs::read_dir(&self.dir) else { return Vec::new() };
         let mut out = Vec::new();
@@ -629,7 +647,7 @@ mod tests {
         assert_eq!(err.status(), 409, "{err}");
         assert!(err.to_string().contains("42"), "{err}");
 
-        // A raw fit-cache entry in the same dir is not listed as a model.
+        // A bare `<id>.json` in the same dir is not listed as a model.
         std::fs::write(dir.join("fit-cacheentry.json"), "{\"IBoxNet\":{}}").unwrap();
         let ids: Vec<_> = reg.list().into_iter().map(|s| s.id).collect();
         assert_eq!(ids, vec!["fit-good"]);
@@ -844,6 +862,33 @@ mod tests {
         let (_, decodes, hits) = decode_counts(|| (reg.get("m4"), reg.get("m0")));
         assert_eq!((decodes, hits), (1, 1));
         assert_eq!(reg.state_lock().decoded.len(), 2, "m3 made room for m0");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Five listings of a three-version lineage decode each version once,
+    /// mark nothing used, and carry in each row what a full load of its
+    /// file says.
+    #[test]
+    fn versions_read_each_lineage_entry_through_the_decoded_tier() {
+        let dir = tmpdir("versions_decoded");
+        let reg = ModelRegistry::open(&dir).unwrap();
+        for seq in 1..=3 {
+            reg.put_version("sess", &versioned(seq)).unwrap();
+        }
+        let tick = reg.state_lock().tick;
+        let (listings, decodes, hits) =
+            decode_counts(|| (0..5).map(|_| reg.versions("sess").unwrap()).collect::<Vec<_>>());
+        assert_eq!((decodes, hits), (3, 12));
+        assert_eq!(reg.state_lock().tick, tick, "a listing is not a use");
+        let loaded: Vec<VersionSummary> = (1..=3)
+            .map(|fit_seq| {
+                let version = format!("sess-v{fit_seq}");
+                let a = ModelArtifact::load(&reg.path_of(&version)).unwrap();
+                let (parent, trace_digest, kind) = (a.parent, a.trace_digest, a.kind);
+                VersionSummary { version, fit_seq, parent, trace_digest, kind }
+            })
+            .collect();
+        assert!(listings.iter().all(|rows| *rows == loaded), "{listings:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,7 +16,6 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -26,11 +25,12 @@ use serde::{Deserialize, Value};
 use ibox_obs::Stopwatch;
 
 use ibox::{BatchSpec, FitCache, FitCacheKey, ModelArtifact, ModelKind, ReplayRequest};
-use ibox_ingest::{FinalizeOutput, IngestConfig, SessionStore};
+use ibox_ingest::{FinalizeOutput, SessionStore};
 use ibox_trace::{FlowMeta, FlowTrace, PacketRecord};
 
 use crate::http::{Request, Response};
 use crate::registry::{relock, split_version, ModelRegistry};
+use crate::server::ServeConfig;
 
 /// State of an asynchronous `/fit` job keyed by model id.
 enum FitJob {
@@ -41,24 +41,11 @@ enum FitJob {
     Failed(String),
 }
 
-/// Resource knobs beyond [`App::new`]'s positional arguments: ingest
-/// budgets and refit cadence, the registry byte cap, and the fit-cache
-/// entry cap. `Default` keeps every limit unbounded (ingest budgets use
-/// the `IngestConfig` defaults).
-#[derive(Debug, Clone, Default)]
-pub struct AppOptions {
-    /// Ingest-session budgets and refit cadence.
-    pub ingest: IngestConfig,
-    /// Byte cap for artifact envelopes on disk (`0` = unbounded).
-    pub registry_cap_bytes: u64,
-    /// Entry cap for the in-memory fit cache (`0` = unbounded).
-    pub fitcache_max_entries: usize,
-}
-
 /// Everything the handlers share: the fit cache, the artifact registry,
 /// the ingest session store, and the async-fit job table.
 pub struct App {
-    /// Content-addressed fit cache, disk-backed on the registry dir.
+    /// Content-addressed fit cache, in memory and bounded like the
+    /// registry's decoded tier; the registry is the daemon's disk store.
     pub cache: FitCache,
     /// The artifact registry backing `GET /models`.
     pub registry: ModelRegistry,
@@ -75,37 +62,19 @@ pub struct App {
 }
 
 impl App {
-    /// Build the state for a daemon serving models out of `model_dir`.
-    /// `batch_jobs_cap` bounds `/batch` parallelism, `max_async_fits`
-    /// bounds concurrent background fit threads, and `stop` is the
-    /// shared shutdown flag the `/shutdown` endpoint trips.
-    pub fn new(
-        model_dir: PathBuf,
-        batch_jobs_cap: usize,
-        max_async_fits: usize,
-        stop: Arc<AtomicBool>,
-    ) -> Result<Self, String> {
-        Self::with_options(model_dir, batch_jobs_cap, max_async_fits, stop, AppOptions::default())
-    }
-
-    /// [`App::new`] with explicit resource limits.
-    pub fn with_options(
-        model_dir: PathBuf,
-        batch_jobs_cap: usize,
-        max_async_fits: usize,
-        stop: Arc<AtomicBool>,
-        opts: AppOptions,
-    ) -> Result<Self, String> {
-        let mut cache = FitCache::with_dir(&model_dir)?;
-        if opts.fitcache_max_entries > 0 {
-            cache = cache.with_max_entries(opts.fitcache_max_entries);
-        }
+    /// Build the state for a daemon serving `config.model_dir` under its
+    /// ingest budgets and registry cap. `jobs` bounds `/batch` parallelism
+    /// and, at least two, concurrent background fits; `stop` is the shared
+    /// shutdown flag the `/shutdown` endpoint trips.
+    pub fn new(config: &ServeConfig, jobs: usize, stop: Arc<AtomicBool>) -> Result<Self, String> {
+        let dir = &config.model_dir;
+        let registry = ModelRegistry::open(dir)?.with_byte_cap(config.registry_cap_bytes);
         Ok(Self {
-            cache,
-            registry: ModelRegistry::open(&model_dir)?.with_byte_cap(opts.registry_cap_bytes),
-            ingest: SessionStore::open(&model_dir, opts.ingest).map_err(|e| e.to_string())?,
-            batch_jobs_cap: batch_jobs_cap.max(1),
-            max_async_fits: max_async_fits.max(1),
+            cache: FitCache::in_memory().with_byte_cap(registry.decoded_cap()),
+            registry,
+            ingest: SessionStore::open(dir, config.ingest.clone()).map_err(|e| e.to_string())?,
+            batch_jobs_cap: jobs.max(1),
+            max_async_fits: jobs.max(2),
             stop,
             addr: OnceLock::new(),
             started: Stopwatch::start(),
@@ -740,12 +709,13 @@ fn handle_shutdown(app: &Arc<App>) -> Response {
 mod tests {
     use super::*;
     use ibox::RunSpec;
+    use std::path::PathBuf;
 
     fn test_app(tag: &str) -> (Arc<App>, PathBuf) {
         let dir = std::env::temp_dir().join(format!("ibox_routes_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let app = App::new(dir.clone(), 2, 1, Arc::new(AtomicBool::new(false)))
-            .expect("app state builds");
+        let config = ServeConfig::new("127.0.0.1:0", &dir);
+        let app = App::new(&config, 2, Arc::new(AtomicBool::new(false))).expect("app state builds");
         (Arc::new(app), dir)
     }
 

@@ -31,7 +31,7 @@ use std::time::Duration;
 use ibox_ingest::IngestConfig;
 
 use crate::http::{parse_request, HttpLimits, Response};
-use crate::routes::{self, App, AppOptions};
+use crate::routes::{self, App};
 
 /// Configuration of one daemon instance.
 #[derive(Debug, Clone)]
@@ -43,7 +43,7 @@ pub struct ServeConfig {
     /// Bound on queued (accepted, unserved) connections; arrivals past
     /// it are shed with `503 Retry-After`.
     pub max_inflight: usize,
-    /// Directory holding the fit cache and model registry.
+    /// Directory holding the model registry and ingest sessions.
     pub model_dir: PathBuf,
     /// Socket read/write timeout per request.
     pub read_timeout: Duration,
@@ -53,10 +53,9 @@ pub struct ServeConfig {
     pub keep_alive_requests: usize,
     /// Ingest-session budgets and refit cadence.
     pub ingest: IngestConfig,
-    /// Byte cap for registry artifacts on disk (`0` = unbounded).
+    /// Byte cap for registry artifacts on disk (`0` = unbounded); it also
+    /// bounds the in-memory fit cache and decoded tier, at most 256 MiB.
     pub registry_cap_bytes: u64,
-    /// Entry cap for the in-memory fit cache (`0` = unbounded).
-    pub fitcache_max_entries: usize,
 }
 
 impl ServeConfig {
@@ -72,7 +71,6 @@ impl ServeConfig {
             keep_alive_requests: 1000,
             ingest: IngestConfig::default(),
             registry_cap_bytes: 0,
-            fitcache_max_entries: 0,
         }
     }
 }
@@ -154,8 +152,8 @@ pub struct Server {
 
 impl Server {
     /// Bind `config.addr`, spawn the acceptor and worker threads, and
-    /// return the running server. The registry/cache directory is
-    /// created if missing.
+    /// return the running server. The model directory is created if
+    /// missing.
     pub fn bind(config: ServeConfig) -> Result<Server, String> {
         // Tracing is on by default for a daemon — the collector is a
         // bounded ring and untraced requests pay one atomic load. Set
@@ -169,18 +167,7 @@ impl Server {
 
         let jobs = if config.jobs == 0 { ibox_runner::suggested_jobs() } else { config.jobs };
         let stop = Arc::new(AtomicBool::new(false));
-        let opts = AppOptions {
-            ingest: config.ingest.clone(),
-            registry_cap_bytes: config.registry_cap_bytes,
-            fitcache_max_entries: config.fitcache_max_entries,
-        };
-        let app = Arc::new(App::with_options(
-            config.model_dir.clone(),
-            jobs,
-            jobs.max(2),
-            Arc::clone(&stop),
-            opts,
-        )?);
+        let app = Arc::new(App::new(&config, jobs, Arc::clone(&stop))?);
         app.set_addr(addr);
 
         let queue = Arc::new(ConnQueue::new(config.max_inflight));

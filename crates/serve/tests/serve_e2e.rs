@@ -4,24 +4,35 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use ibox::{ModelArtifact, PathModel};
+use ibox::{FitCache, FitCacheKey, ModelArtifact, ModelKind, PathModel};
 use ibox_serve::{HttpClient, ServeConfig, Server};
 use ibox_sim::SimTime;
 
 /// A fresh daemon on an ephemeral port with its own registry dir.
 fn start(configure: impl FnOnce(&mut ServeConfig)) -> (Server, PathBuf) {
+    let dir = fresh_dir();
+    (start_in(&dir, configure), dir)
+}
+
+/// A new, empty directory of this test process.
+fn fresh_dir() -> PathBuf {
     static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("ibox-serve-e2e-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut config = ServeConfig::new("127.0.0.1:0", &dir);
+    dir
+}
+
+/// A daemon on an ephemeral port serving the models in `dir`.
+fn start_in(dir: &Path, configure: impl FnOnce(&mut ServeConfig)) -> Server {
+    let mut config = ServeConfig::new("127.0.0.1:0", dir);
     config.jobs = 2;
     config.read_timeout = Duration::from_secs(5);
     configure(&mut config);
-    (Server::bind(config).expect("bind"), dir)
+    Server::bind(config).expect("bind")
 }
 
 fn client(server: &Server) -> HttpClient {
@@ -666,4 +677,142 @@ fn ingest_survives_a_crash_mid_write_and_resumes() {
     drop(c);
     server.handle().shutdown();
     server.join();
+}
+
+/// The names in `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// A 2 s ethernet/cubic training trace.
+fn short_trace(seed: u64) -> ibox_trace::FlowTrace {
+    let duration = SimTime::from_secs(2);
+    ibox_testbed::run_protocol(
+        &ibox_testbed::Profile::Ethernet.builder().seed(seed).duration(duration).sample(),
+        "cubic",
+        duration,
+        seed,
+    )
+}
+
+/// One file per fitted model: after a `/fit`, an ingest refit and a
+/// `/batch`, the model dir holds the fit's envelope, the session's
+/// version and latest pointer, and the ingest logs — nothing else.
+#[test]
+fn a_daemon_writes_one_file_per_fitted_model() {
+    let (server, dir) = start(|_| {});
+    let mut c = client(&server);
+    let fit_id = fit_sync(&mut c);
+
+    let train = short_trace(21);
+    let body = format!(
+        r#"{{"offset": 0, "meta": {}, "records": {}}}"#,
+        serde_json::to_string(&train.meta).unwrap(),
+        serde_json::to_string(&train.records().to_vec()).unwrap()
+    );
+    let (status, resp) = c.request("POST", "/traces/once/append", Some(body.as_bytes())).unwrap();
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&resp));
+    let (status, resp) = c.request("POST", "/traces/once/finalize", Some(b"{}")).unwrap();
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&resp));
+
+    let run =
+        ibox::RunSpec::builder().synth("ethernet", "cubic", 23).protocol("vegas").duration_s(2.0);
+    let spec = ibox::BatchSpec::builder().run(run.build().unwrap()).build().unwrap();
+    let (status, resp) = c.request("POST", "/batch", Some(spec.to_json().as_bytes())).unwrap();
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&resp));
+    drop(c);
+    server.handle().shutdown();
+    server.join();
+
+    let mut want = vec![
+        format!("{fit_id}.artifact.json"),
+        "ingest".to_string(),
+        "once-v1.artifact.json".to_string(),
+        "once.artifact.json".to_string(),
+    ];
+    want.sort();
+    assert_eq!(listing(&dir), want);
+}
+
+/// A directory an older build wrote: its `/fit` left a bare `<id>.json`
+/// beside the envelope, its `/batch` a bare `<id>.json` alone. The daemon
+/// serves the envelope; a disk-backed fit cache disk-hits it and refits
+/// the bare-only entry once. The bare files are never read.
+#[test]
+fn a_directory_with_bare_model_entries_serves_envelopes_and_refits_the_rest() {
+    let dir = fresh_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    let kind = ModelKind::IBoxNet;
+    let (served, bare_only) = (short_trace(31), short_trace(32));
+    let model = ibox::fit_model(&kind, &served);
+    let id = FitCacheKey::for_fit(&kind, &served).id();
+    let bare_id = FitCacheKey::for_fit(&kind, &bare_only).id();
+    let bare = |id: &str| dir.join(format!("{id}.json"));
+    std::fs::write(bare(&id), serde_json::to_string(&model).unwrap()).unwrap();
+    ModelArtifact::new(&kind, model.clone())
+        .save(&ModelArtifact::registry_path(&dir, &id))
+        .unwrap();
+    let bare_model = serde_json::to_string(&ibox::fit_model(&kind, &bare_only)).unwrap();
+    std::fs::write(bare(&bare_id), &bare_model).unwrap();
+
+    let server = start_in(&dir, |_| {});
+    let mut c = client(&server);
+    let replay = format!(r#"{{"model": "{id}", "protocol": "vegas", "duration_s": 2, "seed": 4}}"#);
+    let (status, online) = c.request("POST", "/replay", Some(replay.as_bytes())).unwrap();
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&online));
+    let offline = serde_json::to_string(&model.simulate("vegas", SimTime::from_secs(2), 4));
+    assert_eq!(String::from_utf8(online).unwrap(), offline.unwrap());
+    drop(c);
+    server.handle().shutdown();
+    server.join();
+
+    let cache = FitCache::with_dir(&dir).unwrap();
+    let scope = ibox_obs::scoped();
+    cache.fit_path_model(&kind, &served);
+    let counters = scope.finish().snapshot().counters;
+    assert_eq!(counters.get("fitcache.disk_hit"), Some(&1), "{counters:?}");
+    assert!(!counters.contains_key("model.fit"), "{counters:?}");
+
+    let scope = ibox_obs::scoped();
+    cache.fit_path_model(&kind, &bare_only);
+    cache.fit_path_model(&kind, &bare_only);
+    let counters = scope.finish().snapshot().counters;
+    let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+    assert_eq!((count("model.fit"), count("fitcache.miss"), count("fitcache.hit")), (1, 1, 1));
+    assert_eq!(std::fs::read_to_string(bare(&bare_id)).unwrap(), bare_model, "bare files stay");
+    assert!(ModelArtifact::load(&ModelArtifact::registry_path(&dir, &bare_id)).is_ok());
+}
+
+/// A fit made offline through a disk-backed fit cache is the daemon's
+/// model: `/fit` of the same trace answers `ready` at once (an async fit
+/// would answer `202`), and the file holds the bytes a daemon's own
+/// `/fit` writes.
+#[test]
+fn an_offline_cache_fit_is_served_without_a_refit() {
+    let (server, fresh) = start(|_| {});
+    let id = fit_sync(&mut client(&server));
+    server.handle().shutdown();
+    server.join();
+
+    let dir = fresh_dir();
+    let (_, train) = ibox_testbed::synth("ethernet", "cubic", 3.0, 7).unwrap();
+    let (key, _) =
+        FitCache::with_dir(&dir).unwrap().fit_path_model_keyed(&ModelKind::IBoxNet, &train);
+    assert_eq!(key.id(), id, "fit_body's trace");
+
+    let server = start_in(&dir, |_| {});
+    let (status, body) = client(&server).request("POST", "/fit", Some(&fit_body(false))).unwrap();
+    let text = String::from_utf8(body).unwrap();
+    assert_eq!(status, 200, "{text}");
+    assert!(text.contains("\"ready\""), "{text}");
+    server.handle().shutdown();
+    server.join();
+
+    let file = |dir: &Path| std::fs::read(ModelArtifact::registry_path(dir, &id)).unwrap();
+    assert_eq!(file(&dir), file(&fresh));
 }

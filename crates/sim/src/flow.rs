@@ -195,11 +195,6 @@ impl FlowState {
         self.scoreboard.len()
     }
 
-    /// Total packets sent so far.
-    pub fn sent_count(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Current smoothed RTT, if any sample has arrived.
     pub fn srtt(&self) -> Option<SimTime> {
         self.srtt

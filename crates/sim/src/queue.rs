@@ -290,11 +290,6 @@ impl BottleneckQueue {
         self.occupied_bytes == 0
     }
 
-    /// Configured byte capacity.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.buffer_bytes
-    }
-
     /// Packets dropped so far (DropTail).
     pub fn drop_count(&self) -> u64 {
         self.drops

@@ -108,15 +108,6 @@ pub fn send_rate_series(trace: &FlowTrace, window_secs: f64) -> TimeSeries {
     rate_series(trace.records().iter().map(|r| (r.send_ns, u64::from(r.size))), window_secs)
 }
 
-/// The receiving-rate series: bytes *received* per fixed window, bits per
-/// second, windows aligned to the first arrival.
-pub fn recv_rate_series(trace: &FlowTrace, window_secs: f64) -> TimeSeries {
-    let mut arrivals: Vec<(u64, u64)> =
-        trace.delivered().map(|r| (r.recv_ns.expect("delivered"), u64::from(r.size))).collect();
-    arrivals.sort_unstable();
-    rate_series(arrivals.into_iter(), window_secs)
-}
-
 fn rate_series(events: impl Iterator<Item = (u64, u64)>, window_secs: f64) -> TimeSeries {
     assert!(window_secs > 0.0, "rate window must be positive");
     let events: Vec<(u64, u64)> = events.collect();

@@ -11,10 +11,12 @@
 # when a crate's runtime panic sites outgrow scripts/panic_budget.txt.
 # --quick additionally smoke-tests the release binary end to end: a
 # 5-spec batch file (every model kind, incl. a tiny iBoxML) through
-# `ibox batch --jobs 2 --model-cache`, then a fit → save → reload →
-# replay loop asserting byte-identical traces.
+# `ibox batch --jobs 2 --model-cache`, one of its cached model envelopes
+# replayed by `ibox replay`, then a fit → save → reload → replay loop
+# asserting byte-identical traces.
 # --quick also smoke-tests the serving daemon, including a causally
-# traced fit (`--trace-id` → `GET /trace/<id>`) and the prometheus
+# traced fit (`--trace-id` → `GET /trace/<id>`), a model dir holding no
+# JSON but envelopes and the run manifest, and the prometheus
 # metrics exposition (a replay latency p95 and the model-fit span
 # quantiles must be in it), plus a `--fidelity flow` replay smoke (explicit
 # `--fidelity packet` must stay byte-identical to the default).
@@ -131,6 +133,12 @@ EOF
     run ./target/release/ibox batch "$tmp/batch.json" --jobs 2 --model-cache "$tmp/cache" -o "$tmp/results.json"
     test -s "$tmp/results.json" || { echo "FAIL: batch smoke wrote no results" >&2; exit 1; }
     grep -q 'iBoxML' "$tmp/results.json" || { echo "FAIL: batch smoke missing the iBoxML record" >&2; exit 1; }
+    # The fit cache stores each model as the envelope `ibox replay` loads.
+    cached=("$tmp/cache"/*.artifact.json)
+    [[ -f "${cached[0]}" ]] || { echo "FAIL: the batch smoke cached no model envelope" >&2; ls -la "$tmp/cache" >&2; exit 1; }
+    run ./target/release/ibox replay "${cached[0]}" --protocol vegas --duration 2 --seed 3 -o "$tmp/replay-cached.json"
+    grep -q '"records"' "$tmp/replay-cached.json" \
+        || { echo "FAIL: a cached model envelope replayed no trace records" >&2; exit 1; }
     echo "batch smoke passed"
 
     echo "==> artifact smoke: fit, save, reload, replay byte-identically"
@@ -309,6 +317,9 @@ EOF
         || { echo "FAIL: serve exited nonzero after graceful shutdown" >&2; exit 1; }
     test -f "$tmp/mcache/serve.manifest.json" \
         || { echo "FAIL: serve wrote no run manifest on exit" >&2; exit 1; }
+    # One file per fitted model: the daemon writes no bare `<id>.json`.
+    stray="$(find "$tmp/mcache" -maxdepth 1 -name '*.json' ! -name '*.artifact.json' ! -name serve.manifest.json)"
+    [[ -z "$stray" ]] || { echo "FAIL: the serve smoke left JSON that is not an envelope: $stray" >&2; exit 1; }
     echo "serve smoke passed"
 
     echo "==> crash smoke: kill -9 mid-stream, torn session log, restart, resume, finalize"
